@@ -3,12 +3,19 @@
 A Tape records every operation of one forward pass in creation order;
 node inputs always point to strictly earlier nodes, so the record is
 already topologically sorted and ``backward`` is a single deterministic
-reverse sweep. Tapes are rebuilt per batch; tensors are immutable after
-creation and safe to share read-only across threads.
+reverse sweep. Tapes are rebuilt per batch; tensors are read-only after
+creation and safe to share across threads.
+
+A tensor holds its tape through a weak reference, so tape and nodes form
+no reference cycle and a dropped tape is freed at once rather than at the
+next cyclic garbage collection. Leaves bind float64 C-contiguous arrays as
+read-only views without copying; the caller must not write to such an
+array while a tape that binds it is in use.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -29,27 +36,41 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _as_f64(data, *, copy: bool) -> np.ndarray:
-    arr = np.array(data, dtype=np.float64, order="C", copy=copy)
+def _f64_view(data) -> np.ndarray:
+    """Read-only float64 C-contiguous array: a view when ``data`` already is
+    one, a converted copy otherwise."""
+    if isinstance(data, np.ndarray) and data.dtype == np.float64 \
+            and data.flags.c_contiguous:
+        return _freeze(data.view()) if data.flags.writeable else data
+    return _freeze(np.array(data, dtype=np.float64, order="C"))
+
+
+def _checked_f64(data) -> np.ndarray:
+    arr = _f64_view(data)
     if not np.isfinite(arr).all():
         raise DataError("tensor creation: non-finite entries")
     return arr
 
 
 class Tensor:
-    """Immutable float64 array, optionally recorded as a node on a Tape."""
+    """Read-only float64 array, optionally recorded as a node on a Tape."""
 
-    __slots__ = ("data", "tape", "node_id", "parents", "vjps", "op")
+    __slots__ = ("data", "_tape", "node_id", "parents", "vjps", "op")
 
-    def __init__(self, data: np.ndarray, tape: Optional["Tape"] = None,
-                 node_id: Optional[int] = None, parents: tuple = (),
-                 vjps: tuple = (), op: str = "leaf"):
+    def __init__(self, data: np.ndarray, node_id: Optional[int] = None,
+                 parents: tuple = (), vjps: tuple = (), op: str = "leaf"):
         self.data = data
-        self.tape = tape
+        self._tape = None
         self.node_id = node_id
         self.parents = parents
         self.vjps = vjps
         self.op = op
+
+    @property
+    def tape(self) -> Optional["Tape"]:
+        """The tape that recorded this tensor; None for constants and once
+        the tape has been dropped."""
+        return self._tape() if self._tape is not None else None
 
     @property
     def shape(self) -> tuple:
@@ -66,21 +87,36 @@ class Tensor:
 class Tape:
     """Ordered op record for one forward pass plus the grads of its backward."""
 
+    __slots__ = ("nodes", "grads", "_param_ids", "_ref", "__weakref__")
+
     def __init__(self):
         self.nodes: list[Tensor] = []
         self.grads: list[Optional[np.ndarray]] = []
         self._param_ids: dict[str, int] = {}
+        self._ref = weakref.ref(self)
 
     def _add(self, t: Tensor) -> Tensor:
         t.node_id = len(self.nodes)
-        t.tape = self
+        t._tape = self._ref
         self.nodes.append(t)
         self.grads.append(None)
         return t
 
     def leaf(self, data, name: Optional[str] = None) -> Tensor:
-        """Register an input or parameter; data is copied and frozen."""
-        t = self._add(Tensor(_freeze(_as_f64(data, copy=True))))
+        """Register an input or parameter as a read-only view (copied only
+        when not float64 C-contiguous); rejects non-finite entries."""
+        return self._leaf(_checked_f64(data), name)
+
+    def param(self, data: np.ndarray, name: str) -> Tensor:
+        """Bind a parameter like ``leaf`` but without the finite check.
+
+        Parameters are checked where they are made: ``init_params``,
+        ``load_checkpoint`` and each Adam step.
+        """
+        return self._leaf(_f64_view(data), name)
+
+    def _leaf(self, arr: np.ndarray, name: Optional[str]) -> Tensor:
+        t = self._add(Tensor(arr))
         if name is not None:
             if name in self._param_ids:
                 raise ContractError(f"duplicate parameter name on tape: {name}")
@@ -93,53 +129,52 @@ class Tape:
         Populates ``grads`` for every node reachable from the loss and
         returns gradients for all named parameters (zeros if unreached).
         """
-        if loss.tape is not self:
+        if loss._tape is not self._ref:
             raise ContractError("loss tensor does not belong to this tape")
         if loss.data.shape != ():
             raise ContractError("backward requires a scalar loss node")
-        self.grads = [None] * len(self.nodes)
-        self.grads[loss.node_id] = np.ones(())
+        ref, nodes = self._ref, self.nodes
+        grads = self.grads = [None] * len(nodes)
+        grads[loss.node_id] = np.ones(())
         for nid in range(loss.node_id, -1, -1):
-            g = self.grads[nid]
+            g = grads[nid]
             if g is None:
                 continue
-            node = self.nodes[nid]
+            node = nodes[nid]
             for parent, vjp in zip(node.parents, node.vjps):
-                if parent.tape is not self:
+                if parent._tape is not ref:
                     continue  # constant input: no gradient tracked
                 contrib = vjp(g)
                 pid = parent.node_id
-                if self.grads[pid] is None:
-                    self.grads[pid] = contrib.copy()
-                else:
-                    self.grads[pid] = self.grads[pid] + contrib
+                # never updated in place, so a contribution may be stored as is
+                grads[pid] = contrib if grads[pid] is None else grads[pid] + contrib
         return {
-            name: (self.grads[nid] if self.grads[nid] is not None
-                   else np.zeros_like(self.nodes[nid].data))
+            name: (grads[nid] if grads[nid] is not None
+                   else np.zeros_like(nodes[nid].data))
             for name, nid in self._param_ids.items()
         }
 
     def grad(self, t: Tensor) -> Optional[np.ndarray]:
-        if t.tape is not self:
+        if t._tape is not self._ref:
             raise ContractError("tensor does not belong to this tape")
         return self.grads[t.node_id]
 
 
 def constant(data) -> Tensor:
     """Tensor outside any tape; participates in ops but gets no gradient."""
-    return Tensor(_freeze(_as_f64(data, copy=True)), op="const")
+    return Tensor(_checked_f64(data), op="const")
 
 
 def _find_tape(parents: Sequence[Tensor]) -> Optional[Tape]:
-    tape = None
+    ref = None
     for p in parents:
-        if p.tape is None:
+        if p._tape is None:
             continue
-        if tape is None:
-            tape = p.tape
-        elif tape is not p.tape:
+        if ref is None:
+            ref = p._tape
+        elif ref is not p._tape:
             raise ContractError("operands belong to different tapes")
-    return tape
+    return ref() if ref is not None else None
 
 
 def record_op(op: str, value: np.ndarray, parents: Sequence[Tensor],
@@ -166,6 +201,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     value = a.data @ b.data
     return record_op("matmul", value, (a, b),
                      (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
+
+
+def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+    """Fully connected layer ``x @ w.T (+ b)`` as one tape node.
+
+    Makes the same BLAS calls as ``add_bias(matmul(x, transpose(w)), b)``,
+    so values and gradients match that chain bit for bit.
+    """
+    if x.ndim != 2 or w.ndim != 2:
+        raise ShapeError(f"linear needs 2-D operands, got {x.shape} and {w.shape}")
+    if x.shape[1] != w.shape[1]:
+        raise ShapeError(f"linear inner dims differ: {x.shape} x {w.shape}.T")
+    if b is not None and (b.ndim != 1 or b.shape[0] != w.shape[0]):
+        raise ShapeError(f"linear bias shape {b.shape} does not match {w.shape}")
+    xd = x.data
+    wt = np.ascontiguousarray(w.data.T)
+    value = xd @ wt
+    vjps = [lambda g: g @ wt.T, lambda g: np.ascontiguousarray((xd.T @ g).T)]
+    if b is None:
+        return record_op("linear", value, (x, w), vjps)
+    vjps.append(lambda g: g.sum(axis=0))
+    return record_op("linear", value + b.data, (x, w, b), vjps)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -272,10 +329,13 @@ def mean_center_rows(x: Tensor) -> Tensor:
     """Subtract each row's mean from its entries; rows then sum to zero."""
     if x.ndim != 2:
         raise ShapeError(f"mean_center_rows needs a 2-D tensor, got {x.shape}")
-    value = x.data - x.data.mean(axis=1, keepdims=True)
+
+    def center(a):
+        # ndarray.mean's own sum-then-divide, without its Python wrapper
+        return a - np.add.reduce(a, axis=1, keepdims=True) / a.shape[1]
+
     # the centering map is symmetric, so the vjp is the map itself
-    return record_op("mean_center_rows", value, (x,),
-                     (lambda g: g - g.mean(axis=1, keepdims=True),))
+    return record_op("mean_center_rows", center(x.data), (x,), (center,))
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -285,5 +345,6 @@ def sum_all(x: Tensor) -> Tensor:
 
 def mean_all(x: Tensor) -> Tensor:
     inv = 1.0 / x.data.size
-    return record_op("mean_all", np.asarray(x.data.mean()), (x,),
+    value = np.asarray(np.add.reduce(x.data, axis=None) / x.data.size)  # == mean()
+    return record_op("mean_all", value, (x,),
                      (lambda g: np.full(x.shape, float(g) * inv),))

@@ -16,5 +16,15 @@ class DataError(Exception):
     """Input data is malformed: bad files, non-finite values, mismatched headers."""
 
 
+class DivergenceError(DataError):
+    """Training produced a non-finite loss or non-finite parameters at Adam
+    update ``step`` (1-based; ``epoch`` when known)."""
+
+    def __init__(self, step: int, what: str = "parameters", epoch=None):
+        self.step, self.what, self.epoch = step, what, epoch
+        where = f"Adam step {step}" + (f" (epoch {epoch})" if epoch is not None else "")
+        super().__init__(f"training diverged: non-finite {what} at {where}")
+
+
 class ValidationError(Exception):
     """A config or CLI argument failed validation; message names the field."""

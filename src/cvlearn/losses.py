@@ -9,14 +9,15 @@ equals the transform of its real counterpart. The training objective is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, record_op
-from .errors import ContractError, DataError, ShapeError, ValidationError
+from .errors import (ContractError, DataError, DivergenceError, ShapeError,
+                     ValidationError)
 from .models import LatentPair
 from .transforms import hilbert_rows
 
@@ -137,33 +138,57 @@ def total_loss(task_loss: Tensor, penalty: Optional[Tensor], beta: float) -> Ten
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    """Moment estimates as flat buffers in parameter declaration order."""
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
 
 def adam_init(params: dict[str, np.ndarray]) -> AdamState:
-    return AdamState(m={n: np.zeros_like(p) for n, p in params.items()},
-                     v={n: np.zeros_like(p) for n, p in params.items()},
-                     t=0)
+    size = sum(np.size(p) for p in params.values())
+    return AdamState(m=np.zeros(size), v=np.zeros(size), t=0)
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, config: TrainConfig) -> tuple[dict, AdamState]:
-    """One bias-corrected Adam update; functional (inputs untouched)."""
+    """One bias-corrected Adam update over all parameters as one flat
+    vector; functional (inputs untouched).
+
+    The new parameters are read-only views into one fresh buffer. Raises
+    DivergenceError when any of them is non-finite.
+    """
     if set(params) != set(grads):
         raise ContractError("gradient keys do not match parameter keys")
+    for name, p in params.items():
+        if grads[name].shape != p.shape:
+            raise ShapeError(f"gradient shape {grads[name].shape} != param shape "
+                             f"{p.shape} for {name}")
     b1, b2, eps, lr = config.adam_b1, config.adam_b2, config.adam_eps, config.learning_rate
     t = state.t + 1
-    new_params, new_m, new_v = {}, {}, {}
+    # the per-tensor formulas, evaluated in place on fresh buffers in the
+    # same operation order, so every element rounds exactly as before
+    g = np.concatenate([grads[name] for name in params], axis=None)
+    tmp = np.multiply(g, 1 - b1)
+    m = np.multiply(state.m, b1)
+    m += tmp                                    # b1 * m + (1 - b1) * g
+    np.multiply(g, g, out=tmp)
+    tmp *= 1 - b2
+    v = np.multiply(state.v, b2)
+    v += tmp                                    # b2 * v + (1 - b2) * g^2
+    denom = np.divide(v, 1 - b2 ** t)
+    np.sqrt(denom, out=denom)
+    denom += eps                                # sqrt(v_hat) + eps
+    np.divide(m, 1 - b1 ** t, out=tmp)
+    tmp *= lr
+    tmp /= denom                                # lr * m_hat / denom
+    flat = np.concatenate(list(params.values()), axis=None)
+    flat -= tmp
+    if not np.isfinite(flat).all():
+        raise DivergenceError(t)
+    flat.setflags(write=False)
+    new_params = {}
+    offset = 0
     for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ShapeError(f"gradient shape {g.shape} != param shape {p.shape} for {name}")
-        m = b1 * state.m[name] + (1 - b1) * g
-        v = b2 * state.v[name] + (1 - b2) * (g * g)
-        m_hat = m / (1 - b1 ** t)
-        v_hat = v / (1 - b2 ** t)
-        new_params[name] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
-        new_m[name], new_v[name] = m, v
-    return new_params, AdamState(m=new_m, v=new_v, t=t)
+        new_params[name] = flat[offset:offset + p.size].reshape(p.shape)
+        offset += p.size
+    return new_params, AdamState(m=m, v=v, t=t)

@@ -75,6 +75,12 @@ class Model:
     spec: NetworkSpec
     params: dict[str, np.ndarray] = field(default_factory=dict)
 
+    def __post_init__(self):
+        # forward binds parameters unchecked; training re-checks every update
+        for name, p in self.params.items():
+            if not np.isfinite(p).all():
+                raise DataError(f"parameter {name!r} has non-finite values")
+
 
 @dataclass
 class LatentPair:
@@ -140,11 +146,7 @@ def param_count(model: Model) -> int:
 
 
 def _bind(model: Model, tape: Tape) -> dict[str, Tensor]:
-    return {name: tape.leaf(arr, name=name) for name, arr in model.params.items()}
-
-
-def _affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return ad.add_bias(ad.matmul(x, ad.transpose(w)), b)
+    return {name: tape.param(arr, name) for name, arr in model.params.items()}
 
 
 def _check_inputs(spec: NetworkSpec, x_re: np.ndarray, x_im: np.ndarray) -> None:
@@ -167,13 +169,13 @@ def steinmetz_forward(model: Model, x_re, x_im,
     tape = tape if tape is not None else Tape()
     p = _bind(model, tape)
     xr, xi = tape.leaf(x_re), tape.leaf(x_im)
-    hr = ad.relu(_affine(xr, p["realfc1.w"], p["realfc1.b"]))
-    hr = ad.relu(_affine(hr, p["realfc2.w"], p["realfc2.b"]))
+    hr = ad.relu(ad.linear(xr, p["realfc1.w"], p["realfc1.b"]))
+    hr = ad.relu(ad.linear(hr, p["realfc2.w"], p["realfc2.b"]))
     z_re = ad.mean_center_rows(hr)
-    hi = ad.relu(_affine(xi, p["imagfc1.w"], p["imagfc1.b"]))
-    hi = ad.relu(_affine(hi, p["imagfc2.w"], p["imagfc2.b"]))
+    hi = ad.relu(ad.linear(xi, p["imagfc1.w"], p["imagfc1.b"]))
+    hi = ad.relu(ad.linear(hi, p["imagfc2.w"], p["imagfc2.b"]))
     z_im = ad.mean_center_rows(hi)
-    pred = _affine(ad.concat(z_re, z_im, axis=1), p["regressor.w"], p["regressor.b"])
+    pred = ad.linear(ad.concat(z_re, z_im, axis=1), p["regressor.w"], p["regressor.b"])
     return pred, LatentPair(z_re=z_re, z_im=z_im)
 
 
@@ -188,17 +190,17 @@ def rvnn_forward(model: Model, x_re, x_im,
     tape = tape if tape is not None else Tape()
     p = _bind(model, tape)
     x = ad.concat(tape.leaf(x_re), tape.leaf(x_im), axis=1)
-    h = ad.relu(_affine(x, p["fc1.w"], p["fc1.b"]))
-    latent = ad.relu(_affine(h, p["fc2.w"], p["fc2.b"]))
-    pred = _affine(latent, p["fc3.w"], p["fc3.b"])
+    h = ad.relu(ad.linear(x, p["fc1.w"], p["fc1.b"]))
+    latent = ad.relu(ad.linear(h, p["fc2.w"], p["fc2.b"]))
+    pred = ad.linear(latent, p["fc3.w"], p["fc3.b"])
     return pred, latent
 
 
 def _complex_affine(xr: Tensor, xi: Tensor, p: dict, layer: str) -> tuple[Tensor, Tensor]:
     """(yr + i yi) = (wr + i wi)(xr + i xi) + (br + i bi), via real matmuls."""
-    wr, wi = ad.transpose(p[f"{layer}.wr"]), ad.transpose(p[f"{layer}.wi"])
-    yr = ad.add_bias(ad.sub(ad.matmul(xr, wr), ad.matmul(xi, wi)), p[f"{layer}.br"])
-    yi = ad.add_bias(ad.add(ad.matmul(xi, wr), ad.matmul(xr, wi)), p[f"{layer}.bi"])
+    wr, wi = p[f"{layer}.wr"], p[f"{layer}.wi"]
+    yr = ad.add_bias(ad.sub(ad.linear(xr, wr), ad.linear(xi, wi)), p[f"{layer}.br"])
+    yi = ad.add_bias(ad.add(ad.linear(xi, wr), ad.linear(xr, wi)), p[f"{layer}.bi"])
     return yr, yi
 
 

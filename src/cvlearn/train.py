@@ -10,6 +10,7 @@ purpose.
 from __future__ import annotations
 
 import json
+import math
 import time
 from pathlib import Path
 from typing import Optional
@@ -19,7 +20,7 @@ import numpy as np
 from .autodiff import Tape
 from .data import Dataset, add_complex_noise, load_cvds, stacked_targets
 from .diagnostics import accuracy, mag_phase_mse, mse_metric
-from .errors import DataError, ValidationError
+from .errors import DataError, DivergenceError, ValidationError
 from .losses import (TrainConfig, adam_init, adam_step, cross_entropy,
                      hilbert_penalty, mse, total_loss)
 from .models import Model, NetworkSpec, forward, init_params, save_checkpoint
@@ -81,9 +82,15 @@ def train_model(spec: NetworkSpec, train_ds: Dataset, cfg: TrainConfig,
                 penalty = hilbert_penalty(result.latent_pair)
                 penalty_sum += float(penalty.data) * idx.size
             loss = total_loss(loss, penalty, cfg.beta if use_penalty else 0.0)
+            loss_value = float(loss.data)
+            if not math.isfinite(loss_value):
+                raise DivergenceError(state.t + 1, "loss", epoch)
             grads = tape.backward(loss)
-            model.params, state = adam_step(model.params, grads, state, cfg)
-            loss_sum += float(loss.data) * idx.size
+            try:
+                model.params, state = adam_step(model.params, grads, state, cfg)
+            except DivergenceError as e:
+                raise DivergenceError(e.step, e.what, epoch) from None
+            loss_sum += loss_value * idx.size
         record = {
             "epoch": epoch,
             "train_loss": loss_sum / m,

@@ -2,9 +2,11 @@
 
 The spectral path multiplies DFT bins by -i (positive frequencies) or +i
 (negative frequencies) while passing the DC and Nyquist bins through
-unchanged; it is the canonical transform used by the training penalty.
-The cotangent-kernel path is a direct time-domain evaluation kept as a
-cross-check; the two agree on signals with zero DC and Nyquist content.
+unchanged; it is the canonical transform. The training penalty applies
+it as one matmul against its dense n x n matrix, built once per n by the
+spectral path itself (``hilbert_rows``). The cotangent-kernel path is a
+direct time-domain evaluation kept as a cross-check; the two agree on
+signals with zero DC and Nyquist content.
 
 Power-of-two lengths run through an iterative radix-2 FFT with
 bit-reversal ordering; every other length uses direct summation against
@@ -165,8 +167,8 @@ def _hilbert_core(z: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
     # residue bound scaled by input magnitude; a symmetric multiplier keeps
     # the inverse transform real to rounding error
     limit = 1e-9 * max(1.0, float(np.abs(z).max(initial=0.0)))
-    assert np.abs(out.imag).max(initial=0.0) <= limit, \
-        "inverse transform produced a non-real result"
+    if not np.abs(out.imag).max(initial=0.0) <= limit:
+        raise ContractError("inverse transform produced a non-real result")
     return np.ascontiguousarray(out.real)
 
 
@@ -218,17 +220,25 @@ def analytic_signal(x: np.ndarray) -> ComplexVector:
     return ComplexVector(x, hilbert_freq(x))
 
 
+@lru_cache(maxsize=8)
+def _hilbert_operator(n: int) -> np.ndarray:
+    """Read-only [n, n] matrix M with ``z @ M == hilbert_rows_array(z)`` up
+    to rounding: row i is the transform of the i-th unit signal."""
+    op = hilbert_rows_array(np.eye(n))
+    op.setflags(write=False)
+    return op
+
+
 def hilbert_rows(x: Tensor) -> Tensor:
     """Differentiable row-wise Hilbert transform on the autodiff tape.
 
-    The map is linear, so the gradient is its transpose applied to the
-    upstream gradient.
+    One matmul against the cached dense operator; the map is linear, so
+    the gradient is the upstream gradient times its transpose.
     """
     if x.ndim != 2:
         raise ContractError(f"hilbert_rows needs a 2-D tensor, got {x.shape}")
-    value = hilbert_rows_array(x.data)
-    return record_op("hilbert_rows", value, (x,),
-                     (lambda g: hilbert_adjoint_rows_array(g),))
+    op = _hilbert_operator(x.shape[1])
+    return record_op("hilbert_rows", x.data @ op, (x,), (lambda g: g @ op.T,))
 
 
 __all__ = [

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -242,14 +245,17 @@ def test_unary_op_gradients_100_seeds(name):
         assert block_relative_error(fd, grads) < 1e-5, f"{name} seed {seed}"
 
 
-@pytest.mark.parametrize("name", ["add", "sub", "mul", "add_bias", "concat"])
+@pytest.mark.parametrize("name", ["add", "sub", "mul", "add_bias", "concat",
+                                  "linear"])
 def test_binary_op_gradients_100_seeds(name):
     ops = {"add": ad.add, "sub": ad.sub, "mul": ad.mul,
-           "add_bias": ad.add_bias, "concat": lambda a, b: ad.concat(a, b, axis=1)}
+           "add_bias": ad.add_bias, "concat": lambda a, b: ad.concat(a, b, axis=1),
+           "linear": ad.linear}
+    b_shapes = {"add_bias": (4,), "linear": (5, 4)}
     for seed in range(100):
         g = np.random.default_rng(1000 + seed)
         a = g.standard_normal((3, 4))
-        b = g.standard_normal(4) if name == "add_bias" else g.standard_normal((3, 4))
+        b = g.standard_normal(b_shapes.get(name, (3, 4)))
 
         def loss_fn(params, seed=seed):
             tape = cv.Tape()
@@ -262,3 +268,82 @@ def test_binary_op_gradients_100_seeds(name):
         grads = tape.backward(_project(ops[name](ta, tb), seed))
         fd = central_diff(loss_fn, {"a": a, "b": b})
         assert block_relative_error(fd, grads) < 1e-5, f"{name} seed {seed}"
+
+
+def test_linear_with_bias_gradients_100_seeds():
+    for seed in range(100):
+        g = np.random.default_rng(2000 + seed)
+        params = {"x": g.standard_normal((3, 4)), "w": g.standard_normal((5, 4)),
+                  "b": g.standard_normal(5)}
+
+        def run(params, seed=seed):
+            tape = cv.Tape()
+            x, w, b = (tape.leaf(params[k], name=k) for k in ("x", "w", "b"))
+            return tape, _project(ad.linear(x, w, b), seed)
+
+        tape, loss = run(params)
+        grads = tape.backward(loss)
+        fd = central_diff(lambda p: float(run(p)[1].data), params)
+        assert block_relative_error(fd, grads) < 1e-5, f"linear+bias seed {seed}"
+
+
+@pytest.mark.parametrize("shape", [(32, 5, 64), (32, 64, 64), (32, 128, 2)])
+@pytest.mark.parametrize("bias", [True, False])
+def test_linear_bit_identical_to_transpose_matmul_add_bias(shape, bias):
+    m, d_in, d_out = shape
+    g = np.random.default_rng(d_in * 1000 + d_out)
+    x = g.standard_normal((m, d_in))
+    w = g.standard_normal((d_out, d_in))
+    b = g.standard_normal(d_out)
+    upstream = g.standard_normal((m, d_out))
+
+    def run(fused):
+        tape = cv.Tape()
+        tx, tw, tb = tape.leaf(x, name="x"), tape.leaf(w, name="w"), tape.leaf(b, name="b")
+        if fused:
+            out = ad.linear(tx, tw, tb if bias else None)
+        else:
+            out = ad.matmul(tx, ad.transpose(tw))
+            if bias:
+                out = ad.add_bias(out, tb)
+        grads = tape.backward(ad.sum_all(ad.mul(out, ad.constant(upstream))))
+        return out.data, grads
+
+    value, grads = run(True)
+    ref_value, ref_grads = run(False)
+    assert np.array_equal(value, ref_value)
+    for name in ("x", "w", "b"):
+        assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+def test_linear_shape_mismatch():
+    tape = cv.Tape()
+    x, w = _leaf(tape, np.ones((2, 3))), _leaf(tape, np.ones((4, 2)))
+    with pytest.raises(ShapeError):
+        ad.linear(x, w)
+    with pytest.raises(ShapeError):
+        ad.linear(x, _leaf(tape, np.ones((4, 3))), _leaf(tape, np.ones(3)))
+
+
+def test_dropped_tape_is_freed_without_cyclic_gc():
+    gc.disable()
+    try:
+        tape = cv.Tape()
+        x = tape.leaf(np.ones((2, 3)), name="x")
+        loss = ad.sum_all(ad.relu(x))
+        tape.backward(loss)
+        ref = weakref.ref(tape)
+        del tape
+        assert ref() is None
+        assert loss.tape is None  # tensors outlive their tape without keeping it
+    finally:
+        gc.enable()
+
+
+def test_leaf_binds_float64_arrays_without_copying():
+    arr = np.arange(6.0).reshape(2, 3)
+    t = cv.Tape().leaf(arr)
+    assert np.shares_memory(t.data, arr) and not t.data.flags.writeable
+    assert arr.flags.writeable  # the caller's array stays writable
+    converted = cv.Tape().leaf(np.arange(6).reshape(2, 3))  # int: copied
+    assert converted.data.dtype == np.float64

@@ -1,12 +1,16 @@
+import gc
 import json
+import os
 import subprocess
 import sys
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cvlearn as cv
-from cvlearn.errors import DataError, ValidationError
+from cvlearn.errors import DataError, DivergenceError, ValidationError
 from cvlearn.train import evaluate, resolve_config, run_training, train_model
 
 from helpers import synthetic_classification
@@ -58,6 +62,44 @@ def test_architectures_share_data_order():
     p1 = Rng(9).substream("shuffle/epoch3").permutation(10)
     p2 = Rng(9).substream("shuffle/epoch3").permutation(10)
     assert np.array_equal(p1, p2)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_dropped_tapes_freed_without_cyclic_gc(kind, monkeypatch):
+    refs = []
+
+    class TrackedTape(cv.Tape):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(cv.train, "Tape", TrackedTape)
+    monkeypatch.setattr(cv.models, "Tape", TrackedTape)
+    ds = synthetic_classification(16, 8, 3, seed=112)
+    cfg = cv.TrainConfig(learning_rate=0.003, beta=0.001, epochs=1,
+                         batch_size=16, seed=1)
+    gc.disable()
+    try:
+        model, _ = train_model(_smoke_spec(kind), ds, cfg)  # one step
+        assert len(refs) == 1 and refs[0]() is None
+        evaluate(model, ds)
+        assert len(refs) == 2 and refs[1]() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_divergence_raises_named_error_with_step(kind):
+    ds = synthetic_classification(40, 8, 3, seed=105)
+    cfg = cv.TrainConfig(learning_rate=1e300, beta=0.001, epochs=3,
+                         batch_size=16, seed=1)
+    with pytest.raises(DivergenceError, match=r"Adam step 2 \(epoch 1\)") as info:
+        train_model(_smoke_spec(kind), ds, cfg)
+    assert isinstance(info.value, DataError)
+    assert info.value.step == 2 and info.value.epoch == 1
 
 
 def test_epochs_zero_untrained_report(tmp_path):
@@ -162,8 +204,12 @@ def test_test_dataset_mismatch_rejected(tmp_path):
 
 
 def _cli(*args):
+    # the child imports cvlearn from the same place this process did
+    src = str(Path(cv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     return subprocess.run([sys.executable, "-m", "cvlearn", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
 
 
 def test_cli_gen_train_eval_diag_roundtrip(tmp_path):
@@ -225,6 +271,24 @@ def test_cli_invalid_config_exit_code(tmp_path):
                "--out", str(tmp_path / "run"))
     assert out.returncode == 1
     assert "error" in out.stderr
+
+
+def test_cli_train_divergence_exits_2_without_report(tmp_path):
+    ds = synthetic_classification(40, 8, 3, seed=105)
+    cv.save_cvds(ds, tmp_path / "train")
+    config = {"arch": "analytic", "latent_dim": 8,
+              "train_dataset": str(tmp_path / "train"),
+              "learning_rate": 1e300, "beta": 0.001, "epochs": 3,
+              "batch_size": 16, "seed": 1}
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    out = _cli("train", "--config", str(tmp_path / "cfg.json"),
+               "--out", str(tmp_path / "run"))
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert "data error: training diverged" in out.stderr
+    assert "Adam step 2" in out.stderr
+    assert not (tmp_path / "run" / "report.json").exists()
+    assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
 
 def test_cli_missing_dataset_exit_code(tmp_path):

@@ -218,3 +218,38 @@ def test_hilbert_rows_tape_gradient_is_adjoint():
     loss = cv.autodiff.sum_all(cv.autodiff.mul(out, cv.autodiff.constant(upstream_target)))
     grads = tape.backward(loss)
     assert np.abs(grads["x"] - upstream_target @ h_matrix).max() < 1e-10
+
+
+def test_hilbert_core_rejects_non_real_result():
+    # an asymmetric multiplier makes the inverse transform complex; the
+    # check is an explicit raise, so it also holds under python -O
+    z = np.random.default_rng(10).standard_normal((2, 8))
+    with pytest.raises(ContractError, match="non-real"):
+        tr._hilbert_core(z, np.full(8, 1j))
+
+
+@pytest.mark.parametrize("n", [2, 8, 64, 784])
+def test_hilbert_rows_dense_operator_matches_spectral_path(n):
+    x = np.random.default_rng(n).standard_normal((5, n))
+    tape = cv.Tape()
+    out = tr.hilbert_rows(tape.leaf(x, name="x"))
+    scale = max(1.0, float(np.abs(x).max()))
+    assert np.abs(out.data - tr.hilbert_rows_array(x)).max() <= 1e-12 * scale
+    upstream = np.random.default_rng(n + 1).standard_normal((5, n))
+    grads = tape.backward(cv.autodiff.sum_all(
+        cv.autodiff.mul(out, cv.autodiff.constant(upstream))))
+    assert np.abs(grads["x"] - tr.hilbert_adjoint_rows_array(upstream)).max() <= 1e-12 * n
+
+
+def test_hilbert_rows_makes_no_transform_call_once_cached(monkeypatch):
+    tr.hilbert_rows(cv.Tape().leaf(np.ones((2, 16))))  # builds the n = 16 operator
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("spectral transform called on the tape path")
+
+    monkeypatch.setattr(tr, "dft_array", forbidden)
+    monkeypatch.setattr(tr, "hilbert_rows_array", forbidden)
+    monkeypatch.setattr(tr, "hilbert_adjoint_rows_array", forbidden)
+    tape = cv.Tape()
+    x = tape.leaf(np.random.default_rng(11).standard_normal((3, 16)), name="x")
+    tape.backward(cv.autodiff.sum_all(tr.hilbert_rows(x)))
