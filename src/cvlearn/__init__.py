@@ -18,7 +18,7 @@ from .models import (LatentPair, Model, NetworkSpec, cvnn_forward, forward,
                      rvnn_forward, save_checkpoint, steinmetz_forward)
 from .recipes import run_channel_id, run_cvmnist500, run_noise_sweep, run_recipe
 from .rng import Rng
-from .train import evaluate, run_training, train_model
+from .train import evaluate, run_training, train_model, train_models
 from .transforms import (ComplexVector, HilbertMultiplier, analytic_signal,
                          dft, dht_cotangent, hilbert_freq, idft)
 
@@ -35,7 +35,7 @@ __all__ = [
     "cross_entropy", "mse", "hilbert_penalty", "total_loss",
     "Dataset", "ChannelSpec", "load_cvds", "save_cvds", "dft_encode",
     "add_complex_noise", "gen_channel_dataset",
-    "train_model", "evaluate", "run_training",
+    "train_model", "train_models", "evaluate", "run_training",
     "run_channel_id", "run_cvmnist500", "run_noise_sweep", "run_recipe",
     "ContractError", "ShapeError", "DataError", "ValidationError",
     "autodiff", "transforms", "diagnostics",

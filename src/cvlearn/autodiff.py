@@ -11,6 +11,11 @@ no reference cycle and a dropped tape is freed at once rather than at the
 next cyclic garbage collection. Leaves bind float64 C-contiguous arrays as
 read-only views without copying; the caller must not write to such an
 array while a tape that binds it is in use.
+
+The ops used by training act on the last two axes, so one op body serves
+a single network's [m, n] operands and an ensemble's stacked [E, m, n]
+operands alike: every member slice makes the same numpy and BLAS calls
+as the 2-D case and rounds exactly as it would alone.
 """
 
 from __future__ import annotations
@@ -207,22 +212,27 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     """Fully connected layer ``x @ w.T (+ b)`` as one tape node.
 
     Makes the same BLAS calls as ``add_bias(matmul(x, transpose(w)), b)``,
-    so values and gradients match that chain bit for bit.
+    so values and gradients match that chain bit for bit. Stacked operands
+    ([E, m, in] inputs, [E, out, in] weights, [E, out] biases) apply each
+    member's weights to its own inputs.
     """
-    if x.ndim != 2 or w.ndim != 2:
-        raise ShapeError(f"linear needs 2-D operands, got {x.shape} and {w.shape}")
-    if x.shape[1] != w.shape[1]:
-        raise ShapeError(f"linear inner dims differ: {x.shape} x {w.shape}.T")
-    if b is not None and (b.ndim != 1 or b.shape[0] != w.shape[0]):
-        raise ShapeError(f"linear bias shape {b.shape} does not match {w.shape}")
-    xd = x.data
-    wt = np.ascontiguousarray(w.data.T)
+    xd, wd = x.data, w.data
+    if xd.ndim < 2 or wd.ndim != xd.ndim or xd.shape[:-2] != wd.shape[:-2]:
+        raise ShapeError(f"linear needs matching 2-D or stacked operands, "
+                         f"got {xd.shape} and {wd.shape}")
+    if xd.shape[-1] != wd.shape[-1]:
+        raise ShapeError(f"linear inner dims differ: {xd.shape} x {wd.shape}.T")
+    if b is not None and b.data.shape != wd.shape[:-1]:
+        raise ShapeError(f"linear bias shape {b.data.shape} does not match {wd.shape}")
+    wt = np.ascontiguousarray(wd.swapaxes(-1, -2))
     value = xd @ wt
-    vjps = [lambda g: g @ wt.T, lambda g: np.ascontiguousarray((xd.T @ g).T)]
+    vjps = [lambda g: g @ wt.swapaxes(-1, -2),
+            lambda g: np.ascontiguousarray((xd.swapaxes(-1, -2) @ g).swapaxes(-1, -2))]
     if b is None:
         return record_op("linear", value, (x, w), vjps)
-    vjps.append(lambda g: g.sum(axis=0))
-    return record_op("linear", value + b.data, (x, w, b), vjps)
+    # np.add.reduce is ndarray.sum without its Python wrapper
+    vjps.append(lambda g: np.add.reduce(g, axis=-2))
+    return record_op("linear", value + b.data[..., None, :], (x, w, b), vjps)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -264,11 +274,12 @@ def add_const(x: Tensor, c: float) -> Tensor:
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Row-broadcast bias: [m, n] + [n]."""
-    if x.ndim != 2 or b.ndim != 1 or x.shape[1] != b.shape[0]:
-        raise ShapeError(f"add_bias shapes incompatible: {x.shape} + {b.shape}")
-    return record_op("add_bias", x.data + b.data, (x, b),
-                     (lambda g: g, lambda g: g.sum(axis=0)))
+    """Row-broadcast bias: [..., m, n] + [..., n]."""
+    xs = x.data.shape
+    if len(xs) < 2 or b.data.shape != xs[:-2] + xs[-1:]:
+        raise ShapeError(f"add_bias shapes incompatible: {xs} + {b.data.shape}")
+    return record_op("add_bias", x.data + b.data[..., None, :], (x, b),
+                     (lambda g: g, lambda g: np.add.reduce(g, axis=-2)))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -284,16 +295,22 @@ def sqrt(x: Tensor) -> Tensor:
     return record_op("sqrt", value, (x,), (lambda g: g * (0.5 / value),))
 
 
-def concat(a: Tensor, b: Tensor, axis: int = 1) -> Tensor:
-    if axis not in (0, 1) or a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("concat supports 2-D tensors along axis 0 or 1")
-    if a.shape[1 - axis] != b.shape[1 - axis]:
+def concat(a: Tensor, b: Tensor, axis: int = -1) -> Tensor:
+    """Join along one of the last two axes (-1 or -2; 1 or 0 for 2-D)."""
+    if a.ndim < 2 or a.ndim != b.ndim:
+        raise ShapeError(f"concat needs operands of equal rank >= 2, "
+                         f"got {a.shape} and {b.shape}")
+    axis = axis - a.ndim if axis >= 0 else axis
+    if axis not in (-1, -2):
+        raise ShapeError("concat joins along one of the last two axes")
+    other = -3 - axis  # the other one of the last two axes
+    if a.shape[:-2] != b.shape[:-2] or a.shape[other] != b.shape[other]:
         raise ShapeError(f"concat shapes incompatible: {a.shape} and {b.shape}")
     na = a.shape[axis]
-    if axis == 1:
-        vjps = (lambda g: g[:, :na], lambda g: g[:, na:])
+    if axis == -1:
+        vjps = (lambda g: g[..., :na], lambda g: g[..., na:])
     else:
-        vjps = (lambda g: g[:na, :], lambda g: g[na:, :])
+        vjps = (lambda g: g[..., :na, :], lambda g: g[..., na:, :])
     return record_op("concat", np.concatenate([a.data, b.data], axis=axis),
                      (a, b), vjps)
 
@@ -327,24 +344,36 @@ def split(x: Tensor, sizes: Sequence[int], axis: int = 1) -> list[Tensor]:
 
 def mean_center_rows(x: Tensor) -> Tensor:
     """Subtract each row's mean from its entries; rows then sum to zero."""
-    if x.ndim != 2:
-        raise ShapeError(f"mean_center_rows needs a 2-D tensor, got {x.shape}")
+    if x.ndim < 2:
+        raise ShapeError(f"mean_center_rows needs a 2-D or stacked tensor, got {x.shape}")
 
     def center(a):
         # ndarray.mean's own sum-then-divide, without its Python wrapper
-        return a - np.add.reduce(a, axis=1, keepdims=True) / a.shape[1]
+        return a - np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
 
     # the centering map is symmetric, so the vjp is the map itself
     return record_op("mean_center_rows", center(x.data), (x,), (center,))
 
 
 def sum_all(x: Tensor) -> Tensor:
-    return record_op("sum_all", np.asarray(x.data.sum()), (x,),
+    return record_op("sum_all", np.asarray(np.add.reduce(x.data, axis=None)), (x,),
                      (lambda g: np.full(x.shape, float(g)),))
 
 
 def mean_all(x: Tensor) -> Tensor:
-    inv = 1.0 / x.data.size
-    value = np.asarray(np.add.reduce(x.data, axis=None) / x.data.size)  # == mean()
-    return record_op("mean_all", value, (x,),
-                     (lambda g: np.full(x.shape, float(g) * inv),))
+    """Mean over the last two axes: a scalar for a 2-D tensor, one mean
+    per member for a stacked [E, m, n] one."""
+    shape = x.data.shape
+    if len(shape) < 2:
+        raise ShapeError(f"mean_all needs a 2-D or stacked tensor, got {shape}")
+    n = shape[-2] * shape[-1]
+    inv = 1.0 / n
+    # == mean() per member: one pairwise sum over its m * n entries
+    value = np.asarray(np.add.reduce(x.data, axis=(-2, -1)) / n)
+
+    def vjp(g):
+        out = np.empty(shape)
+        out[...] = (g * inv)[..., None, None]
+        return out
+
+    return record_op("mean_all", value, (x,), (vjp,))

@@ -176,10 +176,17 @@ def load_cvds(path) -> Dataset:
         meta = json.loads(meta_file.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise DataError(f"meta.json is not valid JSON: {e}") from e
+    if not isinstance(meta, dict):
+        raise DataError("meta.json is not a JSON object")
     for fieldname in ("M", "dN", "k", "task"):
         if fieldname not in meta:
             raise DataError(f"meta.json missing field {fieldname!r}")
-    m, dn, k, task = int(meta["M"]), int(meta["dN"]), int(meta["k"]), meta["task"]
+    for fieldname in ("M", "dN", "k"):
+        value = meta[fieldname]
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise DataError(f"meta.json: field {fieldname!r} must be an integer, "
+                            f"got {value!r}")
+    m, dn, k, task = meta["M"], meta["dN"], meta["k"], meta["task"]
     if meta.get("dtype", "f64") != "f64" or meta.get("endianness", "little") != "little":
         raise DataError("meta.json: only f64 little-endian CVDS data is supported")
     if task not in TASKS:

@@ -18,12 +18,13 @@ class DataError(Exception):
 
 class DivergenceError(DataError):
     """Training produced a non-finite loss or non-finite parameters at Adam
-    update ``step`` (1-based; ``epoch`` when known)."""
+    update ``step`` (1-based; ``epoch`` and the run's ``seed`` when known)."""
 
-    def __init__(self, step: int, what: str = "parameters", epoch=None):
-        self.step, self.what, self.epoch = step, what, epoch
+    def __init__(self, step: int, what: str = "parameters", epoch=None, seed=None):
+        self.step, self.what, self.epoch, self.seed = step, what, epoch, seed
         where = f"Adam step {step}" + (f" (epoch {epoch})" if epoch is not None else "")
-        super().__init__(f"training diverged: non-finite {what} at {where}")
+        run = f" of the run with seed {seed}" if seed is not None else ""
+        super().__init__(f"training diverged: non-finite {what} at {where}{run}")
 
 
 class ValidationError(Exception):

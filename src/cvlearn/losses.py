@@ -77,29 +77,35 @@ class TrainConfig:
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean of -log softmax(logits)[label], with max-subtraction for stability."""
+    """Mean of -log softmax(logits)[label], with max-subtraction for stability.
+
+    Logits [b, k] with labels [b] give a scalar; stacked logits [E, b, k]
+    with labels [E, b] give one mean per member.
+    """
     labels = np.asarray(labels)
-    if logits.ndim != 2:
+    if logits.ndim < 2:
         raise ShapeError(f"cross_entropy expects [batch, classes] logits, got {logits.shape}")
-    b, k = logits.shape
-    if labels.shape != (b,):
-        raise ShapeError(f"labels shape {labels.shape} does not match batch {b}")
+    b, k = logits.shape[-2:]
+    if labels.shape != logits.shape[:-1]:
+        raise ShapeError(f"labels shape {labels.shape} does not match batch {logits.shape[:-1]}")
     if labels.dtype.kind not in "iu":
         raise DataError("labels must be integers")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
         raise DataError(f"label out of range [0, {k})")
     x = logits.data
-    shifted = x - x.max(axis=1, keepdims=True)
+    shifted = x - x.max(axis=-1, keepdims=True)
     expx = np.exp(shifted)
-    z = expx.sum(axis=1, keepdims=True)
+    z = expx.sum(axis=-1, keepdims=True)
     softmax = expx / z
-    logprob = shifted[np.arange(b), labels] - np.log(z[:, 0])
-    value = np.asarray(-logprob.mean())
+    rows, cols = np.arange(labels.size), labels.ravel()
+    picked = shifted.reshape(-1, k)[rows, cols].reshape(labels.shape)
+    logprob = picked - np.log(z[..., 0])
+    value = np.asarray(-logprob.mean(axis=-1))
 
     def vjp(g):
         grad = softmax.copy()
-        grad[np.arange(b), labels] -= 1.0
-        return grad * (float(g) / b)
+        grad.reshape(-1, k)[rows, cols] -= 1.0
+        return grad * (g / b)[..., None, None]
 
     return record_op("cross_entropy", value, (logits,), (vjp,))
 

@@ -63,15 +63,11 @@ class NetworkSpec:
                 "latent_dim": self.latent_dim, "output_dim": self.output_dim,
                 "task": self.task}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "NetworkSpec":
-        return cls(kind=d["kind"], input_dim=int(d["input_dim"]),
-                   latent_dim=int(d["latent_dim"]), output_dim=int(d["output_dim"]),
-                   task=d["task"])
-
 
 @dataclass
 class Model:
+    """A network's parameters; training also holds an ensemble of E
+    members as one Model whose parameters carry a leading [E] axis."""
     spec: NetworkSpec
     params: dict[str, np.ndarray] = field(default_factory=dict)
 
@@ -150,12 +146,14 @@ def _bind(model: Model, tape: Tape) -> dict[str, Tensor]:
 
 
 def _check_inputs(spec: NetworkSpec, x_re: np.ndarray, x_im: np.ndarray) -> None:
-    if x_re.ndim != 2 or x_im.ndim != 2 or x_re.shape != x_im.shape:
+    """[m, dN] inputs, or [E, m, dN] for an ensemble."""
+    if x_re.ndim not in (2, 3) or x_re.shape != x_im.shape:
         raise ShapeError(
-            f"inputs must be matching 2-D arrays, got {x_re.shape} and {x_im.shape}")
-    if x_re.shape[1] != spec.input_dim:
+            f"inputs must be matching 2-D (or stacked 3-D) arrays, "
+            f"got {x_re.shape} and {x_im.shape}")
+    if x_re.shape[-1] != spec.input_dim:
         raise ShapeError(
-            f"input feature width {x_re.shape[1]} != network input_dim {spec.input_dim}")
+            f"input feature width {x_re.shape[-1]} != network input_dim {spec.input_dim}")
 
 
 def steinmetz_forward(model: Model, x_re, x_im,
@@ -168,14 +166,14 @@ def steinmetz_forward(model: Model, x_re, x_im,
     _check_inputs(spec, x_re, x_im)
     tape = tape if tape is not None else Tape()
     p = _bind(model, tape)
-    xr, xi = tape.leaf(x_re), tape.leaf(x_im)
+    xr, xi = ad.constant(x_re), ad.constant(x_im)
     hr = ad.relu(ad.linear(xr, p["realfc1.w"], p["realfc1.b"]))
     hr = ad.relu(ad.linear(hr, p["realfc2.w"], p["realfc2.b"]))
     z_re = ad.mean_center_rows(hr)
     hi = ad.relu(ad.linear(xi, p["imagfc1.w"], p["imagfc1.b"]))
     hi = ad.relu(ad.linear(hi, p["imagfc2.w"], p["imagfc2.b"]))
     z_im = ad.mean_center_rows(hi)
-    pred = ad.linear(ad.concat(z_re, z_im, axis=1), p["regressor.w"], p["regressor.b"])
+    pred = ad.linear(ad.concat(z_re, z_im), p["regressor.w"], p["regressor.b"])
     return pred, LatentPair(z_re=z_re, z_im=z_im)
 
 
@@ -189,7 +187,7 @@ def rvnn_forward(model: Model, x_re, x_im,
     _check_inputs(spec, x_re, x_im)
     tape = tape if tape is not None else Tape()
     p = _bind(model, tape)
-    x = ad.concat(tape.leaf(x_re), tape.leaf(x_im), axis=1)
+    x = ad.concat(ad.constant(x_re), ad.constant(x_im))
     h = ad.relu(ad.linear(x, p["fc1.w"], p["fc1.b"]))
     latent = ad.relu(ad.linear(h, p["fc2.w"], p["fc2.b"]))
     pred = ad.linear(latent, p["fc3.w"], p["fc3.b"])
@@ -213,7 +211,7 @@ def _cvnn_parts(model: Model, x_re, x_im,
     _check_inputs(spec, x_re, x_im)
     tape = tape if tape is not None else Tape()
     p = _bind(model, tape)
-    xr, xi = tape.leaf(x_re), tape.leaf(x_im)
+    xr, xi = ad.constant(x_re), ad.constant(x_im)
     yr, yi = _complex_affine(xr, xi, p, "fc1")
     yr, yi = ad.relu(yr), ad.relu(yi)
     yr, yi = _complex_affine(yr, yi, p, "fc2")
@@ -224,7 +222,7 @@ def _cvnn_parts(model: Model, x_re, x_im,
         sq = ad.add_const(ad.add(ad.mul(yr, yr), ad.mul(yi, yi)), MAGNITUDE_EPS)
         pred = ad.sqrt(sq)
     else:
-        pred = ad.concat(yr, yi, axis=1)
+        pred = ad.concat(yr, yi)
     return pred, LatentPair(z_re=zr, z_im=zi)
 
 
@@ -235,7 +233,11 @@ def cvnn_forward(model: Model, x_re, x_im, tape: Optional[Tape] = None) -> Tenso
 
 
 def forward(model: Model, x_re, x_im, tape: Optional[Tape] = None) -> ForwardResult:
-    """Architecture dispatch used by training and evaluation."""
+    """Architecture dispatch used by training and evaluation.
+
+    Inputs enter as constants: checked for NaN/Inf and bound without
+    copying, but given no gradient, so backward stops at the first layer.
+    """
     kind = model.spec.kind
     if kind in ("steinmetz", "analytic"):
         pred, pair = steinmetz_forward(model, x_re, x_im, tape)
@@ -257,7 +259,7 @@ def latent_channels(model: Model, x_re, x_im) -> tuple[np.ndarray, np.ndarray]:
     if result.latent_pair is not None:
         return result.latent_pair.z_re.data, result.latent_pair.z_im.data
     ln = model.spec.latent_dim
-    return result.latent.data[:, :ln], result.latent.data[:, ln:]
+    return result.latent.data[..., :ln], result.latent.data[..., ln:]
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +277,36 @@ def save_checkpoint(model: Model, path, seed: int, epoch: int) -> None:
                    for n, p in model.params.items()],
         "dtype": "f64", "endianness": "little",
     }
+    blob = np.concatenate([p.ravel() for p in model.params.values()], dtype="<f8")
     with open(path, "wb") as f:
         f.write(json.dumps(header).encode("utf-8") + b"\n")
-        for p in model.params.values():
-            f.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
+        f.write(blob.tobytes())
+
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
+
+
+def _field(obj, key: str, kind: type, where: str = ""):
+    """``obj[key]`` when ``obj`` is a JSON object holding a ``kind`` value
+    there (JSON booleans are not integers); DataError naming the field
+    otherwise."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise DataError(f"checkpoint header: missing field {where}{key}")
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise DataError(f"checkpoint header: field {where}{key} must be {_JSON_TYPES[kind]}")
+    return value
+
+
+def _header_spec(header: dict) -> NetworkSpec:
+    spec = _field(header, "spec", dict)
+    fields = {key: _field(spec, key, kind, "spec.") for key, kind in
+              (("kind", str), ("input_dim", int), ("latent_dim", int),
+               ("output_dim", int), ("task", str))}
+    try:
+        return NetworkSpec(**fields)
+    except ContractError as e:
+        raise DataError(f"checkpoint header: field spec: {e}") from None
 
 
 def load_checkpoint(path) -> tuple[Model, dict]:
@@ -290,14 +318,21 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"checkpoint header is not valid JSON: {e}") from e
+    if not isinstance(header, dict):
+        raise DataError("checkpoint header is not a JSON object")
     if header.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"unexpected checkpoint format: {header.get('format')!r}")
-    spec = NetworkSpec.from_dict(header["spec"])
+    spec = _header_spec(header)
     expected = _param_shapes(spec)
     params = {}
     offset = 0
-    for entry in header["params"]:
-        name, shape = entry["name"], tuple(entry["shape"])
+    for i, entry in enumerate(_field(header, "params", list)):
+        name = _field(entry, "name", str, f"params[{i}].")
+        shape = _field(entry, "shape", list, f"params[{i}].")
+        if not all(isinstance(d, int) and not isinstance(d, bool) for d in shape):
+            raise DataError(f"checkpoint header: field params[{i}].shape "
+                            "must be a list of integers")
+        shape = tuple(shape)
         if name not in expected or expected[name] != shape:
             raise DataError(f"checkpoint parameter {name!r} has unexpected shape {shape}")
         nbytes = int(np.prod(shape)) * 8

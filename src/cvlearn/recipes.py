@@ -4,7 +4,9 @@ Each recipe trains rvnn, cvnn, steinmetz, and analytic under matched
 budgets (same data order, batch size, epochs, and learning rate per
 seed) and reports mean +/- std of the final test metrics over the
 requested seeds. Everything is derived from the base seed, so a recipe
-re-run reproduces its tables bit-identically.
+re-run reproduces its tables bit-identically. Each architecture's runs
+train together as one stacked ensemble whose members equal solo runs
+bit for bit.
 
 channel-id is fully self-contained; cvmnist500 and noise-sweep expect a
 user-supplied real-form CVDS copy of MNIST (see README) under the data
@@ -26,7 +28,9 @@ from .errors import DataError, ValidationError
 from .losses import TrainConfig
 from .models import NetworkSpec, latent_channels, param_count
 from .rng import Rng
-from .train import evaluate, train_model
+# train_model stays bound here, though unused, so perfbench/spans.py can
+# wrap every binding site of it
+from .train import evaluate, train_model, train_models  # noqa: F401
 
 ARCHS = ("rvnn", "cvnn", "steinmetz", "analytic")
 
@@ -48,18 +52,26 @@ def _mean_std(values: Sequence[float]) -> dict:
     return {"mean": float(vals.mean()), "std": std}
 
 
-def _train_arch(arch: str, train_ds: Dataset, test_ds: Dataset, seed: int,
-                lr: float, beta: float, epochs: int, batch_size: int) -> dict:
+def _train_arch(arch: str, runs: list[tuple[int, Dataset, Dataset]],
+                lr: float, beta: float, epochs: int, batch_size: int) -> list[dict]:
+    """Train one architecture's (seed, train set, test set) runs as one
+    ensemble; returns each run's test metrics, parameter count and latent
+    orthogonality."""
+    train_ds = runs[0][1]
     spec = NetworkSpec(kind=arch, input_dim=train_ds.dn, latent_dim=64,
                        output_dim=train_ds.k, task=train_ds.task)
-    cfg = TrainConfig(learning_rate=lr, beta=beta if arch == "analytic" else 0.0,
-                      epochs=epochs, batch_size=batch_size, seed=seed)
-    model, _ = train_model(spec, train_ds, cfg)
-    metrics = dict(evaluate(model, test_ds))
-    metrics["params"] = param_count(model)
-    z_re, z_im = latent_channels(model, test_ds.features_re, test_ds.features_im)
-    metrics["orthogonality"] = latent_orthogonality(z_re, z_im)
-    return metrics
+    cfgs = [TrainConfig(learning_rate=lr, beta=beta if arch == "analytic" else 0.0,
+                        epochs=epochs, batch_size=batch_size, seed=seed)
+            for seed, _, _ in runs]
+    trained = train_models(spec, [ds for _, ds, _ in runs], cfgs)
+    results = []
+    for (model, _), (_, _, test_ds) in zip(trained, runs):
+        metrics = dict(evaluate(model, test_ds))
+        metrics["params"] = param_count(model)
+        z_re, z_im = latent_channels(model, test_ds.features_re, test_ds.features_im)
+        metrics["orthogonality"] = latent_orthogonality(z_re, z_im)
+        results.append(metrics)
+    return results
 
 
 def _column_table(title: str, rows: list[tuple[str, dict]]) -> str:
@@ -82,15 +94,14 @@ def run_channel_id(base_seed: int = 1, n_seeds: int = 5,
     """Nonlinear channel identification: rho = sqrt(2)/2, 5 dB SNR."""
     chan = ChannelSpec()
     seeds = _seed_list(base_seed, n_seeds)
-    per_seed = {arch: [] for arch in ARCHS}
+    runs = []
     for seed in seeds:
         data_rng = Rng(seed)
-        train_ds = gen_channel_dataset(chan, m, data_rng.substream("channel/train").seed)
-        test_ds = gen_channel_dataset(chan, test_m, data_rng.substream("channel/test").seed)
-        for arch in ARCHS:
-            per_seed[arch].append(_train_arch(
-                arch, train_ds, test_ds, seed, CHANNEL_LR, CHANNEL_BETA,
-                epochs, batch_size))
+        runs.append((seed,
+                     gen_channel_dataset(chan, m, data_rng.substream("channel/train").seed),
+                     gen_channel_dataset(chan, test_m, data_rng.substream("channel/test").seed)))
+    per_seed = {arch: _train_arch(arch, runs, CHANNEL_LR, CHANNEL_BETA, epochs, batch_size)
+                for arch in ARCHS}
     summary = {
         arch: {key: _mean_std([run[key] for run in per_seed[arch]])
                for key in ("mse", "mag_mse", "phase_mse", "orthogonality")}
@@ -136,12 +147,9 @@ def run_cvmnist500(data_dir, base_seed: int = 1, n_seeds: int = 5,
     train_ds = dft_encode(train_raw.take(m))
     test_ds = dft_encode(test_raw)
     seeds = _seed_list(base_seed, n_seeds)
-    per_seed = {arch: [] for arch in ARCHS}
-    for seed in seeds:
-        for arch in ARCHS:
-            per_seed[arch].append(_train_arch(
-                arch, train_ds, test_ds, seed, CVMNIST_LR, CVMNIST_BETA,
-                epochs, batch_size))
+    runs = [(seed, train_ds, test_ds) for seed in seeds]
+    per_seed = {arch: _train_arch(arch, runs, CVMNIST_LR, CVMNIST_BETA, epochs, batch_size)
+                for arch in ARCHS}
     summary = {
         arch: {key: _mean_std([run[key] for run in per_seed[arch]])
                for key in ("accuracy", "orthogonality")}
@@ -173,21 +181,17 @@ def run_noise_sweep(data_dir, base_seed: int = 1, n_seeds: int = 1,
     clean_train = dft_encode(train_raw.take(m))
     test_ds = dft_encode(test_raw)
     seeds = _seed_list(base_seed, n_seeds)
+    keys = [f"{eta:g}" for eta in etas]
+    runs = [(seed, add_complex_noise(clean_train, eta,
+                                     Rng(seed).substream(f"noise/eta{key}").seed), test_ds)
+            for eta, key in zip(etas, keys) for seed in seeds]
     grid: dict[str, dict[str, dict]] = {arch: {} for arch in ARCHS}
     per_seed: dict[str, dict[str, list]] = {arch: {} for arch in ARCHS}
-    for eta in etas:
-        key = f"{eta:g}"
-        runs = {arch: [] for arch in ARCHS}
-        for seed in seeds:
-            noisy = add_complex_noise(
-                clean_train, eta, Rng(seed).substream(f"noise/eta{key}").seed)
-            for arch in ARCHS:
-                runs[arch].append(_train_arch(
-                    arch, noisy, test_ds, seed, CVMNIST_LR, CVMNIST_BETA,
-                    epochs, batch_size))
-        for arch in ARCHS:
-            per_seed[arch][key] = runs[arch]
-            grid[arch][key] = _mean_std([r["accuracy"] for r in runs[arch]])
+    for arch in ARCHS:
+        results = _train_arch(arch, runs, CVMNIST_LR, CVMNIST_BETA, epochs, batch_size)
+        for i, key in enumerate(keys):
+            per_seed[arch][key] = results[i * n_seeds:(i + 1) * n_seeds]
+            grid[arch][key] = _mean_std([r["accuracy"] for r in per_seed[arch][key]])
     rows = [(f"eta={eta:g}", {a: _fmt(grid[a][f'{eta:g}'], 2) for a in ARCHS})
             for eta in etas]
     result = {

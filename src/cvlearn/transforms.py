@@ -235,9 +235,9 @@ def hilbert_rows(x: Tensor) -> Tensor:
     One matmul against the cached dense operator; the map is linear, so
     the gradient is the upstream gradient times its transpose.
     """
-    if x.ndim != 2:
-        raise ContractError(f"hilbert_rows needs a 2-D tensor, got {x.shape}")
-    op = _hilbert_operator(x.shape[1])
+    if x.ndim < 2:
+        raise ContractError(f"hilbert_rows needs a 2-D or stacked tensor, got {x.shape}")
+    op = _hilbert_operator(x.shape[-1])
     return record_op("hilbert_rows", x.data @ op, (x,), (lambda g: g @ op.T,))
 
 

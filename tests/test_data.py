@@ -49,6 +49,19 @@ def test_cvds_header_row_mismatch_rejected(tmp_path):
         cv.load_cvds(tmp_path / "d")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("M", "abc"), ("M", 2.7), ("M", 2.0), ("M", True), ("dN", "4"), ("dN", None),
+    ("k", 2.5), ("k", False)])
+def test_cvds_header_counts_must_be_json_integers(field, value, tmp_path):
+    ds = synthetic_classification(2, 4, 2, seed=3)
+    cv.save_cvds(ds, tmp_path / "d")
+    meta = json.loads((tmp_path / "d" / "meta.json").read_text())
+    meta[field] = value
+    (tmp_path / "d" / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(DataError, match=f"'{field}' must be an integer"):
+        cv.load_cvds(tmp_path / "d")
+
+
 def test_cvds_missing_file_named(tmp_path):
     ds = synthetic_classification(3, 4, 2, seed=4)
     cv.save_cvds(ds, tmp_path / "d")

@@ -1,12 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
 import cvlearn as cv
+import cvlearn.cli  # noqa: F401  (binds cv.cli)
 from cvlearn import autodiff as ad
 from cvlearn import models
 from cvlearn.errors import ContractError, DataError, ShapeError
 
-from helpers import block_relative_error, build_arch_loss, central_diff
+from helpers import (block_relative_error, build_arch_loss, central_diff,
+                     synthetic_classification)
 
 ALL_KINDS = ["rvnn", "cvnn", "steinmetz", "analytic"]
 
@@ -249,6 +253,90 @@ def test_checkpoint_garbage_header_rejected(tmp_path):
     path.write_bytes(b"not json\n" + b"\x00" * 64)
     with pytest.raises(DataError):
         cv.load_checkpoint(path)
+
+
+def _per_blob_checkpoint(model, seed, epoch) -> bytes:
+    """The checkpoint bytes as written one parameter blob at a time."""
+    header = {"format": "cvlearn-checkpoint-v1", "spec": model.spec.to_dict(),
+              "seed": seed, "epoch": epoch,
+              "params": [{"name": n, "shape": list(p.shape)}
+                         for n, p in model.params.items()],
+              "dtype": "f64", "endianness": "little"}
+    out = json.dumps(header).encode("utf-8") + b"\n"
+    for p in model.params.values():
+        out += np.ascontiguousarray(p, dtype="<f8").tobytes()
+    return out
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_checkpoint_bytes_match_per_blob_writer(kind, tmp_path):
+    spec = cv.NetworkSpec(kind=kind, input_dim=5, latent_dim=4, output_dim=3,
+                          task="classification")
+    ds = synthetic_classification(20, 5, 3, seed=3)
+    model, _ = cv.train_model(spec, ds, cv.TrainConfig(learning_rate=0.01, epochs=1,
+                                                       batch_size=8, seed=2))
+    cv.save_checkpoint(model, tmp_path / "ckpt.bin", seed=2, epoch=1)
+    assert (tmp_path / "ckpt.bin").read_bytes() == _per_blob_checkpoint(model, 2, 1)
+
+
+def _header_cases():
+    """(name, edit returning a broken copy of a valid header, text the
+    error must contain: the field it names)."""
+    def drop(*path):
+        def edit(h):
+            obj = h
+            for key in path[:-1]:
+                obj = obj[key]
+            del obj[path[-1]]
+            return h
+        return edit
+
+    def put(value, *path):
+        def edit(h):
+            obj = h
+            for key in path[:-1]:
+                obj = obj[key]
+            obj[path[-1]] = value
+            return h
+        return edit
+
+    return [
+        ("missing-spec", drop("spec"), "spec"),
+        ("missing-params", drop("params"), "params"),
+        ("missing-name", drop("params", 0, "name"), "params[0].name"),
+        ("missing-shape", drop("params", 1, "shape"), "params[1].shape"),
+        ("missing-kind", drop("spec", "kind"), "spec.kind"),
+        ("spec-not-object", put("rvnn", "spec"), "spec"),
+        ("params-not-array", put({"fc1.w": [4, 10]}, "params"), "params"),
+        ("name-not-string", put(3, "params", 0, "name"), "params[0].name"),
+        ("shape-not-array", put("4x10", "params", 0, "shape"), "params[0].shape"),
+        ("shape-bool-entry", put([True, 10], "params", 0, "shape"), "params[0].shape"),
+        ("dim-string", put("5", "spec", "input_dim"), "spec.input_dim"),
+        ("dim-float", put(5.0, "spec", "input_dim"), "spec.input_dim"),
+        ("dim-bool", put(True, "spec", "latent_dim"), "spec.latent_dim"),
+        ("task-not-string", put(1, "spec", "task"), "spec.task"),
+        ("unknown-kind", put("transformer", "spec", "kind"), "kind"),
+        ("unknown-task", put("ranking", "spec", "task"), "task"),
+        ("header-not-object", lambda h: ["not", "an", "object"], "JSON object"),
+    ]
+
+
+@pytest.mark.parametrize("edit,field", [c[1:] for c in _header_cases()],
+                         ids=[c[0] for c in _header_cases()])
+def test_cli_eval_malformed_checkpoint_header_is_data_error(edit, field, tmp_path, capsys):
+    spec = cv.NetworkSpec(kind="rvnn", input_dim=5, latent_dim=4, output_dim=3,
+                          task="classification")
+    cv.save_cvds(synthetic_classification(10, 5, 3, seed=1), tmp_path / "d")
+    cv.save_checkpoint(cv.init_params(spec, 1), tmp_path / "ckpt.bin", seed=1, epoch=0)
+    line, blob = (tmp_path / "ckpt.bin").read_bytes().split(b"\n", 1)
+    header = edit(json.loads(line))
+    (tmp_path / "ckpt.bin").write_bytes(json.dumps(header).encode() + b"\n" + blob)
+    code = cv.cli.main(["eval", "--checkpoint", str(tmp_path / "ckpt.bin"),
+                        "--dataset", str(tmp_path / "d")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("data error: checkpoint header") and err.count("\n") == 1, err
+    assert field in err, err
 
 
 def test_latent_channels_shapes():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import cvlearn as cv
+import cvlearn.cli  # noqa: F401  (binds cv.cli)
 from cvlearn.errors import DataError, DivergenceError, ValidationError
 from cvlearn.train import evaluate, resolve_config, run_training, train_model
 
@@ -178,6 +179,42 @@ def test_resolve_config_validation():
         resolve_config({**good, "noise_eta": -0.5})
 
 
+def test_noise_eta_boolean_rejected(tmp_path, capsys):
+    config = {"arch": "rvnn", "latent_dim": 8, "train_dataset": "x",
+              "learning_rate": 0.1, "noise_eta": True}
+    with pytest.raises(ValidationError, match="noise_eta"):
+        resolve_config(config)
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    code = cv.cli.main(["train", "--config", str(tmp_path / "cfg.json"),
+                        "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert "noise_eta" in capsys.readouterr().err
+
+
+def _small_run_config(tmp_path):
+    cv.save_cvds(synthetic_classification(40, 8, 3, seed=105), tmp_path / "train")
+    return {"arch": "steinmetz", "latent_dim": 8,
+            "train_dataset": str(tmp_path / "train"),
+            "learning_rate": 0.01, "epochs": 1, "seed": 1}
+
+
+def test_run_training_leaves_only_its_two_files(tmp_path):
+    run_training(_small_run_config(tmp_path), tmp_path / "run")
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+        "checkpoint.bin", "report.json"]
+
+
+def test_failed_run_output_write_leaves_no_files(tmp_path, monkeypatch):
+    def failing_save(model, path, seed, epoch):
+        Path(path).write_bytes(b"partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cv.train, "save_checkpoint", failing_save)
+    with pytest.raises(OSError, match="disk full"):
+        run_training(_small_run_config(tmp_path), tmp_path / "run")
+    assert list((tmp_path / "run").iterdir()) == []
+
+
 def test_run_training_missing_dataset(tmp_path):
     config = {"arch": "rvnn", "latent_dim": 8,
               "train_dataset": str(tmp_path / "nope"),
@@ -287,6 +324,9 @@ def test_cli_train_divergence_exits_2_without_report(tmp_path):
     assert "Traceback" not in out.stderr
     assert "data error: training diverged" in out.stderr
     assert "Adam step 2" in out.stderr
+    # numpy's overflow warnings stay silent: the one line is the error
+    assert len(out.stderr.splitlines()) == 1, out.stderr
+    assert out.stderr.startswith("data error: training diverged"), out.stderr
     assert not (tmp_path / "run" / "report.json").exists()
     assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
