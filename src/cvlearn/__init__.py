@@ -13,9 +13,8 @@ from .data import (ChannelSpec, Dataset, add_complex_noise, dft_encode,
 from .errors import ContractError, DataError, ShapeError, ValidationError
 from .losses import (AdamState, TrainConfig, adam_init, adam_step,
                      cross_entropy, hilbert_penalty, mse, total_loss)
-from .models import (LatentPair, Model, NetworkSpec, cvnn_forward, forward,
-                     init_params, load_checkpoint, param_count,
-                     rvnn_forward, save_checkpoint, steinmetz_forward)
+from .models import (LatentPair, Model, NetworkSpec, forward, init_params,
+                     load_checkpoint, param_count, save_checkpoint)
 from .recipes import run_channel_id, run_cvmnist500, run_noise_sweep, run_recipe
 from .rng import Rng
 from .train import evaluate, run_training, train_model, train_models
@@ -29,8 +28,7 @@ __all__ = [
     "ComplexVector", "HilbertMultiplier", "dft", "idft", "hilbert_freq",
     "dht_cotangent", "analytic_signal",
     "NetworkSpec", "Model", "LatentPair", "init_params", "param_count",
-    "steinmetz_forward", "rvnn_forward", "cvnn_forward", "forward",
-    "save_checkpoint", "load_checkpoint",
+    "forward", "save_checkpoint", "load_checkpoint",
     "TrainConfig", "AdamState", "adam_init", "adam_step",
     "cross_entropy", "mse", "hilbert_penalty", "total_loss",
     "Dataset", "ChannelSpec", "load_cvds", "save_cvds", "dft_encode",

@@ -73,14 +73,8 @@ def mag_phase_mse(pred: np.ndarray, target: np.ndarray) -> MagPhaseResult:
                           float(np.mean(phase_err ** 2)), degenerate)
 
 
-def _latent_arrays(latent, z_im=None) -> tuple[np.ndarray, np.ndarray]:
-    """Accept a LatentPair-like object or two explicit arrays."""
-    if z_im is None:
-        z_re, z_im = latent.z_re, latent.z_im
-    else:
-        z_re = latent
-    z_re = np.asarray(getattr(z_re, "data", z_re), dtype=np.float64)
-    z_im = np.asarray(getattr(z_im, "data", z_im), dtype=np.float64)
+def _latent_arrays(z_re, z_im) -> tuple[np.ndarray, np.ndarray]:
+    z_re, z_im = np.asarray(z_re, dtype=np.float64), np.asarray(z_im, dtype=np.float64)
     if z_re.shape != z_im.shape or z_re.ndim != 2:
         raise ShapeError(
             f"latent channels must be matching 2-D arrays, got "
@@ -93,9 +87,9 @@ class OrthogonalityResult(NamedTuple):
     skipped_rows: int  # rows where either channel was exactly zero
 
 
-def latent_orthogonality_counted(latent, z_im=None) -> OrthogonalityResult:
+def latent_orthogonality_counted(z_re, z_im) -> OrthogonalityResult:
     """Mean |cos| between paired latent rows plus the skipped-row tally."""
-    z_re, z_im = _latent_arrays(latent, z_im)
+    z_re, z_im = _latent_arrays(z_re, z_im)
     dots = np.abs(np.sum(z_re * z_im, axis=1))
     norms = np.linalg.norm(z_re, axis=1) * np.linalg.norm(z_im, axis=1)
     valid = norms > 0
@@ -105,13 +99,13 @@ def latent_orthogonality_counted(latent, z_im=None) -> OrthogonalityResult:
                                int(np.sum(~valid)))
 
 
-def latent_orthogonality(latent, z_im=None) -> float:
+def latent_orthogonality(z_re, z_im) -> float:
     """Mean |cos| between paired latent rows; 0 means orthogonal channels.
 
     Rows where either channel is exactly zero are skipped; if every row
     is degenerate this raises DataError.
     """
-    return latent_orthogonality_counted(latent, z_im).value
+    return latent_orthogonality_counted(z_re, z_im).value
 
 
 def lpq_norm(matrix: np.ndarray, p: float, q: float) -> float:
@@ -143,8 +137,8 @@ class CovBlocks:
         return np.block([[self.k_rr, zero], [zero.T, self.k_ii]])
 
 
-def covariance_blocks(latent, z_im=None) -> CovBlocks:
-    z_re, z_im = _latent_arrays(latent, z_im)
+def covariance_blocks(z_re, z_im) -> CovBlocks:
+    z_re, z_im = _latent_arrays(z_re, z_im)
     b = z_re.shape[0]
     if b < 2:
         raise DataError("covariance needs a batch of at least 2 samples")
@@ -164,12 +158,11 @@ class CovComparison(NamedTuple):
     ratio: float
 
 
-def covariance_comparison(latent, z_im=None, p: float = 2.0,
-                          q: float = 2.0) -> CovComparison:
+def covariance_comparison(z_re, z_im, p: float = 2.0, q: float = 2.0) -> CovComparison:
     """Mixed-norm comparison of the latent covariance with and without the
     cross-channel block; norm_j >= norm_s always, with equality when the
     channels are uncorrelated."""
-    blocks = covariance_blocks(latent, z_im)
+    blocks = covariance_blocks(z_re, z_im)
     norm_j = lpq_norm(blocks.joint(), p, q)
     norm_s = lpq_norm(blocks.separate(), p, q)
     if norm_s == 0.0:

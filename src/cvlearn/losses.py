@@ -9,7 +9,9 @@ equals the transform of its real counterpart. The training objective is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -22,8 +24,19 @@ from .models import LatentPair
 from .transforms import hilbert_rows
 
 
+def finite(value) -> bool:
+    """A finite real; an integer too large for a float is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class TrainConfig:
+    """Optimization settings of a run. Construction is the one validation
+    pass: every field's type (JSON booleans are not numbers), finiteness
+    and range, each error naming the field."""
     learning_rate: float
     beta: float = 0.0
     epochs: int = 100
@@ -34,6 +47,18 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int":
+                if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                    raise ValidationError(f"config field {f.name} must be an integer")
+                object.__setattr__(self, f.name, int(value))
+                continue
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValidationError(f"config field {f.name} must be a number")
+            if not finite(value):
+                raise ValidationError(f"config field {f.name} must be finite")
+            object.__setattr__(self, f.name, float(value))
         if not self.learning_rate > 0:
             raise ValidationError("learning_rate must be positive")
         if self.beta < 0:
@@ -48,32 +73,17 @@ class TrainConfig:
             raise ValidationError("adam_eps must be positive")
 
     def to_dict(self) -> dict:
-        return {"learning_rate": self.learning_rate, "beta": self.beta,
-                "epochs": self.epochs, "batch_size": self.batch_size,
-                "seed": self.seed, "adam_b1": self.adam_b1,
-                "adam_b2": self.adam_b2, "adam_eps": self.adam_eps}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {"learning_rate", "beta", "epochs", "batch_size", "seed",
-                 "adam_b1", "adam_b2", "adam_eps"}
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValidationError(f"unknown config fields: {sorted(unknown)}")
-        if "learning_rate" not in d:
-            raise ValidationError("missing config field: learning_rate")
-        kwargs = {}
-        for name in known & set(d):
-            value = d[name]
-            if name in ("epochs", "batch_size", "seed"):
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise ValidationError(f"config field {name} must be an integer")
-                kwargs[name] = value
-            else:
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise ValidationError(f"config field {name} must be a number")
-                kwargs[name] = float(value)
-        return cls(**kwargs)
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in d:
+                raise ValidationError(f"missing config field: {f.name}")
+        return cls(**d)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -141,57 +141,11 @@ def param_count(model: Model) -> int:
     return sum(p.size for p in model.params.values())
 
 
-def _bind(model: Model, tape: Tape) -> dict[str, Tensor]:
-    return {name: tape.param(arr, name) for name, arr in model.params.items()}
-
-
-def _check_inputs(spec: NetworkSpec, x_re: np.ndarray, x_im: np.ndarray) -> None:
-    """[m, dN] inputs, or [E, m, dN] for an ensemble."""
-    if x_re.ndim not in (2, 3) or x_re.shape != x_im.shape:
-        raise ShapeError(
-            f"inputs must be matching 2-D (or stacked 3-D) arrays, "
-            f"got {x_re.shape} and {x_im.shape}")
-    if x_re.shape[-1] != spec.input_dim:
-        raise ShapeError(
-            f"input feature width {x_re.shape[-1]} != network input_dim {spec.input_dim}")
-
-
-def steinmetz_forward(model: Model, x_re, x_im,
-                      tape: Optional[Tape] = None) -> tuple[Tensor, LatentPair]:
-    """Separate subnetworks per channel, mean-centered latents, shared head."""
-    spec = model.spec
-    if spec.kind not in ("steinmetz", "analytic"):
-        raise ContractError(f"steinmetz_forward got kind {spec.kind!r}")
-    x_re, x_im = np.asarray(x_re, dtype=np.float64), np.asarray(x_im, dtype=np.float64)
-    _check_inputs(spec, x_re, x_im)
-    tape = tape if tape is not None else Tape()
-    p = _bind(model, tape)
-    xr, xi = ad.constant(x_re), ad.constant(x_im)
-    hr = ad.relu(ad.linear(xr, p["realfc1.w"], p["realfc1.b"]))
-    hr = ad.relu(ad.linear(hr, p["realfc2.w"], p["realfc2.b"]))
-    z_re = ad.mean_center_rows(hr)
-    hi = ad.relu(ad.linear(xi, p["imagfc1.w"], p["imagfc1.b"]))
-    hi = ad.relu(ad.linear(hi, p["imagfc2.w"], p["imagfc2.b"]))
-    z_im = ad.mean_center_rows(hi)
-    pred = ad.linear(ad.concat(z_re, z_im), p["regressor.w"], p["regressor.b"])
-    return pred, LatentPair(z_re=z_re, z_im=z_im)
-
-
-def rvnn_forward(model: Model, x_re, x_im,
-                 tape: Optional[Tape] = None) -> tuple[Tensor, Tensor]:
+def _rvnn(spec: NetworkSpec, p: dict, xr: Tensor, xi: Tensor) -> ForwardResult:
     """Joint processing of the concatenated channels; latent width 2*latent_dim."""
-    spec = model.spec
-    if spec.kind != "rvnn":
-        raise ContractError(f"rvnn_forward got kind {spec.kind!r}")
-    x_re, x_im = np.asarray(x_re, dtype=np.float64), np.asarray(x_im, dtype=np.float64)
-    _check_inputs(spec, x_re, x_im)
-    tape = tape if tape is not None else Tape()
-    p = _bind(model, tape)
-    x = ad.concat(ad.constant(x_re), ad.constant(x_im))
-    h = ad.relu(ad.linear(x, p["fc1.w"], p["fc1.b"]))
+    h = ad.relu(ad.linear(ad.concat(xr, xi), p["fc1.w"], p["fc1.b"]))
     latent = ad.relu(ad.linear(h, p["fc2.w"], p["fc2.b"]))
-    pred = ad.linear(latent, p["fc3.w"], p["fc3.b"])
-    return pred, latent
+    return ForwardResult(pred=ad.linear(latent, p["fc3.w"], p["fc3.b"]), latent=latent)
 
 
 def _complex_affine(xr: Tensor, xi: Tensor, p: dict, layer: str) -> tuple[Tensor, Tensor]:
@@ -202,16 +156,8 @@ def _complex_affine(xr: Tensor, xi: Tensor, p: dict, layer: str) -> tuple[Tensor
     return yr, yi
 
 
-def _cvnn_parts(model: Model, x_re, x_im,
-                tape: Optional[Tape]) -> tuple[Tensor, LatentPair]:
-    spec = model.spec
-    if spec.kind != "cvnn":
-        raise ContractError(f"cvnn_forward got kind {spec.kind!r}")
-    x_re, x_im = np.asarray(x_re, dtype=np.float64), np.asarray(x_im, dtype=np.float64)
-    _check_inputs(spec, x_re, x_im)
-    tape = tape if tape is not None else Tape()
-    p = _bind(model, tape)
-    xr, xi = ad.constant(x_re), ad.constant(x_im)
+def _cvnn(spec: NetworkSpec, p: dict, xr: Tensor, xi: Tensor) -> ForwardResult:
+    """Complex layers; the classification head is the per-class magnitude."""
     yr, yi = _complex_affine(xr, xi, p, "fc1")
     yr, yi = ad.relu(yr), ad.relu(yi)
     yr, yi = _complex_affine(yr, yi, p, "fc2")
@@ -223,43 +169,57 @@ def _cvnn_parts(model: Model, x_re, x_im,
         pred = ad.sqrt(sq)
     else:
         pred = ad.concat(yr, yi)
-    return pred, LatentPair(z_re=zr, z_im=zi)
+    return ForwardResult(pred=pred, latent_pair=LatentPair(z_re=zr, z_im=zi))
 
 
-def cvnn_forward(model: Model, x_re, x_im, tape: Optional[Tape] = None) -> Tensor:
-    """Complex-layer network; classification head is the per-class magnitude."""
-    pred, _ = _cvnn_parts(model, x_re, x_im, tape)
-    return pred
+def _steinmetz(spec: NetworkSpec, p: dict, xr: Tensor, xi: Tensor) -> ForwardResult:
+    """Separate subnetworks per channel, mean-centered latents, shared head."""
+    hr = ad.relu(ad.linear(xr, p["realfc1.w"], p["realfc1.b"]))
+    hr = ad.relu(ad.linear(hr, p["realfc2.w"], p["realfc2.b"]))
+    z_re = ad.mean_center_rows(hr)
+    hi = ad.relu(ad.linear(xi, p["imagfc1.w"], p["imagfc1.b"]))
+    hi = ad.relu(ad.linear(hi, p["imagfc2.w"], p["imagfc2.b"]))
+    z_im = ad.mean_center_rows(hi)
+    pred = ad.linear(ad.concat(z_re, z_im), p["regressor.w"], p["regressor.b"])
+    return ForwardResult(pred=pred, latent_pair=LatentPair(z_re=z_re, z_im=z_im))
+
+
+# analytic is the steinmetz graph; only its training loss differs
+_BODIES = {"rvnn": _rvnn, "cvnn": _cvnn, "steinmetz": _steinmetz, "analytic": _steinmetz}
 
 
 def forward(model: Model, x_re, x_im, tape: Optional[Tape] = None) -> ForwardResult:
-    """Architecture dispatch used by training and evaluation.
+    """The forward pass of every architecture, used by training and evaluation.
 
     Inputs enter as constants: checked for NaN/Inf and bound without
     copying, but given no gradient, so backward stops at the first layer.
+    Parameters bind to ``tape`` (a fresh one when None).
     """
-    kind = model.spec.kind
-    if kind in ("steinmetz", "analytic"):
-        pred, pair = steinmetz_forward(model, x_re, x_im, tape)
-        return ForwardResult(pred=pred, latent_pair=pair)
-    if kind == "rvnn":
-        pred, latent = rvnn_forward(model, x_re, x_im, tape)
-        return ForwardResult(pred=pred, latent=latent)
-    pred, pair = _cvnn_parts(model, x_re, x_im, tape)
-    return ForwardResult(pred=pred, latent_pair=pair)
+    spec = model.spec
+    x_re, x_im = np.asarray(x_re, dtype=np.float64), np.asarray(x_im, dtype=np.float64)
+    # [m, dN] inputs, or [E, m, dN] for an ensemble
+    if x_re.ndim not in (2, 3) or x_re.shape != x_im.shape:
+        raise ShapeError(
+            f"inputs must be matching 2-D (or stacked 3-D) arrays, "
+            f"got {x_re.shape} and {x_im.shape}")
+    if x_re.shape[-1] != spec.input_dim:
+        raise ShapeError(
+            f"input feature width {x_re.shape[-1]} != network input_dim {spec.input_dim}")
+    tape = tape if tape is not None else Tape()
+    p = {name: tape.param(arr, name) for name, arr in model.params.items()}
+    return _BODIES[spec.kind](spec, p, ad.constant(x_re), ad.constant(x_im))
 
 
-def latent_channels(model: Model, x_re, x_im) -> tuple[np.ndarray, np.ndarray]:
-    """Latent (re, im) channel arrays for diagnostics.
+def latent_channels(result: ForwardResult) -> tuple[np.ndarray, np.ndarray]:
+    """Latent (re, im) channel arrays of a forward pass, for diagnostics.
 
     rvnn has one joint latent; its first/second halves are reported as
     the channel split.
     """
-    result = forward(model, x_re, x_im)
     if result.latent_pair is not None:
         return result.latent_pair.z_re.data, result.latent_pair.z_im.data
-    ln = model.spec.latent_dim
-    return result.latent.data[..., :ln], result.latent.data[..., ln:]
+    half = result.latent.shape[-1] // 2
+    return result.latent.data[..., :half], result.latent.data[..., half:]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import math
 import os
 import tempfile
 import time
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -30,8 +31,9 @@ from .data import Dataset, add_complex_noise, load_cvds, stacked_targets
 from .diagnostics import accuracy, mag_phase_mse, mse_metric
 from .errors import ContractError, DataError, DivergenceError, ValidationError
 from .losses import (AdamState, TrainConfig, adam_init, adam_step, cross_entropy,
-                     hilbert_penalty, mse, total_loss)
-from .models import Model, NetworkSpec, forward, init_params, save_checkpoint
+                     finite, hilbert_penalty, mse, total_loss)
+from .models import (KINDS, ForwardResult, Model, NetworkSpec, forward, init_params,
+                     save_checkpoint)
 from .rng import Rng
 
 REPORT_FORMAT = "cvlearn-report-v1"
@@ -39,15 +41,21 @@ REPORT_FORMAT = "cvlearn-report-v1"
 
 def evaluate(model: Model, ds: Dataset) -> dict:
     """Task metrics of a model on a dataset (no gradients kept)."""
+    return forward_metrics(model, ds)[0]
+
+
+def forward_metrics(model: Model, ds: Dataset) -> tuple[dict, ForwardResult]:
+    """One forward pass over a dataset: the task metrics, and the result
+    whose latents the diagnostics read."""
     result = forward(model, ds.features_re, ds.features_im)
     pred = result.pred.data
     if ds.task == "classification":
-        return {"accuracy": accuracy(pred, ds.labels)}
+        return {"accuracy": accuracy(pred, ds.labels)}, result
     targets = stacked_targets(ds)
     mp = mag_phase_mse(pred, targets)
     return {"mse": mse_metric(pred, targets),
             "mag_mse": mp.mag_mse, "phase_mse": mp.phase_mse,
-            "degenerate_phases": mp.degenerate_phases}
+            "degenerate_phases": mp.degenerate_phases}, result
 
 
 def primary_metric(metrics: dict) -> float:
@@ -197,42 +205,51 @@ def train_models(spec: NetworkSpec, train_sets: Sequence[Dataset],
 # config-file driven runs
 
 
-_CONFIG_FIELDS = {"arch", "latent_dim", "train_dataset", "test_dataset",
-                  "noise_eta", "noise_test", "learning_rate", "beta", "epochs",
-                  "batch_size", "seed", "adam_b1", "adam_b2", "adam_eps"}
+# the run-level config fields beside TrainConfig's, with the defaults of
+# the optional ones
+_RUN_FIELDS = {"arch": MISSING, "latent_dim": MISSING, "train_dataset": MISSING,
+               "test_dataset": None, "noise_eta": 0.0, "noise_test": False}
 
 
-def resolve_config(raw: dict) -> dict:
-    """Validate a run config dict and fill defaults; raises ValidationError."""
-    unknown = set(raw) - _CONFIG_FIELDS
+def resolve_config(raw) -> dict:
+    """Validate a run config dict and fill defaults; raises ValidationError
+    naming the field."""
+    return _resolve(raw)[0]
+
+
+def _resolve(raw) -> tuple[dict, TrainConfig]:
+    """The resolved config dict and the TrainConfig that trains it."""
+    if not isinstance(raw, dict):
+        raise ValidationError(f"config must be a JSON object, got {type(raw).__name__}")
+    train_fields = {f.name for f in fields(TrainConfig)}
+    unknown = set(raw) - set(_RUN_FIELDS) - train_fields
     if unknown:
         raise ValidationError(f"unknown config fields: {sorted(unknown)}")
-    for required in ("arch", "latent_dim", "train_dataset", "learning_rate"):
-        if required not in raw:
-            raise ValidationError(f"missing config field: {required}")
     cfg = dict(raw)
-    cfg.setdefault("test_dataset", None)
-    cfg.setdefault("noise_eta", 0.0)
-    cfg.setdefault("noise_test", False)
+    for name, default in _RUN_FIELDS.items():
+        if default is MISSING and name not in cfg:
+            raise ValidationError(f"missing config field: {name}")
+        cfg.setdefault(name, default)
     if isinstance(cfg["arch"], str):
         cfg["arch"] = cfg["arch"].lower()
-    if cfg["arch"] not in ("rvnn", "cvnn", "steinmetz", "analytic"):
+    if cfg["arch"] not in KINDS:
         raise ValidationError(f"config field arch: unknown architecture {cfg['arch']!r}")
     if not isinstance(cfg["latent_dim"], int) or cfg["latent_dim"] < 2 \
             or cfg["latent_dim"] % 2 != 0:
         raise ValidationError("config field latent_dim: must be a positive even integer")
-    if not isinstance(cfg["noise_eta"], (int, float)) or isinstance(cfg["noise_eta"], bool) \
-            or cfg["noise_eta"] < 0:
-        raise ValidationError("config field noise_eta: must be a non-negative number")
+    if not isinstance(cfg["train_dataset"], str):
+        raise ValidationError("config field train_dataset: must be a path string")
+    if not isinstance(cfg["test_dataset"], (str, type(None))):
+        raise ValidationError("config field test_dataset: must be a path string or null")
+    eta = cfg["noise_eta"]
+    if not isinstance(eta, (int, float)) or isinstance(eta, bool) or not finite(eta) \
+            or eta < 0:
+        raise ValidationError("config field noise_eta: must be a finite non-negative number")
     if not isinstance(cfg["noise_test"], bool):
         raise ValidationError("config field noise_test: must be a boolean")
-    # remaining numeric fields validated by TrainConfig
-    train_fields = {k: v for k, v in cfg.items()
-                    if k in ("learning_rate", "beta", "epochs", "batch_size",
-                             "seed", "adam_b1", "adam_b2", "adam_eps")}
-    tc = TrainConfig.from_dict(train_fields)
+    tc = TrainConfig.from_dict({k: v for k, v in cfg.items() if k in train_fields})
     cfg.update(tc.to_dict())
-    return cfg
+    return cfg, tc
 
 
 def _load_run_datasets(cfg: dict) -> tuple[Dataset, Optional[Dataset]]:
@@ -245,28 +262,19 @@ def _load_run_datasets(cfg: dict) -> tuple[Dataset, Optional[Dataset]]:
         if cfg["noise_test"] and test_ds is not None:
             test_ds = add_complex_noise(test_ds, cfg["noise_eta"],
                                         noise_root.substream("noise/test").seed)
-    if test_ds is not None:
-        if (test_ds.task, test_ds.dn) != (train_ds.task, train_ds.dn):
-            raise DataError("test dataset task/feature width does not match train dataset")
+    if test_ds is not None and (test_ds.task, test_ds.dn, test_ds.k) != (
+            train_ds.task, train_ds.dn, train_ds.k):
+        raise DataError("test dataset task, feature width or output width "
+                        "does not match train dataset")
     return train_ds, test_ds
-
-
-def spec_for(cfg: dict, train_ds: Dataset) -> NetworkSpec:
-    return NetworkSpec(kind=cfg["arch"], input_dim=train_ds.dn,
-                       latent_dim=cfg["latent_dim"], output_dim=train_ds.k,
-                       task=train_ds.task)
 
 
 def run_training(raw_config: dict, out_dir) -> dict:
     """Config-driven training: writes report.json and checkpoint.bin."""
-    cfg = resolve_config(raw_config)
+    cfg, tc = _resolve(raw_config)
     train_ds, test_ds = _load_run_datasets(cfg)
-    spec = spec_for(cfg, train_ds)
-    if test_ds is not None and test_ds.k != train_ds.k:
-        raise DataError("test dataset output width does not match train dataset")
-    tc = TrainConfig.from_dict({k: cfg[k] for k in
-                                ("learning_rate", "beta", "epochs", "batch_size",
-                                 "seed", "adam_b1", "adam_b2", "adam_eps")})
+    spec = NetworkSpec(kind=cfg["arch"], input_dim=train_ds.dn, latent_dim=cfg["latent_dim"],
+                       output_dim=train_ds.k, task=train_ds.task)
     started = time.monotonic()
     model, epochs = train_model(spec, train_ds, tc, test_ds)
     wall = time.monotonic() - started

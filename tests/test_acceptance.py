@@ -15,7 +15,7 @@ import pytest
 import cvlearn as cv
 from cvlearn import diagnostics as dg
 from cvlearn import transforms as tr
-from cvlearn.models import latent_channels
+from cvlearn.models import forward, latent_channels
 from cvlearn.recipes import run_channel_id, run_cvmnist500, run_noise_sweep
 from cvlearn.train import train_model
 
@@ -179,8 +179,8 @@ def test_criterion_7_penalty_drives_orthogonality():
             cfg = cv.TrainConfig(learning_rate=1e-3, beta=beta, epochs=800,
                                  batch_size=32, seed=seed)
             model, _ = train_model(cv.NetworkSpec(kind=kind, **spec), train, cfg)
-            z_re, z_im = latent_channels(model, held_out.features_re,
-                                         held_out.features_im)
+            z_re, z_im = latent_channels(forward(model, held_out.features_re,
+                                                 held_out.features_im))
             per_seed[kind] = dg.latent_orthogonality(z_re, z_im)
         assert per_seed["analytic"] <= per_seed["steinmetz"], per_seed
         analytic_vals.append(per_seed["analytic"])
@@ -207,7 +207,7 @@ def test_criterion_8_covariance_diagnostics():
                              output_dim=3, task="classification")
         cfg = cv.TrainConfig(learning_rate=0.003, epochs=10, batch_size=16, seed=3)
         model, _ = train_model(net, train, cfg)
-        z_re, z_im = latent_channels(model, train.features_re, train.features_im)
+        z_re, z_im = latent_channels(forward(model, train.features_re, train.features_im))
         out = dg.covariance_comparison(z_re, z_im)
         assert out.norm_j >= out.norm_s
     # independent synthetic latents: ratio within 5% of 1 at batch 10,000

@@ -6,7 +6,7 @@ import pytest
 import cvlearn as cv
 from cvlearn.diagnostics import latent_orthogonality
 from cvlearn.errors import ContractError, DivergenceError
-from cvlearn.models import latent_channels
+from cvlearn.models import forward, latent_channels
 from cvlearn.recipes import run_channel_id
 from cvlearn.rng import Rng
 from cvlearn.train import evaluate, train_model, train_models
@@ -66,7 +66,7 @@ def test_run_channel_id_equals_per_seed_solo_runs():
             want = dict(evaluate(model, test_ds))
             want["params"] = cv.param_count(model)
             want["orthogonality"] = latent_orthogonality(
-                *latent_channels(model, test_ds.features_re, test_ds.features_im))
+                *latent_channels(forward(model, test_ds.features_re, test_ds.features_im)))
             assert result["per_seed"][kind][i] == want, (kind, seed)
 
 

@@ -94,7 +94,8 @@ def test_steinmetz_hand_computed_fixture():
     }
     # real chain: relu([1,-1]) = [1,0]; relu([1,0]) = [1,0]; centered -> [.5,-.5]
     # imag chain: zeros throughout
-    pred, latent = cv.steinmetz_forward(model, [[1.0, -1.0]], [[0.0, 0.0]])
+    result = cv.forward(model, [[1.0, -1.0]], [[0.0, 0.0]])
+    pred, latent = result.pred, result.latent_pair
     assert np.allclose(latent.z_re.data, [[0.5, -0.5]], atol=0)
     assert np.allclose(latent.z_im.data, [[0.0, 0.0]], atol=0)
     assert np.allclose(pred.data, [[0.5 * 1 + (-0.5) * 2]], atol=0)
@@ -105,8 +106,8 @@ def test_steinmetz_shape_contract():
                           output_dim=10, task="classification")
     model = cv.init_params(spec, 1)
     g = np.random.default_rng(1)
-    pred, latent = cv.steinmetz_forward(
-        model, g.standard_normal((5, 784)), g.standard_normal((5, 784)))
+    result = cv.forward(model, g.standard_normal((5, 784)), g.standard_normal((5, 784)))
+    pred, latent = result.pred, result.latent_pair
     assert pred.shape == (5, 10)
     assert latent.z_re.shape == (5, 64) and latent.z_im.shape == (5, 64)
 
@@ -116,8 +117,8 @@ def test_regression_head_width_is_2k():
                           task="complex_regression")
     model = cv.init_params(spec, 1)
     g = np.random.default_rng(2)
-    pred, latent = cv.rvnn_forward(model, g.standard_normal((7, 5)),
-                                   g.standard_normal((7, 5)))
+    result = cv.forward(model, g.standard_normal((7, 5)), g.standard_normal((7, 5)))
+    pred, latent = result.pred, result.latent
     assert pred.shape == (7, 6)
     assert latent.shape == (7, 8)
 
@@ -136,8 +137,8 @@ def test_steinmetz_latent_rows_zero_mean():
                           output_dim=2, task="classification")
     model = cv.init_params(spec, 5)
     g = np.random.default_rng(5)
-    _, latent = cv.steinmetz_forward(model, g.standard_normal((9, 8)),
-                                     g.standard_normal((9, 8)))
+    latent = cv.forward(model, g.standard_normal((9, 8)),
+                        g.standard_normal((9, 8))).latent_pair
     assert np.abs(latent.z_re.data.sum(axis=1)).max() < 1e-10
     assert np.abs(latent.z_im.data.sum(axis=1)).max() < 1e-10
 
@@ -149,8 +150,8 @@ def test_steinmetz_batch_permutation_equivariance():
     g = np.random.default_rng(6)
     xr, xi = g.standard_normal((8, 6)), g.standard_normal((8, 6))
     perm = g.permutation(8)
-    pred, _ = cv.steinmetz_forward(model, xr, xi)
-    pred_p, _ = cv.steinmetz_forward(model, xr[perm], xi[perm])
+    pred = cv.forward(model, xr, xi).pred
+    pred_p = cv.forward(model, xr[perm], xi[perm]).pred
     assert np.array_equal(pred.data[perm], pred_p.data)
 
 
@@ -180,7 +181,7 @@ def test_cvnn_degenerate_reduces_to_real_mlp_bitwise():
         model.params[f"{layer}.bi"] = np.zeros_like(model.params[f"{layer}.bi"])
     g = np.random.default_rng(7)
     xr = g.standard_normal((4, 5))
-    pred = cv.cvnn_forward(model, xr, np.zeros_like(xr))
+    pred = cv.forward(model, xr, np.zeros_like(xr)).pred
     # same op ordering on plain arrays: matmul, subtract zero, add bias
     h = xr
     for layer in ("fc1", "fc2"):
@@ -216,11 +217,9 @@ def test_forward_input_validation():
                           output_dim=2, task="classification")
     model = cv.init_params(spec, 0)
     with pytest.raises(ShapeError):
-        cv.steinmetz_forward(model, np.ones((2, 5)), np.ones((2, 5)))
+        cv.forward(model, np.ones((2, 5)), np.ones((2, 5)))
     with pytest.raises(ShapeError):
-        cv.steinmetz_forward(model, np.ones((2, 6)), np.ones((3, 6)))
-    with pytest.raises(ContractError):
-        cv.rvnn_forward(model, np.ones((2, 6)), np.ones((2, 6)))
+        cv.forward(model, np.ones((2, 6)), np.ones((3, 6)))
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
@@ -345,6 +344,6 @@ def test_latent_channels_shapes():
         spec = cv.NetworkSpec(kind=kind, input_dim=6, latent_dim=4,
                               output_dim=2, task="classification")
         model = cv.init_params(spec, 11)
-        zr, zi = models.latent_channels(model, g.standard_normal((3, 6)),
-                                        g.standard_normal((3, 6)))
+        zr, zi = models.latent_channels(cv.forward(model, g.standard_normal((3, 6)),
+                                                   g.standard_normal((3, 6))))
         assert zr.shape == (3, 4) and zi.shape == (3, 4)

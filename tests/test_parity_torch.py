@@ -46,9 +46,9 @@ def test_steinmetz_with_penalty_matches_torch(seed):
     beta = 0.001
 
     tape = cv.Tape()
-    pred, pair = cv.steinmetz_forward(model, x_re, x_im, tape)
-    loss = cv.total_loss(cv.cross_entropy(pred, labels),
-                         cv.hilbert_penalty(pair), beta)
+    result = cv.forward(model, x_re, x_im, tape)
+    loss = cv.total_loss(cv.cross_entropy(result.pred, labels),
+                         cv.hilbert_penalty(result.latent_pair), beta)
     grads = tape.backward(loss)
 
     p = {name: _t(arr, grad=True) for name, arr in model.params.items()}
@@ -119,8 +119,7 @@ def test_rvnn_matches_torch():
     targets = g.standard_normal((5, 4))
 
     tape = cv.Tape()
-    pred, _ = cv.rvnn_forward(model, x_re, x_im, tape)
-    grads = tape.backward(cv.mse(pred, targets))
+    grads = tape.backward(cv.mse(cv.forward(model, x_re, x_im, tape).pred, targets))
 
     p = {name: _t(arr, grad=True) for name, arr in model.params.items()}
     x = torch.cat([_t(x_re), _t(x_im)], dim=1)

@@ -285,6 +285,60 @@ def test_cli_gen_train_eval_diag_roundtrip(tmp_path):
     assert 0.0 <= diag["orthogonality"] <= 1.0
 
 
+def _checkpoint_and_dataset(tmp_path, kind, task):
+    ds = (synthetic_classification(40, 8, 3, seed=120) if task == "classification"
+          else cv.gen_channel_dataset(cv.ChannelSpec(), 40, 121))
+    spec = cv.NetworkSpec(kind, ds.dn, 8, ds.k, task)
+    cv.save_checkpoint(cv.init_params(spec, 3), tmp_path / "ckpt.bin", seed=3, epoch=0)
+    cv.save_cvds(ds, tmp_path / "ds")
+    return ["--checkpoint", str(tmp_path / "ckpt.bin"), "--dataset", str(tmp_path / "ds")]
+
+
+def _counting_forward(monkeypatch) -> list:
+    """Counts every forward pass, through each module that binds forward;
+    records the row count of each call's input."""
+    calls, original = [], cv.models.forward
+
+    def counted(model, x_re, x_im, tape=None):
+        calls.append(np.shape(x_re))
+        return original(model, x_re, x_im, tape)
+
+    for module in (cv.models, cv.train, cv.cli):
+        monkeypatch.setattr(module, "forward", counted)
+    return calls
+
+
+@pytest.mark.parametrize("task", ["classification", "complex_regression"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_cli_diag_reports_every_eval_metric(tmp_path, capsys, kind, task):
+    args = _checkpoint_and_dataset(tmp_path, kind, task)
+    assert cv.cli.main(["eval", *args]) == 0
+    metrics = json.loads(capsys.readouterr().out)
+    assert cv.cli.main(["diag", *args]) == 0
+    diag = json.loads(capsys.readouterr().out)
+    assert {k: diag[k] for k in metrics} == metrics
+    if task == "complex_regression":
+        assert "degenerate_phases" in diag
+
+
+@pytest.mark.parametrize("command", ["eval", "diag"])
+def test_cli_eval_and_diag_run_one_forward(tmp_path, capsys, monkeypatch, command):
+    args = _checkpoint_and_dataset(tmp_path, "analytic", "complex_regression")
+    calls = _counting_forward(monkeypatch)
+    assert cv.cli.main([command, *args]) == 0
+    assert calls == [(40, 5)]
+
+
+def test_recipe_runs_one_forward_per_member_test_set(monkeypatch):
+    from cvlearn.recipes import run_channel_id
+    calls = _counting_forward(monkeypatch)
+    # test_m = 48 differs from the batch sizes of training (32 rows, stacked)
+    result = run_channel_id(base_seed=1, n_seeds=2, epochs=1, m=64, test_m=48)
+    assert calls.count((48, 5)) == 4 * 2
+    assert all(len(shape) == 3 for shape in calls if shape != (48, 5))  # training
+    assert len(result["per_seed"]["rvnn"]) == 2
+
+
 def test_cli_eval_mismatched_checkpoint_is_data_error(tmp_path):
     _cli("gen", "--task", "channel", "--m", "32", "--seed", "1",
          "--out", str(tmp_path / "reg"))
