@@ -18,15 +18,13 @@ from .models import (LatentPair, Model, NetworkSpec, forward, init_params,
 from .recipes import run_channel_id, run_cvmnist500, run_noise_sweep, run_recipe
 from .rng import Rng
 from .train import evaluate, run_training, train_model, train_models
-from .transforms import (ComplexVector, HilbertMultiplier, analytic_signal,
-                         dft, dht_cotangent, hilbert_freq, idft)
+from .transforms import analytic_signal, dht_cotangent, hilbert_freq
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Tape", "Tensor", "Rng",
-    "ComplexVector", "HilbertMultiplier", "dft", "idft", "hilbert_freq",
-    "dht_cotangent", "analytic_signal",
+    "hilbert_freq", "dht_cotangent", "analytic_signal",
     "NetworkSpec", "Model", "LatentPair", "init_params", "param_count",
     "forward", "save_checkpoint", "load_checkpoint",
     "TrainConfig", "AdamState", "adam_init", "adam_step",

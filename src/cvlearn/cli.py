@@ -2,7 +2,8 @@
 
 Subcommands: gen, train, eval, diag, hilbert, experiment. All state
 flows through flags and config files (no environment variables); exit
-code 0 on success, 1 on validation/usage errors, 2 on data errors.
+code 0 on success, 1 on validation/usage errors, 2 on data errors and
+unreadable or unwritable files.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import recipes, transforms
 from .data import (ChannelSpec, add_complex_noise, dft_encode,
-                   gen_channel_dataset, load_cvds, save_cvds)
+                   gen_channel_dataset, load_cvds, parse_json_object, save_cvds)
 # accuracy, mag_phase_mse, mse_metric and forward stay bound here, though
 # unused, so perfbench/spans.py can wrap every binding site of them
 from .diagnostics import (accuracy, covariance_comparison,  # noqa: F401
@@ -95,10 +96,7 @@ def _cmd_train(args) -> None:
     cfg_path = Path(args.config)
     if not cfg_path.exists():
         raise ValidationError(f"config file not found: {cfg_path}")
-    try:
-        raw = json.loads(cfg_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"config is not valid JSON: {e}") from e
+    raw = parse_json_object(cfg_path.read_bytes(), "config", ValidationError)
     report = run_training(raw, args.out)
     final = report["final"]["test"] or report["final"]["train"]
     print(json.dumps({"out": str(args.out), "final": final}))
@@ -189,7 +187,7 @@ def main(argv=None) -> int:
     except (ValidationError, ContractError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except DataError as e:
+    except (DataError, OSError) as e:  # an OSError's message names the path
         print(f"data error: {e}", file=sys.stderr)
         return 2
     return 0

@@ -119,6 +119,20 @@ class Dataset:
                             provenance=f"{self.provenance}|take({m})")
 
 
+def parse_json_object(blob: bytes, what: str, error: type = DataError) -> dict:
+    """``blob`` decoded as UTF-8 and parsed as a JSON object; ``error``
+    naming ``what`` (e.g. "meta.json") when it is not one."""
+    try:
+        value = json.loads(blob.decode("utf-8"))
+    except (ValueError, RecursionError) as e:
+        # ValueError: undecodable bytes or bad JSON; RecursionError:
+        # nesting deeper than the parser's stack
+        raise error(f"{what} is not valid JSON: {e}") from None
+    if not isinstance(value, dict):
+        raise error(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def stacked_targets(ds: Dataset) -> np.ndarray:
     """Regression targets as [M, 2k]: k real parts then k imaginary parts."""
     if ds.task != "complex_regression":
@@ -151,33 +165,29 @@ def save_cvds(ds: Dataset, path) -> None:
     (path / "labels.bin").write_bytes(blob)
 
 
-def _read_matrix(path: Path, name: str, rows: int, cols: int) -> np.ndarray:
+def _read_file(path: Path, name: str) -> bytes:
     f = path / name
     if not f.exists():
         raise DataError(f"missing CVDS file: {f}")
-    blob = f.read_bytes()
+    return f.read_bytes()
+
+
+def _read_matrix(path: Path, name: str, rows: int, cols: int) -> np.ndarray:
+    blob = _read_file(path, name)
     expected = rows * cols * 8
     if len(blob) != expected:
         raise DataError(f"{name}: expected {expected} bytes for "
                         f"{rows}x{cols} float64, found {len(blob)}")
-    arr = np.frombuffer(blob, dtype="<f8").reshape(rows, cols).astype(np.float64)
-    if not np.isfinite(arr).all():
-        raise DataError(f"{name}: non-finite values")
-    return arr
+    return np.frombuffer(blob, dtype="<f8").reshape(rows, cols).astype(np.float64)
 
 
 def load_cvds(path) -> Dataset:
-    """Load a CVDS directory; a missing features_im.bin means zeros."""
+    """Load a CVDS directory; a missing features_im.bin means zeros.
+
+    The header and blob sizes are checked here; the values (finiteness,
+    class ids) by the Dataset they build."""
     path = Path(path)
-    meta_file = path / "meta.json"
-    if not meta_file.exists():
-        raise DataError(f"missing CVDS file: {meta_file}")
-    try:
-        meta = json.loads(meta_file.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise DataError(f"meta.json is not valid JSON: {e}") from e
-    if not isinstance(meta, dict):
-        raise DataError("meta.json is not a JSON object")
+    meta = parse_json_object(_read_file(path, "meta.json"), "meta.json")
     for fieldname in ("M", "dN", "k", "task"):
         if fieldname not in meta:
             raise DataError(f"meta.json missing field {fieldname!r}")
@@ -198,24 +208,17 @@ def load_cvds(path) -> Dataset:
         im = _read_matrix(path, "features_im.bin", m, dn)
     else:
         im = np.zeros_like(re)
-    labels_file = path / "labels.bin"
-    if not labels_file.exists():
-        raise DataError(f"missing CVDS file: {labels_file}")
-    blob = labels_file.read_bytes()
+    blob = _read_file(path, "labels.bin")
     if task == "classification":
         if len(blob) != m * 4:
             raise DataError(f"labels.bin: expected {m * 4} bytes of uint32 ids, "
                             f"found {len(blob)}")
         labels = np.frombuffer(blob, dtype="<u4").astype(np.int64)
-        if labels.max(initial=0) >= k:
-            raise DataError(f"labels.bin: class id {labels.max()} >= k={k}")
     else:
         if len(blob) != m * 2 * k * 8:
             raise DataError(f"labels.bin: expected {m * 2 * k * 8} bytes for "
                             f"{m}x{2 * k} float64 targets, found {len(blob)}")
         flat = np.frombuffer(blob, dtype="<f8").reshape(m, 2 * k)
-        if not np.isfinite(flat).all():
-            raise DataError("labels.bin: non-finite values")
         labels = flat[:, :k] + 1j * flat[:, k:]
     return Dataset(re, im, labels, task, provenance=meta.get("provenance", ""),
                    num_classes=k if task == "classification" else None)
@@ -225,20 +228,12 @@ def load_cvds(path) -> Dataset:
 # feature encoding and ablations
 
 
-def dft_encode_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row DFT of real signals; returns (re, im) spectra."""
-    rows = np.ascontiguousarray(rows, dtype=np.float64)
-    spectra = dft_array(rows.astype(np.complex128))
-    return (np.ascontiguousarray(spectra.real),
-            np.ascontiguousarray(spectra.imag))
-
-
 def dft_encode(ds: Dataset) -> Dataset:
     """Replace real-form features by their per-row spectra; labels pass through."""
     if np.any(ds.features_im != 0.0):
         raise DataError("dft_encode expects a real-form dataset (features_im all zero)")
-    re, im = dft_encode_rows(ds.features_re)
-    return ds.replace(features_re=re, features_im=im,
+    spectra = dft_array(ds.features_re.astype(np.complex128))
+    return ds.replace(features_re=spectra.real, features_im=spectra.imag,
                       provenance=f"{ds.provenance}|dft_encode")
 
 
@@ -249,8 +244,8 @@ def add_complex_noise(ds: Dataset, eta: float, seed: int) -> Dataset:
     variance 1/2, so its complex variance is 1; labels are untouched.
     eta = 0 returns the data unchanged.
     """
-    if eta < 0:
-        raise ContractError("eta must be non-negative")
+    if not 0.0 <= eta < math.inf:
+        raise ContractError(f"eta must be finite and non-negative, got {eta}")
     if eta == 0.0:
         return ds.replace()
     rng = Rng(seed)
@@ -278,6 +273,8 @@ class ChannelSpec:
     def __post_init__(self):
         if not 0.0 <= self.rho <= 1.0:
             raise ContractError(f"rho must lie in [0, 1], got {self.rho}")
+        if not math.isfinite(self.snr_db):
+            raise ContractError(f"snr_db must be finite, got {self.snr_db}")
         if len(self.taps) == 0 or not any(abs(t) > 0 for t in self.taps):
             raise ContractError("taps must contain a nonzero coefficient")
         if self.seq_len < 1:

@@ -1,6 +1,7 @@
 """Exception taxonomy shared across the toolkit.
 
-CLI exit codes: ValidationError/ContractError -> 1, DataError -> 2.
+CLI exit codes: ValidationError/ContractError -> 1, DataError (and an
+OSError reading or writing a file) -> 2.
 """
 
 

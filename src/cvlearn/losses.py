@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -71,19 +71,6 @@ class TrainConfig:
             raise ValidationError("adam_b1 and adam_b2 must lie in (0, 1)")
         if not self.adam_eps > 0:
             raise ValidationError("adam_eps must be positive")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValidationError(f"unknown config fields: {sorted(unknown)}")
-        for f in fields(cls):
-            if f.default is MISSING and f.name not in d:
-                raise ValidationError(f"missing config field: {f.name}")
-        return cls(**d)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

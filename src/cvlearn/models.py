@@ -13,18 +13,19 @@ weight pairs) with ReLU applied independently to each part.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
+from .data import TASKS, parse_json_object
 from .errors import ContractError, DataError, ShapeError
 from .rng import Rng
 
 KINDS = ("rvnn", "cvnn", "steinmetz", "analytic")
-TASKS = ("classification", "complex_regression")
 
 MAGNITUDE_EPS = 1e-12  # under the sqrt of the CVNN magnitude head
 
@@ -57,11 +58,6 @@ class NetworkSpec:
         if self.task == "classification":
             return self.output_dim
         return 2 * self.output_dim
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "input_dim": self.input_dim,
-                "latent_dim": self.latent_dim, "output_dim": self.output_dim,
-                "task": self.task}
 
 
 @dataclass
@@ -125,10 +121,14 @@ def init_params(spec: NetworkSpec, seed: int) -> Model:
 
     Each parameter draws from its own named substream, so initialization
     is deterministic per (spec, seed) and independent of evaluation order.
+    Raises MemoryError for a parameter too large to allocate.
     """
     root = Rng(seed)
     params = {}
     for name, shape in _param_shapes(spec).items():
+        if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+            # past numpy's size limit its error is a ValueError, not a MemoryError
+            raise MemoryError(f"parameter {name} of shape {shape} cannot be allocated")
         if len(shape) == 1:
             params[name] = np.zeros(shape)
         else:
@@ -230,7 +230,7 @@ def latent_channels(result: ForwardResult) -> tuple[np.ndarray, np.ndarray]:
 def save_checkpoint(model: Model, path, seed: int, epoch: int) -> None:
     header = {
         "format": CHECKPOINT_FORMAT,
-        "spec": model.spec.to_dict(),
+        "spec": asdict(model.spec),
         "seed": int(seed),
         "epoch": int(epoch),
         "params": [{"name": n, "shape": list(p.shape)}
@@ -260,28 +260,27 @@ def _field(obj, key: str, kind: type, where: str = ""):
 
 def _header_spec(header: dict) -> NetworkSpec:
     spec = _field(header, "spec", dict)
-    fields = {key: _field(spec, key, kind, "spec.") for key, kind in
-              (("kind", str), ("input_dim", int), ("latent_dim", int),
-               ("output_dim", int), ("task", str))}
+    # the annotations are strings under postponed evaluation
+    kinds = {"str": str, "int": int}
+    values = {f.name: _field(spec, f.name, kinds[f.type], "spec.")
+              for f in fields(NetworkSpec)}
     try:
-        return NetworkSpec(**fields)
+        return NetworkSpec(**values)
     except ContractError as e:
         raise DataError(f"checkpoint header: field spec: {e}") from None
 
 
 def load_checkpoint(path) -> tuple[Model, dict]:
-    """Returns (model, header). Raises DataError on malformed files."""
+    """Returns (model, header). Raises DataError on malformed files; Model
+    construction rejects non-finite parameters."""
     with open(path, "rb") as f:
         header_line = f.readline()
         blob = f.read()
-    try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise DataError(f"checkpoint header is not valid JSON: {e}") from e
-    if not isinstance(header, dict):
-        raise DataError("checkpoint header is not a JSON object")
+    header = parse_json_object(header_line, "checkpoint header")
     if header.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"unexpected checkpoint format: {header.get('format')!r}")
+    if (header.get("dtype"), header.get("endianness")) != ("f64", "little"):
+        raise DataError("checkpoint header: only f64 little-endian parameters are supported")
     spec = _header_spec(header)
     expected = _param_shapes(spec)
     params = {}
@@ -295,12 +294,12 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         shape = tuple(shape)
         if name not in expected or expected[name] != shape:
             raise DataError(f"checkpoint parameter {name!r} has unexpected shape {shape}")
-        nbytes = int(np.prod(shape)) * 8
+        if name in params:
+            raise DataError(f"checkpoint parameter {name!r} is listed twice")
+        nbytes = math.prod(shape) * 8  # exact: np.prod wraps around in int64
         if offset + nbytes > len(blob):
             raise DataError(f"checkpoint blob truncated at parameter {name!r}")
         arr = np.frombuffer(blob[offset:offset + nbytes], dtype="<f8").reshape(shape)
-        if not np.isfinite(arr).all():
-            raise DataError(f"checkpoint parameter {name!r} has non-finite values")
         params[name] = arr.astype(np.float64)
         offset += nbytes
     if offset != len(blob):

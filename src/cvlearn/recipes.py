@@ -53,6 +53,8 @@ def _compare(runs: list[tuple[int, Dataset, Dataset]], lr: float, beta: float,
     """Train each architecture's (seed, train set, test set) runs as one
     ensemble; returns, per architecture, each run's test metrics,
     parameter count and latent orthogonality from one forward pass."""
+    if not runs:
+        raise ValidationError("n_seeds must be >= 1")
     train_ds = runs[0][1]
     per_seed: dict[str, list[dict]] = {}
     for arch in ARCHS:

@@ -19,7 +19,7 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -82,9 +82,9 @@ def _check_members(spec: NetworkSpec, train_sets: Sequence[Dataset],
             test_sets is not None and len(test_sets) != len(cfgs)):
         raise ContractError("an ensemble needs one train set and one config per "
                             "member, and one test set each when any is given")
-    shared = cfgs[0].to_dict()
+    shared = asdict(cfgs[0])
     for i, (cfg, ds) in enumerate(zip(cfgs, train_sets)):
-        for key, value in cfg.to_dict().items():
+        for key, value in asdict(cfg).items():
             if key != "seed" and value != shared[key]:
                 raise ContractError(f"ensemble member {i} differs in config field {key}")
         if (ds.task, ds.dn, ds.m) != (spec.task, spec.input_dim, train_sets[0].m) or (
@@ -221,12 +221,13 @@ def _resolve(raw) -> tuple[dict, TrainConfig]:
     """The resolved config dict and the TrainConfig that trains it."""
     if not isinstance(raw, dict):
         raise ValidationError(f"config must be a JSON object, got {type(raw).__name__}")
-    train_fields = {f.name for f in fields(TrainConfig)}
-    unknown = set(raw) - set(_RUN_FIELDS) - train_fields
+    train_defaults = {f.name: f.default for f in fields(TrainConfig)}
+    defaults = {**_RUN_FIELDS, **train_defaults}
+    unknown = set(raw) - set(defaults)
     if unknown:
         raise ValidationError(f"unknown config fields: {sorted(unknown)}")
     cfg = dict(raw)
-    for name, default in _RUN_FIELDS.items():
+    for name, default in defaults.items():
         if default is MISSING and name not in cfg:
             raise ValidationError(f"missing config field: {name}")
         cfg.setdefault(name, default)
@@ -247,8 +248,8 @@ def _resolve(raw) -> tuple[dict, TrainConfig]:
         raise ValidationError("config field noise_eta: must be a finite non-negative number")
     if not isinstance(cfg["noise_test"], bool):
         raise ValidationError("config field noise_test: must be a boolean")
-    tc = TrainConfig.from_dict({k: v for k, v in cfg.items() if k in train_fields})
-    cfg.update(tc.to_dict())
+    tc = TrainConfig(**{name: cfg[name] for name in train_defaults})
+    cfg.update(asdict(tc))
     return cfg, tc
 
 
@@ -276,12 +277,16 @@ def run_training(raw_config: dict, out_dir) -> dict:
     spec = NetworkSpec(kind=cfg["arch"], input_dim=train_ds.dn, latent_dim=cfg["latent_dim"],
                        output_dim=train_ds.k, task=train_ds.task)
     started = time.monotonic()
-    model, epochs = train_model(spec, train_ds, tc, test_ds)
+    try:
+        model, epochs = train_model(spec, train_ds, tc, test_ds)
+    except MemoryError:
+        raise ValidationError(f"config field latent_dim: a network with latent_dim "
+                              f"{spec.latent_dim} does not fit in memory") from None
     wall = time.monotonic() - started
     report = {
         "format": REPORT_FORMAT,
         "config": cfg,
-        "network": spec.to_dict(),
+        "network": asdict(spec),
         "dataset_provenance": {"train": train_ds.provenance,
                                "test": test_ds.provenance if test_ds else None},
         "epochs": epochs,

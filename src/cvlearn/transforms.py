@@ -23,54 +23,18 @@ from .autodiff import Tensor, record_op
 from .errors import ContractError, DataError
 
 
-class ComplexVector:
-    """Paired real/imaginary float64 arrays of equal length."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im):
-        self.re = np.ascontiguousarray(re, dtype=np.float64)
-        self.im = np.ascontiguousarray(im, dtype=np.float64)
-        if self.re.ndim != 1 or self.re.shape != self.im.shape:
-            raise ContractError(
-                f"ComplexVector parts must be equal-length 1-D arrays, "
-                f"got {self.re.shape} and {self.im.shape}")
-        if self.re.size < 1:
-            raise ContractError("ComplexVector must have length >= 1")
-        if not (np.isfinite(self.re).all() and np.isfinite(self.im).all()):
-            raise DataError("ComplexVector: non-finite entries")
-
-    def __len__(self) -> int:
-        return self.re.size
-
-    def to_complex(self) -> np.ndarray:
-        return self.re + 1j * self.im
-
-    @classmethod
-    def from_complex(cls, z: np.ndarray) -> "ComplexVector":
-        return cls(z.real, z.imag)
-
-
-class HilbertMultiplier:
-    """Per-bin spectral factors: 1 at DC and Nyquist, -i then +i elsewhere."""
-
-    __slots__ = ("n", "multipliers")
-
-    def __init__(self, n: int):
-        if n < 2 or n % 2 != 0:
-            raise ContractError(f"Hilbert multiplier requires even n >= 2, got {n}")
-        m = np.empty(n, dtype=np.complex128)
-        m[0] = 1.0
-        m[n // 2] = 1.0
-        m[1:n // 2] = -1j
-        m[n // 2 + 1:] = 1j
-        self.n = n
-        self.multipliers = m
-
-
 @lru_cache(maxsize=32)
 def _multiplier(n: int) -> np.ndarray:
-    return HilbertMultiplier(n).multipliers
+    """Per-bin spectral factors: 1 at DC and Nyquist, -i then +i elsewhere."""
+    if n < 2 or n % 2 != 0:
+        raise ContractError(f"Hilbert multiplier requires even n >= 2, got {n}")
+    m = np.empty(n, dtype=np.complex128)
+    m[0] = 1.0
+    m[n // 2] = 1.0
+    m[1:n // 2] = -1j
+    m[n // 2 + 1:] = 1j
+    m.setflags(write=False)
+    return m
 
 
 def _is_pow2(n: int) -> bool:
@@ -124,14 +88,10 @@ def dft_array(z: np.ndarray, inverse: bool = False) -> np.ndarray:
     """
     z = np.asarray(z, dtype=np.complex128)
     n = z.shape[-1]
-    sign = 1 if inverse else -1
-    if _is_pow2(n):
-        out = _fft_pow2(z, sign)
-    else:
-        out = z @ _dft_kernel(n, sign).T
-    if inverse:
-        out = out / n
-    return out
+    if not _is_pow2(n):
+        return dft_direct_array(z, inverse)
+    out = _fft_pow2(z, 1 if inverse else -1)
+    return out / n if inverse else out
 
 
 def dft_direct_array(z: np.ndarray, inverse: bool = False) -> np.ndarray:
@@ -141,14 +101,6 @@ def dft_direct_array(z: np.ndarray, inverse: bool = False) -> np.ndarray:
     sign = 1 if inverse else -1
     out = z @ _dft_kernel(n, sign).T
     return out / n if inverse else out
-
-
-def dft(x: ComplexVector) -> ComplexVector:
-    return ComplexVector.from_complex(dft_array(x.to_complex()))
-
-
-def idft(x: ComplexVector) -> ComplexVector:
-    return ComplexVector.from_complex(dft_array(x.to_complex(), inverse=True))
 
 
 def _check_hilbert_input(z: np.ndarray, op: str) -> np.ndarray:
@@ -214,10 +166,10 @@ def dht_cotangent(x: np.ndarray) -> np.ndarray:
     return _cotangent_kernel(x.shape[-1]) @ x
 
 
-def analytic_signal(x: np.ndarray) -> ComplexVector:
-    """Complex signal whose imaginary part is the Hilbert transform of x."""
+def analytic_signal(x: np.ndarray) -> np.ndarray:
+    """Complex128 signal whose imaginary part is the Hilbert transform of x."""
     x = np.ascontiguousarray(x, dtype=np.float64)
-    return ComplexVector(x, hilbert_freq(x))
+    return x + 1j * hilbert_freq(x)
 
 
 @lru_cache(maxsize=8)
@@ -242,8 +194,7 @@ def hilbert_rows(x: Tensor) -> Tensor:
 
 
 __all__ = [
-    "ComplexVector", "HilbertMultiplier", "dft", "idft", "dft_array",
-    "dft_direct_array", "hilbert_freq", "hilbert_rows_array",
+    "dft_array", "dft_direct_array", "hilbert_freq", "hilbert_rows_array",
     "hilbert_adjoint_rows_array", "dht_cotangent", "analytic_signal",
     "hilbert_rows",
 ]

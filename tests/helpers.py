@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 import cvlearn as cv
@@ -119,3 +124,13 @@ def random_regression(m: int, dn: int, k: int, seed: int) -> cv.Dataset:
     return cv.Dataset(g.standard_normal((m, dn)), g.standard_normal((m, dn)),
                       targets, "complex_regression",
                       provenance=f"random-regression(seed={seed})")
+
+
+def cli(*args, cwd=None) -> subprocess.CompletedProcess:
+    """``python -m cvlearn *args`` in a child process that imports cvlearn
+    from the same place this process did."""
+    src = str(Path(cv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, "-m", "cvlearn", *map(str, args)],
+                          capture_output=True, text=True, env=env, cwd=cwd)

@@ -79,6 +79,20 @@ def test_cvds_non_finite_rejected(tmp_path):
         cv.load_cvds(tmp_path / "d")
 
 
+@pytest.mark.parametrize("task,blob,values,needle", [
+    ("classification", "features_im.bin", np.array([np.inf] * 12), "features_im"),
+    ("classification", "labels.bin", np.array([0, 2, 1], dtype="<u4"), "class id 2"),
+    ("complex_regression", "labels.bin", np.array([1.0, np.nan] * 3), "labels"),
+])
+def test_cvds_values_checked_by_the_dataset_they_build(tmp_path, task, blob, values, needle):
+    ds = (synthetic_classification(3, 4, 2, seed=5) if task == "classification"
+          else cv.gen_channel_dataset(cv.ChannelSpec(seq_len=4), 3, seed=5))
+    cv.save_cvds(ds, tmp_path / "d")
+    (tmp_path / "d" / blob).write_bytes(values.astype(values.dtype.newbyteorder("<")).tobytes())
+    with pytest.raises(DataError, match=needle):
+        cv.load_cvds(tmp_path / "d")
+
+
 def test_cvds_real_form_missing_im_is_zero(tmp_path):
     ds = synthetic_classification(4, 6, 2, seed=6)
     cv.save_cvds(ds, tmp_path / "d")

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from cvlearn import transforms as tr
 from cvlearn.errors import ContractError, DataError, ShapeError, ValidationError
 from cvlearn.losses import TrainConfig, adam_init, adam_step
 from cvlearn.models import LatentPair
+from cvlearn.train import resolve_config
 
 
 def _logits(tape, arr):
@@ -221,12 +224,13 @@ def test_train_config_validation_messages():
     with pytest.raises(ValidationError, match="adam_b1"):
         TrainConfig(learning_rate=0.1, adam_b1=1.0)
     with pytest.raises(ValidationError, match="unknown"):
-        TrainConfig.from_dict({"learning_rate": 0.1, "momentum": 0.9})
+        resolve_config({"arch": "rvnn", "latent_dim": 4, "train_dataset": "d",
+                        "learning_rate": 0.1, "momentum": 0.9})
     with pytest.raises(ValidationError, match="epochs"):
-        TrainConfig.from_dict({"learning_rate": 0.1, "epochs": 2.5})
+        TrainConfig(**{"learning_rate": 0.1, "epochs": 2.5})
 
 
 def test_train_config_roundtrip():
     cfg = TrainConfig(learning_rate=0.01, beta=0.001, epochs=7, batch_size=16,
                       seed=42)
-    assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+    assert TrainConfig(**asdict(cfg)) == cfg

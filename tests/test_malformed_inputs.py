@@ -1,0 +1,335 @@
+"""Malformed CVDS directories, checkpoints and command-line inputs.
+
+The loaders either return or raise DataError, whatever the bytes on
+disk; through the CLI every malformed input ends in its documented exit
+code (1 for validation errors, 2 for data errors and unreadable files)
+with one stderr line and no traceback.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from dataclasses import fields
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import cvlearn as cv
+import cvlearn.cli  # noqa: F401  (binds cv.cli)
+from cvlearn.errors import DataError
+
+from helpers import cli, synthetic_classification
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+# every value Python's json module can produce, NaN and +-Infinity included
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8)
+
+META_KEYS = ("M", "dN", "k", "task", "dtype", "endianness", "provenance")
+BLOBS = ("features_re.bin", "features_im.bin", "labels.bin")
+HEADER_KEYS = ("format", "spec", "seed", "epoch", "params", "dtype", "endianness")
+SPEC_KEYS = tuple(f.name for f in fields(cv.NetworkSpec))
+
+DATASETS = {
+    "classification": synthetic_classification(3, 2, 2, seed=1),
+    "complex_regression": cv.gen_channel_dataset(cv.ChannelSpec(seq_len=2), 3, seed=1),
+}
+SPEC = cv.NetworkSpec(kind="rvnn", input_dim=2, latent_dim=2, output_dim=2,
+                      task="classification")
+
+
+def _checkpoint_bytes() -> tuple[dict, bytes]:
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "ckpt.bin"
+        cv.save_checkpoint(cv.init_params(SPEC, 1), path, seed=1, epoch=0)
+        header_line, blob = path.read_bytes().split(b"\n", 1)
+    return json.loads(header_line), blob
+
+
+HEADER, BLOB = _checkpoint_bytes()
+
+
+def _returns_or_data_error(load, path) -> bool:
+    """True when ``load(path)`` returns, False when it raises DataError;
+    any other exception fails the test."""
+    try:
+        load(path)
+    except DataError:
+        return False
+    return True
+
+
+def _cvds(task: str, edit) -> bool:
+    """Save the task's dataset, apply ``edit(dir)`` and load it back."""
+    with tempfile.TemporaryDirectory() as d:
+        cv.save_cvds(DATASETS[task], d)
+        edit(Path(d))
+        return _returns_or_data_error(cv.load_cvds, d)
+
+
+def _write_checkpoint(path: Path, header, blob: bytes) -> None:
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
+
+
+def _checkpoint(header, blob: bytes) -> bool:
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "ckpt.bin"
+        _write_checkpoint(path, header, blob)
+        return _returns_or_data_error(cv.load_checkpoint, path)
+
+
+def _with_overrides(data, header: dict) -> dict:
+    """``header`` with arbitrary JSON drawn under its known keys, under
+    the keys of its spec, and under the keys of one params entry."""
+    header = json.loads(json.dumps(header))
+    for key in data.draw(st.sets(st.sampled_from(HEADER_KEYS))):
+        header[key] = data.draw(JSON)
+    if isinstance(header.get("spec"), dict):
+        for key in data.draw(st.sets(st.sampled_from(SPEC_KEYS))):
+            header["spec"][key] = data.draw(JSON)
+    entries = header.get("params")
+    if isinstance(entries, list) and entries and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(entries) - 1))
+        if isinstance(entries[i], dict):
+            entries[i][data.draw(st.sampled_from(("name", "shape")))] = data.draw(JSON)
+    return header
+
+
+def _resized(data, blob: bytes) -> bytes:
+    """``blob`` truncated, extended or replaced by arbitrary bytes of its
+    own length (which may decode to NaN or Inf)."""
+    how = data.draw(st.sampled_from(("truncate", "extend", "replace")))
+    if how == "truncate":
+        return blob[:data.draw(st.integers(0, max(len(blob) - 1, 0)))]
+    if how == "extend":
+        return blob + data.draw(st.binary(min_size=1, max_size=24))
+    return data.draw(st.binary(min_size=len(blob), max_size=len(blob)))
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(st.sampled_from(sorted(DATASETS)),
+                  st.dictionaries(st.sampled_from(META_KEYS), JSON, min_size=1),
+                  st.sets(st.sampled_from(META_KEYS)))
+def test_load_cvds_meta_arbitrary_json_under_known_keys(task, overrides, dropped):
+    def edit(d):
+        meta = json.loads((d / "meta.json").read_text())
+        for key in dropped:
+            meta.pop(key)
+        meta.update(overrides)
+        (d / "meta.json").write_text(json.dumps(meta))
+    _cvds(task, edit)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(st.sampled_from(sorted(DATASETS)), st.binary(max_size=64))
+def test_load_cvds_meta_arbitrary_bytes(task, blob):
+    assert not _cvds(task, lambda d: (d / "meta.json").write_bytes(blob))
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(st.sampled_from(sorted(DATASETS)), st.sampled_from(BLOBS), st.data())
+def test_load_cvds_blobs_of_any_length(task, name, data):
+    def edit(d):
+        (d / name).write_bytes(_resized(data, (d / name).read_bytes()))
+    _cvds(task, edit)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(st.data())
+def test_load_checkpoint_header_arbitrary_json_under_known_keys(data):
+    _checkpoint(_with_overrides(data, HEADER), BLOB)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(st.data())
+def test_load_checkpoint_blob_of_any_length(data):
+    _checkpoint(HEADER, _resized(data, BLOB))
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(st.binary(max_size=64), st.booleans())
+def test_load_checkpoint_header_arbitrary_bytes(line, newline):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "ckpt.bin"
+        path.write_bytes(line + (b"\n" + BLOB if newline else b""))
+        assert not _returns_or_data_error(cv.load_checkpoint, path)
+
+
+def _main(*argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cv.cli.main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+@hypothesis.settings(max_examples=25, deadline=None)
+@hypothesis.given(st.data())
+def test_cli_eval_malformed_checkpoint_exits_2_with_one_line(data):
+    header, blob = HEADER, BLOB
+    if data.draw(st.booleans()):
+        header = _with_overrides(data, HEADER)
+    else:
+        blob = _resized(data, BLOB)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "ckpt.bin"
+        _write_checkpoint(path, header, blob)
+        hypothesis.assume(not _returns_or_data_error(cv.load_checkpoint, path))
+        cv.save_cvds(DATASETS["classification"], Path(d) / "ds")
+        code, err = _main("eval", "--checkpoint", path, "--dataset", Path(d) / "ds")
+    assert code == 2
+    assert err.startswith("data error: ") and err.count("\n") == 1, err
+
+
+def test_fuzz_base_inputs_load():
+    # the unmutated inputs are valid, so the fuzzers start from working files
+    for task in DATASETS:
+        assert _cvds(task, lambda d: None)
+    assert _checkpoint(HEADER, BLOB)
+
+
+# ---------------------------------------------------------------------------
+# the CLI, one process per input: exit code, one stderr line, no traceback
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory):
+    """A channel CVDS set, a trained checkpoint and a good train config."""
+    w = tmp_path_factory.mktemp("malformed")
+    cv.save_cvds(cv.gen_channel_dataset(cv.ChannelSpec(), 40, seed=1), w / "chan")
+    config = {"arch": "rvnn", "latent_dim": 4, "train_dataset": str(w / "chan"),
+              "learning_rate": 0.01, "epochs": 1}
+    (w / "good.json").write_text(json.dumps(config))
+    cv.run_training(config, w / "run")
+    return w
+
+
+def _bad_checkpoint(w: Path) -> Path:
+    # 2**62 x 10 float64s: np.prod of the shape wraps around in int64
+    header = json.loads((w / "run" / "checkpoint.bin").read_bytes().split(b"\n", 1)[0])
+    header["spec"]["latent_dim"] = 2 ** 62
+    header["params"][0]["shape"] = [2 ** 62, 10]
+    _write_checkpoint(w / "huge.bin", header, b"")
+    return w / "huge.bin"
+
+
+def _features_dir(w: Path) -> Path:
+    d = w / "dirblob"
+    cv.save_cvds(cv.gen_channel_dataset(cv.ChannelSpec(), 4, seed=2), d)
+    (d / "features_re.bin").unlink()
+    (d / "features_re.bin").mkdir()
+    return d
+
+
+def _cvds_bad_meta(w: Path) -> Path:
+    d = w / "badmeta"
+    cv.save_cvds(cv.gen_channel_dataset(cv.ChannelSpec(), 4, seed=2), d)
+    (d / "meta.json").write_bytes(b'{"M": 4, "task": "\xff\xfe"}')
+    return d
+
+
+def _config(w: Path, name: str, content: bytes) -> Path:
+    (w / name).write_bytes(content)
+    return w / name
+
+
+def _latent_config(w: Path, latent_dim: int) -> Path:
+    config = json.loads((w / "good.json").read_text())
+    return _config(w, f"latent{latent_dim}.json",
+                   json.dumps({**config, "latent_dim": latent_dim}).encode())
+
+
+CASES = {
+    "eval-missing-checkpoint": (2, "absent.bin", lambda w: [
+        "eval", "--checkpoint", w / "absent.bin", "--dataset", w / "chan"]),
+    "eval-checkpoint-is-directory": (2, "Is a directory", lambda w: [
+        "eval", "--checkpoint", w / "chan", "--dataset", w / "chan"]),
+    "eval-checkpoint-huge-shape": (2, "truncated", lambda w: [
+        "eval", "--checkpoint", _bad_checkpoint(w), "--dataset", w / "chan"]),
+    "train-config-is-directory": (2, "Is a directory", lambda w: [
+        "train", "--config", w / "chan", "--out", w / "r1"]),
+    "train-config-not-utf8": (1, "config is not valid JSON", lambda w: [
+        "train", "--config", _config(w, "latin.json", b'{"arch": "\xe9"}'),
+        "--out", w / "r2"]),
+    "train-out-is-a-file": (2, "File exists", lambda w: [
+        "train", "--config", w / "good.json", "--out", w / "good.json"]),
+    # the first weight needs 8e16 bytes, beyond any address space
+    "train-latent-dim-too-big": (1, "latent_dim", lambda w: [
+        "train", "--config", _latent_config(w, 10 ** 15), "--out", w / "r3"]),
+    # 8e19 bytes: past numpy's size limit, and np.prod of the shape wraps
+    "train-latent-dim-past-array-limit": (1, "latent_dim", lambda w: [
+        "train", "--config", _latent_config(w, 10 ** 18), "--out", w / "r4"]),
+    "gen-features-blob-is-directory": (2, "Is a directory", lambda w: [
+        "gen", "--task", "noise", "--eta", "0.5", "--in", _features_dir(w),
+        "--out", w / "n1"]),
+    "gen-meta-not-utf8": (2, "meta.json is not valid JSON", lambda w: [
+        "gen", "--task", "noise", "--eta", "0.5", "--in", _cvds_bad_meta(w),
+        "--out", w / "n2"]),
+    "gen-eta-nan": (1, "eta", lambda w: [
+        "gen", "--task", "noise", "--eta", "nan", "--in", w / "chan", "--out", w / "n3"]),
+    "gen-eta-inf": (1, "eta", lambda w: [
+        "gen", "--task", "noise", "--eta", "inf", "--in", w / "chan", "--out", w / "n4"]),
+    "gen-snr-db-nan": (1, "snr_db", lambda w: [
+        "gen", "--task", "channel", "--m", "8", "--snr-db", "nan", "--out", w / "n5"]),
+    "experiment-seeds-0": (1, "n_seeds", lambda w: [
+        "experiment", "--recipe", "channel-id", "--seeds", "0", "--out", w / "e1"]),
+    "experiment-seeds-negative": (1, "n_seeds", lambda w: [
+        "experiment", "--recipe", "channel-id", "--seeds", "-2", "--out", w / "e2"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_bad_input_one_line_no_traceback(work, case):
+    code, needle, argv = CASES[case]
+    out = cli(*argv(work), cwd=work)
+    assert out.returncode == code, out.stderr
+    assert "Traceback" not in out.stderr
+    assert len(out.stderr.splitlines()) == 1, out.stderr
+    assert out.stderr.startswith("data error: " if code == 2 else "error: "), out.stderr
+    assert needle in out.stderr, out.stderr
+
+
+@pytest.mark.parametrize("case", ["train-latent-dim-too-big",
+                                  "train-latent-dim-past-array-limit"])
+def test_cli_failed_train_writes_no_run_files(work, case):
+    _, _, argv = CASES[case]
+    args = argv(work)
+    out_dir = Path(args[args.index("--out") + 1])
+    assert cli(*args, cwd=work).returncode != 0
+    assert not (out_dir / "report.json").exists()
+    assert not (out_dir / "checkpoint.bin").exists()
+
+
+def test_checkpoint_other_dtype_rejected(work):
+    header, blob = (work / "run" / "checkpoint.bin").read_bytes().split(b"\n", 1)
+    header = {**json.loads(header), "dtype": "f32"}
+    _write_checkpoint(work / "f32.bin", header, blob)
+    with pytest.raises(DataError, match="f64"):
+        cv.load_checkpoint(work / "f32.bin")
+
+
+def test_checkpoint_parameter_listed_twice_rejected(work):
+    header, blob = (work / "run" / "checkpoint.bin").read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    first = header["params"][0]
+    header["params"].insert(0, dict(first))
+    _write_checkpoint(work / "twice.bin", header,
+                      np.zeros(first["shape"]).tobytes() + blob)
+    with pytest.raises(DataError, match="listed twice"):
+        cv.load_checkpoint(work / "twice.bin")
+
+
+def test_non_finite_eta_and_snr_name_the_field():
+    ds = DATASETS["complex_regression"]
+    for eta in (np.nan, np.inf, -1.0):
+        with pytest.raises(cv.ContractError, match="eta"):
+            cv.add_complex_noise(ds, eta, seed=1)
+    for snr_db in (np.nan, np.inf, -np.inf):
+        with pytest.raises(cv.ContractError, match="snr_db"):
+            cv.ChannelSpec(snr_db=snr_db)

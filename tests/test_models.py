@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -256,7 +257,7 @@ def test_checkpoint_garbage_header_rejected(tmp_path):
 
 def _per_blob_checkpoint(model, seed, epoch) -> bytes:
     """The checkpoint bytes as written one parameter blob at a time."""
-    header = {"format": "cvlearn-checkpoint-v1", "spec": model.spec.to_dict(),
+    header = {"format": "cvlearn-checkpoint-v1", "spec": asdict(model.spec),
               "seed": seed, "epoch": epoch,
               "params": [{"name": n, "shape": list(p.shape)}
                          for n, p in model.params.items()],

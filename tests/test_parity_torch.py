@@ -31,7 +31,7 @@ def _rel(a, b):
 
 def _torch_hilbert_rows(z):
     n = z.shape[-1]
-    mult = torch.from_numpy(tr.HilbertMultiplier(n).multipliers)
+    mult = torch.from_numpy(tr._multiplier(n).copy())
     return torch.fft.ifft(torch.fft.fft(z.to(torch.complex128)) * mult).real
 
 

@@ -1,8 +1,5 @@
 import gc
 import json
-import os
-import subprocess
-import sys
 import weakref
 from pathlib import Path
 
@@ -14,6 +11,7 @@ import cvlearn.cli  # noqa: F401  (binds cv.cli)
 from cvlearn.errors import DataError, DivergenceError, ValidationError
 from cvlearn.train import evaluate, resolve_config, run_training, train_model
 
+from helpers import cli as _cli
 from helpers import synthetic_classification
 
 ALL_KINDS = ["rvnn", "cvnn", "steinmetz", "analytic"]
@@ -238,15 +236,6 @@ def test_test_dataset_mismatch_rejected(tmp_path):
 
 # ---------------------------------------------------------------------------
 # command-line interface
-
-
-def _cli(*args):
-    # the child imports cvlearn from the same place this process did
-    src = str(Path(cv.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    return subprocess.run([sys.executable, "-m", "cvlearn", *args],
-                          capture_output=True, text=True, env=env)
 
 
 def test_cli_gen_train_eval_diag_roundtrip(tmp_path):
