@@ -8,12 +8,17 @@ creation and safe to share across threads.
 
 A tensor holds its tape through a weak reference, so tape and nodes form
 no reference cycle and a dropped tape is freed at once rather than at the
-next cyclic garbage collection. Leaves bind float64 C-contiguous arrays as
-read-only views without copying; the caller must not write to such an
-array while a tape that binds it is in use.
+next cyclic garbage collection. ``Tape.param`` binds a float64
+C-contiguous array as a read-only view without copying; the caller must
+not write to such an array while a tape that binds it is in use.
 
-The ops used by training act on the last two axes, so one op body serves
-a single network's [m, n] operands and an ensemble's stacked [E, m, n]
+The op set is what the four networks and their losses call: ``linear``
+(``x @ w.T + b`` as one node), ``add``, ``sub``, ``mul``, ``scale``,
+``add_const``, ``add_bias``, ``relu``, ``sqrt``, ``concat`` (last axis),
+``mean_center_rows``, ``sum_all`` and ``mean_all``. ``transforms`` adds
+the Hilbert matmul and ``losses`` the softmax cross-entropy through
+``record_op``. Each acts on the last two axes, so one op body serves a
+single network's [m, n] operands and an ensemble's stacked [E, m, n]
 operands alike: every member slice makes the same numpy and BLAS calls
 as the 2-D case and rounds exactly as it would alone.
 """
@@ -26,14 +31,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ContractError, DataError, ShapeError
-
-_DEBUG = False
-
-
-def set_debug(flag: bool) -> None:
-    """When enabled, every op result is checked for NaN/Inf."""
-    global _DEBUG
-    _DEBUG = bool(flag)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -48,13 +45,6 @@ def _f64_view(data) -> np.ndarray:
             and data.flags.c_contiguous:
         return _freeze(data.view()) if data.flags.writeable else data
     return _freeze(np.array(data, dtype=np.float64, order="C"))
-
-
-def _checked_f64(data) -> np.ndarray:
-    arr = _f64_view(data)
-    if not np.isfinite(arr).all():
-        raise DataError("tensor creation: non-finite entries")
-    return arr
 
 
 class Tensor:
@@ -72,12 +62,6 @@ class Tensor:
         self.op = op
 
     @property
-    def tape(self) -> Optional["Tape"]:
-        """The tape that recorded this tensor; None for constants and once
-        the tape has been dropped."""
-        return self._tape() if self._tape is not None else None
-
-    @property
     def shape(self) -> tuple:
         return self.data.shape
 
@@ -90,13 +74,12 @@ class Tensor:
 
 
 class Tape:
-    """Ordered op record for one forward pass plus the grads of its backward."""
+    """Ordered op record for one forward pass."""
 
-    __slots__ = ("nodes", "grads", "_param_ids", "_ref", "__weakref__")
+    __slots__ = ("nodes", "_param_ids", "_ref", "__weakref__")
 
     def __init__(self):
         self.nodes: list[Tensor] = []
-        self.grads: list[Optional[np.ndarray]] = []
         self._param_ids: dict[str, int] = {}
         self._ref = weakref.ref(self)
 
@@ -104,42 +87,30 @@ class Tape:
         t.node_id = len(self.nodes)
         t._tape = self._ref
         self.nodes.append(t)
-        self.grads.append(None)
         return t
 
-    def leaf(self, data, name: Optional[str] = None) -> Tensor:
-        """Register an input or parameter as a read-only view (copied only
-        when not float64 C-contiguous); rejects non-finite entries."""
-        return self._leaf(_checked_f64(data), name)
+    def param(self, data, name: str) -> Tensor:
+        """Bind a named tensor whose gradient ``backward`` returns, as a
+        read-only view (copied only when not float64 C-contiguous).
 
-    def param(self, data: np.ndarray, name: str) -> Tensor:
-        """Bind a parameter like ``leaf`` but without the finite check.
-
-        Parameters are checked where they are made: ``init_params``,
-        ``load_checkpoint`` and each Adam step.
+        There is no finite check here: parameters are checked where they
+        are made (``init_params``, ``load_checkpoint``, each Adam step).
         """
-        return self._leaf(_f64_view(data), name)
-
-    def _leaf(self, arr: np.ndarray, name: Optional[str]) -> Tensor:
-        t = self._add(Tensor(arr))
-        if name is not None:
-            if name in self._param_ids:
-                raise ContractError(f"duplicate parameter name on tape: {name}")
-            self._param_ids[name] = t.node_id
+        if name in self._param_ids:
+            raise ContractError(f"duplicate parameter name on tape: {name}")
+        t = self._add(Tensor(_f64_view(data)))
+        self._param_ids[name] = t.node_id
         return t
 
     def backward(self, loss: Tensor) -> dict[str, np.ndarray]:
-        """Reverse accumulation from a scalar loss.
-
-        Populates ``grads`` for every node reachable from the loss and
-        returns gradients for all named parameters (zeros if unreached).
-        """
+        """Reverse accumulation from a scalar loss; returns the gradient of
+        every named parameter (zeros if unreached)."""
         if loss._tape is not self._ref:
             raise ContractError("loss tensor does not belong to this tape")
         if loss.data.shape != ():
             raise ContractError("backward requires a scalar loss node")
         ref, nodes = self._ref, self.nodes
-        grads = self.grads = [None] * len(nodes)
+        grads: list[Optional[np.ndarray]] = [None] * len(nodes)
         grads[loss.node_id] = np.ones(())
         for nid in range(loss.node_id, -1, -1):
             g = grads[nid]
@@ -159,15 +130,14 @@ class Tape:
             for name, nid in self._param_ids.items()
         }
 
-    def grad(self, t: Tensor) -> Optional[np.ndarray]:
-        if t._tape is not self._ref:
-            raise ContractError("tensor does not belong to this tape")
-        return self.grads[t.node_id]
-
 
 def constant(data) -> Tensor:
-    """Tensor outside any tape; participates in ops but gets no gradient."""
-    return Tensor(_checked_f64(data), op="const")
+    """Tensor outside any tape; participates in ops but gets no gradient.
+    Rejects non-finite entries."""
+    arr = _f64_view(data)
+    if not np.isfinite(arr).all():
+        raise DataError("tensor creation: non-finite entries")
+    return Tensor(arr, op="const")
 
 
 def _find_tape(parents: Sequence[Tensor]) -> Optional[Tape]:
@@ -185,8 +155,6 @@ def _find_tape(parents: Sequence[Tensor]) -> Optional[Tape]:
 def record_op(op: str, value: np.ndarray, parents: Sequence[Tensor],
               vjps: Sequence[Callable[[np.ndarray], np.ndarray]]) -> Tensor:
     """Record one op result; constant-only inputs yield an unrecorded constant."""
-    if _DEBUG and not np.isfinite(value).all():
-        raise DataError(f"non-finite result in op {op!r}")
     tape = _find_tape(parents)
     out = Tensor(_freeze(value), parents=tuple(parents), vjps=tuple(vjps), op=op)
     if tape is None:
@@ -198,21 +166,12 @@ def record_op(op: str, value: np.ndarray, parents: Sequence[Tensor],
 # elementary operations
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dims differ: {a.shape} x {b.shape}")
-    value = a.data @ b.data
-    return record_op("matmul", value, (a, b),
-                     (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
-
-
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     """Fully connected layer ``x @ w.T (+ b)`` as one tape node.
 
-    Makes the same BLAS calls as ``add_bias(matmul(x, transpose(w)), b)``,
-    so values and gradients match that chain bit for bit. Stacked operands
+    Makes the same numpy and BLAS calls as the unfused chain of a matmul
+    by the transposed weight and ``add_bias``, so values and gradients
+    match that chain bit for bit. Stacked operands
     ([E, m, in] inputs, [E, out, in] weights, [E, out] biases) apply each
     member's weights to its own inputs.
     """
@@ -233,13 +192,6 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     # np.add.reduce is ndarray.sum without its Python wrapper
     vjps.append(lambda g: np.add.reduce(g, axis=-2))
     return record_op("linear", value + b.data[..., None, :], (x, w, b), vjps)
-
-
-def transpose(x: Tensor) -> Tensor:
-    if x.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-D operand, got {x.shape}")
-    return record_op("transpose", np.ascontiguousarray(x.data.T), (x,),
-                     (lambda g: np.ascontiguousarray(g.T),))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -295,51 +247,13 @@ def sqrt(x: Tensor) -> Tensor:
     return record_op("sqrt", value, (x,), (lambda g: g * (0.5 / value),))
 
 
-def concat(a: Tensor, b: Tensor, axis: int = -1) -> Tensor:
-    """Join along one of the last two axes (-1 or -2; 1 or 0 for 2-D)."""
-    if a.ndim < 2 or a.ndim != b.ndim:
-        raise ShapeError(f"concat needs operands of equal rank >= 2, "
-                         f"got {a.shape} and {b.shape}")
-    axis = axis - a.ndim if axis >= 0 else axis
-    if axis not in (-1, -2):
-        raise ShapeError("concat joins along one of the last two axes")
-    other = -3 - axis  # the other one of the last two axes
-    if a.shape[:-2] != b.shape[:-2] or a.shape[other] != b.shape[other]:
+def concat(a: Tensor, b: Tensor) -> Tensor:
+    """Join along the last axis."""
+    if a.ndim < 2 or a.shape[:-1] != b.shape[:-1]:
         raise ShapeError(f"concat shapes incompatible: {a.shape} and {b.shape}")
-    na = a.shape[axis]
-    if axis == -1:
-        vjps = (lambda g: g[..., :na], lambda g: g[..., na:])
-    else:
-        vjps = (lambda g: g[..., :na, :], lambda g: g[..., na:, :])
-    return record_op("concat", np.concatenate([a.data, b.data], axis=axis),
-                     (a, b), vjps)
-
-
-def split(x: Tensor, sizes: Sequence[int], axis: int = 1) -> list[Tensor]:
-    if axis not in (0, 1) or x.ndim != 2:
-        raise ShapeError("split supports 2-D tensors along axis 0 or 1")
-    if sum(sizes) != x.shape[axis]:
-        raise ShapeError(f"split sizes {sizes} do not cover dim {x.shape[axis]}")
-    outs = []
-    offset = 0
-    for size in sizes:
-        lo, hi = offset, offset + size
-        piece = x.data[:, lo:hi] if axis == 1 else x.data[lo:hi, :]
-
-        def make_vjp(lo=lo, hi=hi):
-            def vjp(g):
-                full = np.zeros_like(x.data)
-                if axis == 1:
-                    full[:, lo:hi] = g
-                else:
-                    full[lo:hi, :] = g
-                return full
-            return vjp
-
-        outs.append(record_op("split", np.ascontiguousarray(piece), (x,),
-                              (make_vjp(),)))
-        offset += size
-    return outs
+    na = a.shape[-1]
+    return record_op("concat", np.concatenate([a.data, b.data], axis=-1), (a, b),
+                     (lambda g: g[..., :na], lambda g: g[..., na:]))
 
 
 def mean_center_rows(x: Tensor) -> Tensor:

@@ -78,7 +78,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_gen(args) -> None:
     if args.task == "channel":
         spec = ChannelSpec(rho=args.rho, snr_db=args.snr_db)
-        ds = gen_channel_dataset(spec, args.m, args.seed)
+        try:
+            ds = gen_channel_dataset(spec, args.m, args.seed)
+        except MemoryError:
+            raise ValidationError(f"--m {args.m}: a dataset of that many rows "
+                                  f"does not fit in memory") from None
     elif args.task == "noise":
         if not args.input:
             raise ValidationError("gen --task noise requires --in")

@@ -10,6 +10,8 @@ Gaussians come from Box-Muller; shuffles sort random 64-bit keys.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -32,6 +34,12 @@ def _fnv1a64(name: str) -> int:
     return h
 
 
+def _count(size) -> int:
+    """Entries of an int or tuple ``size``, multiplied as Python ints so
+    the count cannot wrap."""
+    return math.prod(map(int, size)) if isinstance(size, tuple) else int(size)
+
+
 class Rng:
     """Stateful counter over the splitmix64 output sequence for one seed."""
 
@@ -51,23 +59,22 @@ class Rng:
         return child
 
     def u64(self, n: int) -> np.ndarray:
-        """Next n raw 64-bit draws."""
+        """Next n raw 64-bit draws; MemoryError when n * 8 bytes exceeds
+        what numpy can address, before anything is allocated."""
+        if n * 8 > np.iinfo(np.intp).max:
+            raise MemoryError(f"{n} draws of 8 bytes cannot be allocated")
         idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
         return _mix64(self._seed + idx * GOLDEN)
 
-    def uniform(self, low: float = 0.0, high: float = 1.0, size=None) -> np.ndarray:
+    def uniform(self, low: float, high: float, size) -> np.ndarray:
         """Uniform floats in [low, high) from the top 53 bits of each draw."""
-        shape = () if size is None else size
-        n = int(np.prod(shape)) if shape != () else 1
-        u = (self.u64(n) >> _U64(11)).astype(np.float64) * 2.0**-53
-        out = low + (high - low) * u
-        return out.reshape(shape) if shape != () else float(out[0])
+        u = (self.u64(_count(size)) >> _U64(11)).astype(np.float64) * 2.0**-53
+        return (low + (high - low) * u).reshape(size)
 
-    def normal(self, size=None) -> np.ndarray:
+    def normal(self, size) -> np.ndarray:
         """Standard normals via Box-Muller (two draws per pair)."""
-        shape = () if size is None else size
-        n = int(np.prod(shape)) if shape != () else 1
+        n = _count(size)
         m = (n + 1) // 2
         raw = self.u64(2 * m)
         # u1 in (0, 1] so log() is finite; u2 in [0, 1)
@@ -76,12 +83,7 @@ class Rng:
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * np.pi * u2
         z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-        return z.reshape(shape) if shape != () else float(z[0])
-
-    def integers(self, bound: int, size=None) -> np.ndarray:
-        """Ints in [0, bound) as floor(bound * uniform); bias is < bound/2^53."""
-        u = self.uniform(0.0, 1.0, size if size is not None else ())
-        return np.minimum(np.floor(np.asarray(u) * bound), bound - 1).astype(np.int64)
+        return z.reshape(size)
 
     def permutation(self, n: int) -> np.ndarray:
         """Permutation of range(n) by stable argsort of random keys."""

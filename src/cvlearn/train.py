@@ -211,14 +211,10 @@ _RUN_FIELDS = {"arch": MISSING, "latent_dim": MISSING, "train_dataset": MISSING,
                "test_dataset": None, "noise_eta": 0.0, "noise_test": False}
 
 
-def resolve_config(raw) -> dict:
-    """Validate a run config dict and fill defaults; raises ValidationError
-    naming the field."""
-    return _resolve(raw)[0]
-
-
-def _resolve(raw) -> tuple[dict, TrainConfig]:
-    """The resolved config dict and the TrainConfig that trains it."""
+def resolve_config(raw) -> tuple[dict, TrainConfig]:
+    """Validate a run config dict and fill defaults; returns the resolved
+    dict and the TrainConfig that trains it. Raises ValidationError naming
+    the field."""
     if not isinstance(raw, dict):
         raise ValidationError(f"config must be a JSON object, got {type(raw).__name__}")
     train_defaults = {f.name: f.default for f in fields(TrainConfig)}
@@ -272,10 +268,13 @@ def _load_run_datasets(cfg: dict) -> tuple[Dataset, Optional[Dataset]]:
 
 def run_training(raw_config: dict, out_dir) -> dict:
     """Config-driven training: writes report.json and checkpoint.bin."""
-    cfg, tc = _resolve(raw_config)
+    cfg, tc = resolve_config(raw_config)
     train_ds, test_ds = _load_run_datasets(cfg)
     spec = NetworkSpec(kind=cfg["arch"], input_dim=train_ds.dn, latent_dim=cfg["latent_dim"],
                        output_dim=train_ds.k, task=train_ds.task)
+    # an unusable output path fails here, not after the whole run
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
     try:
         model, epochs = train_model(spec, train_ds, tc, test_ds)
@@ -296,8 +295,6 @@ def run_training(raw_config: dict, out_dir) -> dict:
         },
         "wall_clock_seconds": wall,
     }
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with _staged(out_dir / "report.json") as report_tmp, \
             _staged(out_dir / "checkpoint.bin") as checkpoint_tmp:
         report_tmp.write_text(json.dumps(report, indent=1), encoding="utf-8")

@@ -55,6 +55,25 @@ def block_relative_error(fd: dict, tape_grads: dict) -> float:
     return worst
 
 
+def linear_chain_reference(x, w, b, upstream, bias: bool):
+    """Value and gradients of ``sum((x @ w.T (+ b)) * upstream)`` by the
+    numpy calls of the unfused tape chain that ``autodiff.linear``
+    replaces: a transpose node, a matmul node, an ``add_bias`` node when
+    ``bias``, then the ``mul`` by a constant and ``sum_all``. Without
+    ``bias`` the gradient of ``b`` is zeros, as the tape reports for an
+    unreached parameter.
+    """
+    wt = np.ascontiguousarray(w.T)                # transpose
+    value = x @ wt                                # matmul
+    if bias:
+        value = value + b[..., None, :]           # add_bias
+    g = np.full(value.shape, 1.0) * upstream      # sum_all, then mul
+    grads = {"x": g @ wt.T,                       # matmul, first operand
+             "w": np.ascontiguousarray((x.T @ g).T),  # matmul, then transpose
+             "b": np.add.reduce(g, axis=-2) if bias else np.zeros_like(b)}
+    return value, grads
+
+
 def build_arch_loss(kind: str, task: str, seed: int, beta: float = 0.0,
                     dn: int = 6, ln: int = 4, k: int = 3, batch: int = 2):
     """A small architecture instance and its loss closure for grad checks.

@@ -98,8 +98,8 @@ def test_criterion_3_penalty_semantics():
 
     def penalty_of(z_im):
         tape = cv.Tape()
-        pair = cv.LatentPair(z_re=tape.leaf(z_re, name="z_re"),
-                             z_im=tape.leaf(z_im, name="z_im"))
+        pair = cv.LatentPair(z_re=tape.param(z_re, "z_re"),
+                             z_im=tape.param(z_im, "z_im"))
         return tape, cv.hilbert_penalty(pair)
 
     # forward direction: on the constraint manifold the penalty vanishes

@@ -53,7 +53,7 @@ def test_resolve_config_known_fields_arbitrary_values(base, overrides):
     # base is empty or valid, so an error names an override or a missing field
     raw = {**base, **overrides}
     try:
-        cfg = resolve_config(raw)
+        cfg, _ = resolve_config(raw)
     except ValidationError as e:
         assert _named_fields(str(e)) & (set(overrides) | (set(REQUIRED) - set(raw))), e
     else:

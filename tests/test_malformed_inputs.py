@@ -277,6 +277,12 @@ CASES = {
         "gen", "--task", "noise", "--eta", "inf", "--in", w / "chan", "--out", w / "n4"]),
     "gen-snr-db-nan": (1, "snr_db", lambda w: [
         "gen", "--task", "channel", "--m", "8", "--snr-db", "nan", "--out", w / "n5"]),
+    # the channel draws alone need 8e15 bytes, beyond any address space
+    "gen-m-too-big": (1, "--m", lambda w: [
+        "gen", "--task", "channel", "--m", 10 ** 15, "--out", w / "n6"]),
+    # past numpy's size limit
+    "gen-m-past-array-limit": (1, "--m", lambda w: [
+        "gen", "--task", "channel", "--m", 10 ** 20, "--out", w / "n7"]),
     "experiment-seeds-0": (1, "n_seeds", lambda w: [
         "experiment", "--recipe", "channel-id", "--seeds", "0", "--out", w / "e1"]),
     "experiment-seeds-negative": (1, "n_seeds", lambda w: [
@@ -304,6 +310,14 @@ def test_cli_failed_train_writes_no_run_files(work, case):
     assert cli(*args, cwd=work).returncode != 0
     assert not (out_dir / "report.json").exists()
     assert not (out_dir / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("case", ["gen-m-too-big", "gen-m-past-array-limit"])
+def test_cli_failed_gen_writes_no_output_dir(work, case):
+    _, _, argv = CASES[case]
+    args = argv(work)
+    assert cli(*args, cwd=work).returncode == 1
+    assert not Path(args[args.index("--out") + 1]).exists()
 
 
 def test_checkpoint_other_dtype_rejected(work):

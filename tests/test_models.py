@@ -159,11 +159,11 @@ def test_steinmetz_batch_permutation_equivariance():
 def test_complex_layer_single_neuron():
     # one complex neuron with weight i and input 1: output i, crelu (0, 1)
     tape = cv.Tape()
-    p = {"fc1.wr": tape.leaf(np.array([[0.0]]), name="wr"),
-         "fc1.wi": tape.leaf(np.array([[1.0]]), name="wi"),
-         "fc1.br": tape.leaf(np.zeros(1), name="br"),
-         "fc1.bi": tape.leaf(np.zeros(1), name="bi")}
-    xr, xi = tape.leaf(np.array([[1.0]])), tape.leaf(np.array([[0.0]]))
+    p = {"fc1.wr": tape.param(np.array([[0.0]]), "wr"),
+         "fc1.wi": tape.param(np.array([[1.0]]), "wi"),
+         "fc1.br": tape.param(np.zeros(1), "br"),
+         "fc1.bi": tape.param(np.zeros(1), "bi")}
+    xr, xi = ad.constant(np.array([[1.0]])), ad.constant(np.array([[0.0]]))
     yr, yi = models._complex_affine(xr, xi, p, "fc1")
     assert float(yr.data[0, 0]) == 0.0 and float(yi.data[0, 0]) == 1.0
     rr, ri = ad.relu(yr), ad.relu(yi)

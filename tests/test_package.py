@@ -1,13 +1,15 @@
 """Package-level guards: the public names resolve, no runtime check
-relies on ``assert``, which ``python -O`` strips, and no module keeps an
-import it does not use."""
+relies on ``assert``, which ``python -O`` strips, no module keeps an
+import it does not use, and no function, class or method goes unused."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import cvlearn as cv
 
 PACKAGE = Path(cv.__file__).resolve().parent
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
 
 
 def test_every_public_name_resolves():
@@ -58,3 +60,82 @@ def test_unused_import_check_flags_a_planted_import():
     source = (PACKAGE / "rng.py").read_text(encoding="utf-8")
     assert _unused_imports(source) == []
     assert _unused_imports("import os\n" + source) == ["os (line 1)"]
+
+
+def _name_reads(tree: ast.AST) -> Counter:
+    """How often each name is read in ``tree`` as a Name or an Attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def _definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(qualified name, node) of each module-level function and class and
+    each method of a module-level class; dunder methods are exempt."""
+    defs = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            defs.append((stmt.name, stmt))
+        if isinstance(stmt, ast.ClassDef):
+            defs += [(f"{stmt.name}.{node.name}", node) for node in stmt.body
+                     if isinstance(node, ast.FunctionDef)
+                     and not (node.name.startswith("__") and node.name.endswith("__"))]
+    return defs
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    return {elt.value for stmt in tree.body if isinstance(stmt, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+            for elt in stmt.value.elts}
+
+
+def _unused_definitions(sources: dict[str, str], bench_sources: list[str]) -> list[str]:
+    """Functions, classes and methods of the package modules in ``sources``
+    that nothing reads. A definition counts as used when its name is read
+    by a Name or Attribute in the package outside its own body, is in an
+    ``__all__``, or is read by the benchmark scripts ``bench_sources``
+    (which also look attributes up by string, so their string constants
+    count).
+
+    The match is by name only: any read of an equal name anywhere counts,
+    so a definition whose name a local variable or an unrelated attribute
+    shares (``Tape.grad`` beside local ``grad`` variables, say) passes
+    unseen.
+    """
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    exported = set().union(*(_exported(t) for t in trees.values()))
+    reads = sum((_name_reads(t) for t in trees.values()), Counter())
+    bench = set()
+    for src in bench_sources:
+        tree = ast.parse(src)
+        bench |= set(_name_reads(tree))
+        bench |= {node.value for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    return [f"{module}:{qualname}" for module, tree in trees.items()
+            for qualname, node in _definitions(tree)
+            if node.name not in exported and node.name not in bench
+            and reads[node.name] == _name_reads(node)[node.name]]
+
+
+def _package_sources() -> dict[str, str]:
+    return {path.name: path.read_text(encoding="utf-8")
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _bench_sources() -> list[str]:
+    return [path.read_text(encoding="utf-8") for path in sorted(PERFBENCH.glob("*.py"))]
+
+
+def test_every_definition_is_used():
+    assert sorted(PERFBENCH.glob("*.py")), PERFBENCH
+    assert _unused_definitions(_package_sources(), _bench_sources()) == []
+
+
+def test_unused_definition_check_flags_planted_defs():
+    sources = _package_sources()
+    sources["rng.py"] += (
+        "\n\ndef planted(n):\n    return planted(n - 1) if n else 0\n"
+        "\n\nclass Planted:\n    def __init__(self):\n        pass\n\n"
+        "    def planted_method(self):\n        return self.planted_method\n")
+    assert _unused_definitions(sources, _bench_sources()) == [
+        "rng.py:planted", "rng.py:Planted", "rng.py:Planted.planted_method"]

@@ -49,11 +49,15 @@ def test_permutation_valid_and_deterministic():
     assert not np.array_equal(p, Rng(12).permutation(1000))
 
 
-def test_integers_bounds():
-    vals = Rng(13).integers(10, 50_000)
-    assert vals.min() >= 0 and vals.max() <= 9
-    counts = np.bincount(vals, minlength=10)
-    assert counts.min() > 3_000  # roughly uniform
+@pytest.mark.parametrize("shape", [(10**18, 10), (2**32, 2**32)])
+@pytest.mark.parametrize("draw", ["uniform", "normal"])
+def test_draw_counts_past_the_array_limit_raise_memory_error(draw, shape):
+    # both counts wrap in int64 (the first past 2**63, the second to 0);
+    # each fails before anything is allocated
+    rng = Rng(1)
+    with pytest.raises(MemoryError, match="cannot be allocated"):
+        rng.uniform(0.0, 1.0, shape) if draw == "uniform" else rng.normal(shape)
+    assert np.array_equal(rng.u64(3), Rng(1).u64(3))  # no draw was consumed
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1, -1])

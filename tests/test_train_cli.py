@@ -213,6 +213,22 @@ def test_failed_run_output_write_leaves_no_files(tmp_path, monkeypatch):
     assert list((tmp_path / "run").iterdir()) == []
 
 
+def test_cli_train_out_is_a_file_fails_before_training(tmp_path, capsys, monkeypatch):
+    (tmp_path / "cfg.json").write_text(json.dumps(_small_run_config(tmp_path)))
+    (tmp_path / "taken").write_text("keep")
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("training started before the output path was checked")
+
+    monkeypatch.setattr(cv.train, "train_model", unreachable)
+    code = cv.cli.main(["train", "--config", str(tmp_path / "cfg.json"),
+                        "--out", str(tmp_path / "taken")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(tmp_path / "taken") in err, err
+    assert (tmp_path / "taken").read_text() == "keep"
+
+
 def test_run_training_missing_dataset(tmp_path):
     config = {"arch": "rvnn", "latent_dim": 8,
               "train_dataset": str(tmp_path / "nope"),
@@ -416,8 +432,8 @@ def test_cli_experiment_channel_small(tmp_path):
 
 
 def test_config_arch_case_insensitive():
-    cfg = resolve_config({"arch": "Steinmetz", "latent_dim": 8,
-                          "train_dataset": "x", "learning_rate": 0.1})
+    cfg, _ = resolve_config({"arch": "Steinmetz", "latent_dim": 8,
+                             "train_dataset": "x", "learning_rate": 0.1})
     assert cfg["arch"] == "steinmetz"
 
 

@@ -206,7 +206,7 @@ def test_hilbert_rows_tape_gradient_is_adjoint():
     upstream_target = g.standard_normal((3, n))
 
     tape = cv.Tape()
-    tx = tape.leaf(x, name="x")
+    tx = tape.param(x, "x")
     out = tr.hilbert_rows(tx)
     assert np.abs(out.data - x @ h_matrix.T).max() < 1e-12
     loss = cv.autodiff.sum_all(cv.autodiff.mul(out, cv.autodiff.constant(upstream_target)))
@@ -226,7 +226,7 @@ def test_hilbert_core_rejects_non_real_result():
 def test_hilbert_rows_dense_operator_matches_spectral_path(n):
     x = np.random.default_rng(n).standard_normal((5, n))
     tape = cv.Tape()
-    out = tr.hilbert_rows(tape.leaf(x, name="x"))
+    out = tr.hilbert_rows(tape.param(x, "x"))
     scale = max(1.0, float(np.abs(x).max()))
     assert np.abs(out.data - tr.hilbert_rows_array(x)).max() <= 1e-12 * scale
     upstream = np.random.default_rng(n + 1).standard_normal((5, n))
@@ -236,7 +236,7 @@ def test_hilbert_rows_dense_operator_matches_spectral_path(n):
 
 
 def test_hilbert_rows_makes_no_transform_call_once_cached(monkeypatch):
-    tr.hilbert_rows(cv.Tape().leaf(np.ones((2, 16))))  # builds the n = 16 operator
+    tr.hilbert_rows(cv.Tape().param(np.ones((2, 16)), "x"))  # builds the n = 16 operator
 
     def forbidden(*args, **kwargs):
         raise AssertionError("spectral transform called on the tape path")
@@ -245,5 +245,5 @@ def test_hilbert_rows_makes_no_transform_call_once_cached(monkeypatch):
     monkeypatch.setattr(tr, "hilbert_rows_array", forbidden)
     monkeypatch.setattr(tr, "hilbert_adjoint_rows_array", forbidden)
     tape = cv.Tape()
-    x = tape.leaf(np.random.default_rng(11).standard_normal((3, 16)), name="x")
+    x = tape.param(np.random.default_rng(11).standard_normal((3, 16)), "x")
     tape.backward(cv.autodiff.sum_all(tr.hilbert_rows(x)))
