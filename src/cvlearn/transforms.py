@@ -8,13 +8,28 @@ spectral path itself (``hilbert_rows``). The cotangent-kernel path is a
 direct time-domain evaluation kept as a cross-check; the two agree on
 signals with zero DC and Nyquist content.
 
-Power-of-two lengths run through an iterative radix-2 FFT with
-bit-reversal ordering; every other length uses direct summation against
-a cached kernel matrix.
+``dft_array`` evaluates a length n in one of three ways:
+
+- n = 2^k: an iterative radix-2 FFT with bit-reversal ordering;
+- composite n: the Cooley-Tukey four-step split n = n1 * n2, with n1
+  the largest divisor of n not above sqrt(n) (784 = 28 * 28). Two
+  batched products against the cached n1- and n2-point kernels, joined
+  by a cached twiddle table, cost about 8 n (n1 + n2) real flops per
+  row instead of 8 n^2. Rows go through in blocks of about 1 MiB, so
+  the only large allocation is the output, as on the direct path;
+- prime n (and n = 0): direct summation against the cached n-point
+  kernel.
+
+``dft_direct_array`` is the direct sum for every n and stays the
+independent oracle for the other two. Kernel and twiddle exponents are
+reduced modulo n in integers before ``exp``, so all three paths agree
+with each other and with a reference FFT to about 1e-15 relative to the
+largest output bin.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -76,22 +91,73 @@ def _fft_pow2(z: np.ndarray, sign: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _dft_kernel(n: int, sign: int) -> np.ndarray:
+    """Read-only [n, n] kernel exp(sign 2i pi (j k mod n) / n); reducing
+    j k in integers keeps the phase exact for every n."""
     idx = np.arange(n)
-    return np.exp(sign * 2j * np.pi * np.outer(idx, idx) / n)
+    k = np.exp(sign * 2j * np.pi * (np.outer(idx, idx) % n) / n)
+    k.setflags(write=False)
+    return k
+
+
+def _split(n: int) -> int:
+    """Largest divisor of n (n >= 2) not above sqrt(n); 1 when n is prime."""
+    return next(d for d in range(math.isqrt(n), 0, -1) if n % d == 0)
+
+
+@lru_cache(maxsize=8)
+def _twiddles(n1: int, n2: int, sign: int) -> np.ndarray:
+    """Read-only [n2, n1] table exp(sign 2i pi (j2 k1 mod n) / n), n = n1 n2."""
+    n = n1 * n2
+    t = np.exp(sign * 2j * np.pi * (np.outer(np.arange(n2), np.arange(n1)) % n) / n)
+    t.setflags(write=False)
+    return t
+
+
+# complex elements per block of rows in the split path: the transient
+# beyond the output array stays at a few MiB however many rows come in
+_SPLIT_BLOCK = 1 << 16
+
+
+def _dft_split(z: np.ndarray, n1: int, n2: int, sign: int) -> np.ndarray:
+    """Four-step transform along the last axis of length n1 * n2.
+
+    With input index j = n2 j1 + j2 and output index k = k1 + n1 k2:
+    n1-point transforms over j1, a twiddle by w_n^(j2 k1), then n2-point
+    transforms over j2. The result's [k2, k1] layout is already output
+    order, so each block of rows is written straight into the output.
+    """
+    k1, k2, tw = _dft_kernel(n1, sign), _dft_kernel(n2, sign), _twiddles(n1, n2, sign)
+    rows = z.reshape((-1, n1, n2))
+    out = np.empty((len(rows), n2, n1), dtype=np.complex128)
+    step = max(1, _SPLIT_BLOCK // (n1 * n2))
+    for lo in range(0, len(rows), step):
+        y = rows[lo:lo + step].swapaxes(-1, -2) @ k1
+        y *= tw
+        np.matmul(k2, y, out=out[lo:lo + step])
+    return out.reshape(z.shape)
 
 
 def dft_array(z: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """DFT along the last axis; FFT for power-of-two n, direct sum otherwise.
+    """DFT along the last axis: radix-2 FFT for n = 2^k, the four-step
+    n1 * n2 split for composite n, direct summation for prime n.
 
     Forward: X[b] = sum_n z[n] exp(-2i pi b n / N).
     Inverse: z[n] = (1/N) sum_b X[b] exp(+2i pi b n / N).
+    Agrees with ``dft_direct_array`` to about 1e-15 relative to the
+    largest output bin.
     """
     z = np.asarray(z, dtype=np.complex128)
     n = z.shape[-1]
-    if not _is_pow2(n):
+    sign = 1 if inverse else -1
+    if _is_pow2(n):
+        out = _fft_pow2(z, sign)
+    elif n > 1 and (n1 := _split(n)) > 1:
+        out = _dft_split(z, n1, n // n1, sign)
+    else:
         return dft_direct_array(z, inverse)
-    out = _fft_pow2(z, 1 if inverse else -1)
-    return out / n if inverse else out
+    if inverse:
+        out /= n
+    return out
 
 
 def dft_direct_array(z: np.ndarray, inverse: bool = False) -> np.ndarray:

@@ -67,6 +67,78 @@ def test_fft_matches_direct_summation(n):
     assert np.abs(fast_inv - direct_inv).max() <= 1e-9 * max(1.0, np.abs(direct_inv).max())
 
 
+SPLIT = [6, 9, 12, 15, 28, 49, 100, 194, 784]
+
+
+def _assert_oracle_close(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", SPLIT)
+def test_split_path_matches_direct_oracle(n):
+    g = np.random.default_rng(300 + n)
+    # the last shape spans more than one block of rows
+    for lead in [(), (3,), (2, 3), (tr._SPLIT_BLOCK // n + 2,)]:
+        z = g.standard_normal(lead + (n,)) + 1j * g.standard_normal(lead + (n,))
+        _assert_oracle_close(tr.dft_array(z), tr.dft_direct_array(z))
+        _assert_oracle_close(tr.dft_array(z, inverse=True),
+                             tr.dft_direct_array(z, inverse=True))
+
+
+@pytest.mark.parametrize("n", [7, 97])
+def test_prime_lengths_use_direct_sum(n):
+    z = _rand_complex(n, 400 + n).reshape(1, n)
+    assert np.array_equal(tr.dft_array(z), tr.dft_direct_array(z))
+    assert np.array_equal(tr.dft_array(z, inverse=True), tr.dft_direct_array(z, inverse=True))
+
+
+def test_empty_and_unit_lengths_keep_shape():
+    for inverse in (False, True):
+        assert tr.dft_array(np.zeros((3, 0)), inverse).shape == (3, 0)
+        z = np.array([[1.5 - 2j], [0.25j]])
+        assert np.array_equal(tr.dft_array(z, inverse), z)
+
+
+@pytest.mark.parametrize("n", [784, 997])
+def test_pure_tone_maps_to_scaled_delta(n):
+    # 1e-14 relative: a kernel whose phase 2 pi j k / n is formed from the
+    # unreduced product j k reads about 1e-13 here
+    j = np.arange(n)
+    for f in (0, 1, 5, n // 2, n - 1):
+        tone = np.exp(2j * np.pi * ((f * j) % n) / n)
+        expected = np.zeros(n, dtype=complex)
+        expected[f] = n
+        assert np.abs(tr.dft_array(tone) - expected).max() <= 1e-14 * n
+        assert np.abs(tr.dft_direct_array(tone) - expected).max() <= 1e-14 * n
+
+
+def test_split_path_builds_no_full_length_kernel(monkeypatch):
+    built = []
+    kernel = tr._dft_kernel
+
+    def spy(n, sign):
+        built.append(n)
+        return kernel(n, sign)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("784-point transform fell back to the direct sum")
+
+    monkeypatch.setattr(tr, "_dft_kernel", spy)
+    monkeypatch.setattr(tr, "dft_direct_array", forbidden)
+    z = _rand_complex(784, 500).reshape(1, 784)
+    tr.dft_array(z)
+    tr.dft_array(z, inverse=True)
+    assert built and set(built) == {28}
+
+
+@pytest.mark.parametrize("n", [1] + POW2 + [2048])
+def test_power_of_two_lengths_stay_on_radix2(n):
+    z = _rand_complex(2 * n, 600 + n).reshape(2, n)
+    assert np.array_equal(tr.dft_array(z), tr._fft_pow2(z, -1))
+    assert np.array_equal(tr.dft_array(z, inverse=True), tr._fft_pow2(z, 1) / n)
+
+
 @pytest.mark.parametrize("n", [4, 8, 64, 256, 100, 6])
 def test_parseval(n):
     z = _rand_complex(n, 200 + n)
@@ -160,6 +232,16 @@ def test_cotangent_matches_spectral_path(n):
         z = zero_dc_nyquist(np.random.default_rng(seed).standard_normal(n))[0]
         a, b = tr.hilbert_freq(z), tr.dht_cotangent(z)
         assert np.abs(a - b).max() <= 1e-9 * max(1.0, np.abs(a).max())
+
+
+def test_hilbert_rows_784_match_cotangent_plus_dc_and_nyquist():
+    n = 784
+    rows = np.random.default_rng(n).standard_normal((4, n))
+    out = tr.hilbert_rows_array(rows)
+    alt = (-1.0) ** np.arange(n)
+    for row, got in zip(rows, out):
+        want = tr.dht_cotangent(row) + row.mean() + (row @ alt) / n * alt
+        assert np.abs(got - want).max() <= 1e-12 * n * max(1.0, np.abs(row).max())
 
 
 def test_analytic_signal_of_cos():
