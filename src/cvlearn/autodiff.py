@@ -6,6 +6,11 @@ already topologically sorted and ``backward`` is a single deterministic
 reverse sweep. Tapes are rebuilt per batch; tensors are read-only after
 creation and safe to share across threads.
 
+Data that gets no gradient enters through ``constant``, which rejects
+NaN and Inf, or through ``trusted_constant``, which binds data already
+checked where it was made (a ``Dataset``'s read-only features and
+targets, and rows gathered from them) without reading it a second time.
+
 A tensor holds its tape through a weak reference, so tape and nodes form
 no reference cycle and a dropped tape is freed at once rather than at the
 next cyclic garbage collection. ``Tape.param`` binds a float64
@@ -140,6 +145,17 @@ def constant(data) -> Tensor:
     return Tensor(arr, op="const")
 
 
+def trusted_constant(data: np.ndarray) -> Tensor:
+    """``constant`` over data whose entries are already known to be finite,
+    bound without checking them again.
+
+    For a ``Dataset``'s features and targets, which its constructor checks
+    once and leaves read-only, and for rows gathered from them. The caller
+    vouches for finiteness: non-finite data bound here is not caught.
+    """
+    return Tensor(_f64_view(data), op="const")
+
+
 def _find_tape(parents: Sequence[Tensor]) -> Optional[Tape]:
     ref = None
     for p in parents:
@@ -169,11 +185,14 @@ def record_op(op: str, value: np.ndarray, parents: Sequence[Tensor],
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     """Fully connected layer ``x @ w.T (+ b)`` as one tape node.
 
-    Makes the same numpy and BLAS calls as the unfused chain of a matmul
-    by the transposed weight and ``add_bias``, so values and gradients
-    match that chain bit for bit. Stacked operands
-    ([E, m, in] inputs, [E, out, in] weights, [E, out] biases) apply each
-    member's weights to its own inputs.
+    Values and gradients match the unfused chain of a matmul by the
+    transposed weight and ``add_bias`` bit for bit. The forward pass
+    multiplies by a contiguous copy of ``w.T``, as that chain does; the
+    bias is added in place into the product, and the weight gradient is
+    ``g.T @ x`` straight from the operands, which rounds as the chain's
+    transposed ``x.T @ g`` does. Stacked operands ([E, m, in] inputs,
+    [E, out, in] weights, [E, out] biases) apply each member's weights
+    to its own inputs.
     """
     xd, wd = x.data, w.data
     if xd.ndim < 2 or wd.ndim != xd.ndim or xd.shape[:-2] != wd.shape[:-2]:
@@ -183,15 +202,17 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         raise ShapeError(f"linear inner dims differ: {xd.shape} x {wd.shape}.T")
     if b is not None and b.data.shape != wd.shape[:-1]:
         raise ShapeError(f"linear bias shape {b.data.shape} does not match {wd.shape}")
+    # x @ w.T on the transposed view would round differently at some shapes
     wt = np.ascontiguousarray(wd.swapaxes(-1, -2))
     value = xd @ wt
     vjps = [lambda g: g @ wt.swapaxes(-1, -2),
-            lambda g: np.ascontiguousarray((xd.swapaxes(-1, -2) @ g).swapaxes(-1, -2))]
+            lambda g: g.swapaxes(-1, -2) @ xd]
     if b is None:
         return record_op("linear", value, (x, w), vjps)
     # np.add.reduce is ndarray.sum without its Python wrapper
     vjps.append(lambda g: np.add.reduce(g, axis=-2))
-    return record_op("linear", value + b.data[..., None, :], (x, w, b), vjps)
+    value += b.data[..., None, :]  # value is the matmul's own fresh array
+    return record_op("linear", value, (x, w, b), vjps)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -235,9 +256,11 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0  # subgradient at 0 is 0
-    return record_op("relu", np.maximum(x.data, 0.0), (x,),
-                     (lambda g: g * mask,))
+    """max(x, 0); the mask of the VJP is built only when backward runs,
+    so a pass that is never differentiated does not pay for it."""
+    xd = x.data
+    # subgradient at 0 is 0
+    return record_op("relu", np.maximum(xd, 0.0), (x,), (lambda g: g * (xd > 0),))
 
 
 def sqrt(x: Tensor) -> Tensor:

@@ -35,14 +35,21 @@ DEFAULT_TAPS = (0.432 + 0.297j, 0.349 - 0.074j, 0.202 + 0.166j,
 DEFAULT_NL_COEFF = 0.15 + 0.10j
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    """In-memory complex-feature dataset.
+    """In-memory complex-feature dataset, checked once where it is made.
 
     labels is an int64 [M] array of class ids for classification, or a
     complex128 [M, k] target matrix for complex regression. For
     classification, num_classes fixes k even when a split happens not to
     contain every class; it defaults to max(label) + 1.
+
+    Construction converts and validates every field (shapes, class ids,
+    finiteness) and then keeps features_re, features_im and labels as
+    read-only arrays, views of the caller's arrays when no conversion was
+    needed; the caller's own arrays stay writable. The instance is frozen,
+    so training and evaluation bind its arrays without checking them
+    again.
     """
     features_re: np.ndarray
     features_im: np.ndarray
@@ -52,8 +59,11 @@ class Dataset:
     num_classes: int | None = None
 
     def __post_init__(self):
-        self.features_re = np.ascontiguousarray(self.features_re, dtype=np.float64)
-        self.features_im = np.ascontiguousarray(self.features_im, dtype=np.float64)
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        put("features_re", np.ascontiguousarray(self.features_re, dtype=np.float64))
+        put("features_im", np.ascontiguousarray(self.features_im, dtype=np.float64))
         if self.task not in TASKS:
             raise DataError(f"unknown task: {self.task!r}")
         if self.features_re.ndim != 2 or self.features_re.shape != self.features_im.shape:
@@ -61,21 +71,21 @@ class Dataset:
         if self.m < 1:
             raise DataError("dataset must contain at least one sample")
         if self.task == "classification":
-            self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+            put("labels", np.ascontiguousarray(self.labels, dtype=np.int64))
             if self.labels.shape != (self.m,):
                 raise DataError(f"labels shape {self.labels.shape} != (M,) = ({self.m},)")
             if (self.labels < 0).any():
                 raise DataError("negative class id in labels")
             if self.num_classes is None:
-                self.num_classes = int(self.labels.max()) + 1
+                put("num_classes", int(self.labels.max()) + 1)
             elif int(self.labels.max()) >= self.num_classes:
                 raise DataError(
                     f"class id {int(self.labels.max())} >= num_classes {self.num_classes}")
         else:
-            self.labels = np.ascontiguousarray(self.labels, dtype=np.complex128)
+            put("labels", np.ascontiguousarray(self.labels, dtype=np.complex128))
             if self.labels.ndim != 2 or self.labels.shape[0] != self.m:
                 raise DataError(f"labels shape {self.labels.shape} != (M, k)")
-            self.num_classes = None
+            put("num_classes", None)
         for name, arr in (("features_re", self.features_re),
                           ("features_im", self.features_im)):
             if not np.isfinite(arr).all():
@@ -83,6 +93,10 @@ class Dataset:
         if self.task == "complex_regression":
             if not np.isfinite(self.labels.view(np.float64)).all():
                 raise DataError("labels contain non-finite values")
+        for name in ("features_re", "features_im", "labels"):
+            view = getattr(self, name).view()
+            view.setflags(write=False)
+            put(name, view)
 
     @property
     def m(self) -> int:
@@ -100,17 +114,18 @@ class Dataset:
 
     def replace(self, features_re=None, features_im=None, labels=None,
                 provenance=None) -> "Dataset":
-        """Copy with overridden fields; task and class count carry over."""
+        """A new Dataset with overridden fields; task and class count carry
+        over, and the read-only arrays not overridden are shared."""
         return Dataset(
-            self.features_re.copy() if features_re is None else features_re,
-            self.features_im.copy() if features_im is None else features_im,
-            self.labels.copy() if labels is None else labels,
+            self.features_re if features_re is None else features_re,
+            self.features_im if features_im is None else features_im,
+            self.labels if labels is None else labels,
             self.task,
             provenance=self.provenance if provenance is None else provenance,
             num_classes=self.num_classes)
 
     def take(self, m: int) -> "Dataset":
-        """First m samples."""
+        """First m samples, copied, so they do not keep the full arrays alive."""
         if not 1 <= m <= self.m:
             raise ContractError(f"take({m}) out of range for M={self.m}")
         return self.replace(features_re=self.features_re[:m].copy(),

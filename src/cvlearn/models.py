@@ -191,12 +191,15 @@ _BODIES = {"rvnn": _rvnn, "cvnn": _cvnn, "steinmetz": _steinmetz, "analytic": _s
 def forward(model: Model, x_re, x_im, tape: Optional[Tape] = None) -> ForwardResult:
     """The forward pass of every architecture, used by training and evaluation.
 
-    Inputs enter as constants: checked for NaN/Inf and bound without
-    copying, but given no gradient, so backward stops at the first layer.
-    Parameters bind to ``tape`` (a fresh one when None).
+    Inputs enter as constants, given no gradient, so backward stops at
+    the first layer. Arrays are checked for NaN/Inf and bound without
+    copying; constant Tensors (``ad.trusted_constant`` over a Dataset's
+    checked features) are used as they are. Parameters bind to ``tape``
+    (a fresh one when None).
     """
     spec = model.spec
-    x_re, x_im = np.asarray(x_re, dtype=np.float64), np.asarray(x_im, dtype=np.float64)
+    x_re, x_im = (x if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+                  for x in (x_re, x_im))
     # [m, dN] inputs, or [E, m, dN] for an ensemble
     if x_re.ndim not in (2, 3) or x_re.shape != x_im.shape:
         raise ShapeError(
@@ -207,7 +210,8 @@ def forward(model: Model, x_re, x_im, tape: Optional[Tape] = None) -> ForwardRes
             f"input feature width {x_re.shape[-1]} != network input_dim {spec.input_dim}")
     tape = tape if tape is not None else Tape()
     p = {name: tape.param(arr, name) for name, arr in model.params.items()}
-    return _BODIES[spec.kind](spec, p, ad.constant(x_re), ad.constant(x_im))
+    xr, xi = (x if isinstance(x, Tensor) else ad.constant(x) for x in (x_re, x_im))
+    return _BODIES[spec.kind](spec, p, xr, xi)
 
 
 def latent_channels(result: ForwardResult) -> tuple[np.ndarray, np.ndarray]:

@@ -47,7 +47,8 @@ def evaluate(model: Model, ds: Dataset) -> dict:
 def forward_metrics(model: Model, ds: Dataset) -> tuple[dict, ForwardResult]:
     """One forward pass over a dataset: the task metrics, and the result
     whose latents the diagnostics read."""
-    result = forward(model, ds.features_re, ds.features_im)
+    result = forward(model, ad.trusted_constant(ds.features_re),
+                     ad.trusted_constant(ds.features_im))
     pred = result.pred.data
     if ds.task == "classification":
         return {"accuracy": accuracy(pred, ds.labels)}, result
@@ -170,9 +171,11 @@ def train_models(spec: NetworkSpec, train_sets: Sequence[Dataset],
                 idx = perms[..., start:start + cfg.batch_size]
                 b = idx.shape[-1]
                 tape = Tape()
-                result = forward(stack, x_re[idx], x_im[idx], tape)
+                # rows of checked Datasets: bound without a second finite check
+                result = forward(stack, ad.trusted_constant(x_re[idx]),
+                                 ad.trusted_constant(x_im[idx]), tape)
                 loss = (cross_entropy(result.pred, y[idx]) if spec.task == "classification"
-                        else mse(result.pred, y[idx]))
+                        else mse(result.pred, ad.trusted_constant(y[idx])))
                 if use_penalty:
                     penalty = hilbert_penalty(result.latent_pair)
                     penalty_sums = [s + v * b for s, v in

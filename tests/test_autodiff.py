@@ -230,24 +230,30 @@ def test_linear_with_bias_gradients_100_seeds():
         assert block_relative_error(fd, grads) < 1e-5, f"linear+bias seed {seed}"
 
 
-@pytest.mark.parametrize("shape", [(32, 5, 64), (32, 64, 64), (32, 128, 2)])
+# (m, in, out), then the layers of the spectral networks (784 and 1568
+# wide inputs, 10 classes) and two stacked [E, m, in] ensembles
+@pytest.mark.parametrize("shape", [(32, 5, 64), (32, 64, 64), (32, 128, 2),
+                                   (32, 784, 64), (32, 1568, 64), (32, 128, 10),
+                                   (32, 64, 10), (2, 32, 784, 64), (5, 32, 64, 64)])
 @pytest.mark.parametrize("bias", [True, False])
 def test_linear_bit_identical_to_transpose_matmul_add_bias(shape, bias):
-    m, d_in, d_out = shape
+    *lead, m, d_in, d_out = shape
     g = np.random.default_rng(d_in * 1000 + d_out)
-    x = g.standard_normal((m, d_in))
-    w = g.standard_normal((d_out, d_in))
-    b = g.standard_normal(d_out)
-    upstream = g.standard_normal((m, d_out))
+    x = g.standard_normal((*lead, m, d_in))
+    w = g.standard_normal((*lead, d_out, d_in))
+    b = g.standard_normal((*lead, d_out))
+    upstream = g.standard_normal((*lead, m, d_out))
 
     tape = cv.Tape()
     tx, tw, tb = tape.param(x, "x"), tape.param(w, "w"), tape.param(b, "b")
     out = ad.linear(tx, tw, tb if bias else None)
     grads = tape.backward(ad.sum_all(ad.mul(out, ad.constant(upstream))))
-    ref_value, ref_grads = linear_chain_reference(x, w, b, upstream, bias)
-    assert np.array_equal(out.data, ref_value)
-    for name in ("x", "w", "b"):
-        assert np.array_equal(grads[name], ref_grads[name]), name
+    # each stacked member against the 2-D chain on its own slices
+    for e in np.ndindex(*lead):
+        ref_value, ref_grads = linear_chain_reference(x[e], w[e], b[e], upstream[e], bias)
+        assert np.array_equal(out.data[e], ref_value)
+        for name in ("x", "w", "b"):
+            assert np.array_equal(grads[name][e], ref_grads[name]), name
 
 
 def test_linear_shape_mismatch():

@@ -1,4 +1,5 @@
 import json
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -112,6 +113,39 @@ def test_dataset_validation():
     with pytest.raises(DataError):
         Dataset(np.ones((2, 3)), np.ones((2, 3)), np.zeros(2, dtype=int),
                 "clustering")
+
+
+@pytest.mark.parametrize("task", ["classification", "complex_regression"])
+def test_dataset_is_frozen_and_read_only(task):
+    re = np.ones((3, 4))
+    labels = np.zeros(3, dtype=np.int64) if task == "classification" \
+        else np.ones((3, 2), dtype=np.complex128)
+    ds = Dataset(re, np.zeros((3, 4)), labels, task)
+    for name in ("features_re", "features_im", "labels"):
+        with pytest.raises(ValueError):
+            getattr(ds, name)[0] = 1
+    with pytest.raises(FrozenInstanceError):
+        ds.features_re = np.zeros((3, 4))
+    with pytest.raises(FrozenInstanceError):
+        ds.provenance = "edited"
+    # the caller's arrays stay writable, and the Dataset shares them
+    assert np.shares_memory(ds.features_re, re) and np.shares_memory(ds.labels, labels)
+    re[0, 0] = 2.0
+    labels[0] = labels[1]
+
+
+def test_replace_shares_the_arrays_it_does_not_override():
+    ds = random_regression(5, 4, 2, seed=3)
+    out = ds.replace(features_im=np.zeros((5, 4)), provenance="p")
+    assert np.shares_memory(out.features_re, ds.features_re)
+    assert np.shares_memory(out.labels, ds.labels)
+    assert not np.shares_memory(out.features_im, ds.features_im)
+    same = cv.add_complex_noise(ds, 0.0, seed=1)
+    for name in ("features_re", "features_im", "labels"):
+        assert np.shares_memory(getattr(same, name), getattr(ds, name)), name
+    sub = ds.take(2)
+    for name in ("features_re", "features_im", "labels"):
+        assert not np.shares_memory(getattr(sub, name), getattr(ds, name)), name
 
 
 def test_stacked_targets_layout():

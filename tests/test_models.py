@@ -223,6 +223,20 @@ def test_forward_input_validation():
         cv.forward(model, np.ones((2, 6)), np.ones((3, 6)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("channel", [0, 1])
+def test_forward_rejects_non_finite_raw_inputs(bad, channel):
+    spec = cv.NetworkSpec(kind="steinmetz", input_dim=6, latent_dim=4,
+                          output_dim=2, task="classification")
+    model = cv.init_params(spec, 0)
+    inputs = [np.ones((2, 6)), np.ones((2, 6))]
+    inputs[channel][1, 3] = bad
+    with pytest.raises(DataError):
+        cv.forward(model, *inputs)
+    with pytest.raises(DataError):
+        ad.constant([bad])
+
+
 def test_checkpoint_roundtrip_bitwise(tmp_path):
     spec = cv.NetworkSpec(kind="analytic", input_dim=6, latent_dim=4,
                           output_dim=2, task="complex_regression")

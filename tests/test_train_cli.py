@@ -1,5 +1,6 @@
 import gc
 import json
+import pickle
 import weakref
 from pathlib import Path
 
@@ -9,10 +10,12 @@ import pytest
 import cvlearn as cv
 import cvlearn.cli  # noqa: F401  (binds cv.cli)
 from cvlearn.errors import DataError, DivergenceError, ValidationError
-from cvlearn.train import evaluate, resolve_config, run_training, train_model
+from cvlearn.models import Model
+from cvlearn.train import (evaluate, forward_metrics, resolve_config, run_training,
+                           train_model, train_models)
 
 from helpers import cli as _cli
-from helpers import synthetic_classification
+from helpers import random_regression, synthetic_classification
 
 ALL_KINDS = ["rvnn", "cvnn", "steinmetz", "analytic"]
 
@@ -288,6 +291,39 @@ def test_cli_gen_train_eval_diag_roundtrip(tmp_path):
     diag = json.loads(out.stdout)
     assert diag["norm_j"] >= diag["norm_s"]
     assert 0.0 <= diag["orthogonality"] <= 1.0
+
+
+@pytest.mark.parametrize("task", ["classification", "complex_regression"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_datasets_are_bound_without_a_second_check(monkeypatch, kind, task):
+    """Training and evaluation bind a Dataset's arrays, checked when it
+    was made, without ``ad.constant``'s finite pass, and get the results
+    of the checked binding."""
+    if task == "classification":
+        sets = [synthetic_classification(32, 8, 3, seed=s) for s in (130, 131)]
+    else:
+        sets = [random_regression(32, 8, 3, seed=s) for s in (130, 131)]
+    spec = _smoke_spec(kind, task)
+    cfgs = [cv.TrainConfig(learning_rate=1e-3, beta=1e-3 if kind == "analytic" else 0.0,
+                           epochs=1, batch_size=32, seed=s) for s in (5, 6)]
+
+    def run():
+        model, epochs = train_model(spec, sets[0], cfgs[0])  # M = 32: one step
+        metrics, result = forward_metrics(model, sets[1])
+        return ([model.params, epochs, evaluate(model, sets[1]), metrics, result.pred.data]
+                + [[m.params, e] for m, e in train_models(spec, sets, cfgs)])
+
+    expected = run()
+    model = Model(spec, expected[0])
+    checked = cv.forward(model, np.array(sets[1].features_re), np.array(sets[1].features_im))
+
+    def refuse(data):
+        raise AssertionError("a Dataset's data went through ad.constant")
+
+    monkeypatch.setattr(cv.autodiff, "constant", refuse)
+    got = run()
+    assert pickle.dumps(got) == pickle.dumps(expected)  # byte for byte
+    assert np.array_equal(got[4], checked.pred.data)
 
 
 def _checkpoint_and_dataset(tmp_path, kind, task):
