@@ -71,7 +71,11 @@ class Dataset:
         if self.m < 1:
             raise DataError("dataset must contain at least one sample")
         if self.task == "classification":
-            put("labels", np.ascontiguousarray(self.labels, dtype=np.int64))
+            with np.errstate(invalid="ignore"):
+                ids = np.ascontiguousarray(self.labels, dtype=np.int64)
+            if not np.array_equal(ids, self.labels):
+                raise DataError("labels: class ids must be whole numbers in int64 range")
+            put("labels", ids)
             if self.labels.shape != (self.m,):
                 raise DataError(f"labels shape {self.labels.shape} != (M,) = ({self.m},)")
             if (self.labels < 0).any():
@@ -160,24 +164,24 @@ def stacked_targets(ds: Dataset) -> np.ndarray:
 
 
 def save_cvds(ds: Dataset, path) -> None:
+    """Write ``ds`` as a CVDS directory; a dataset that cannot be written
+    raises before any file is touched."""
+    if ds.task == "classification":
+        if int(ds.labels.max(initial=0)) >= 2 ** 32:
+            raise DataError("class ids exceed uint32 range")
+        labels = np.ascontiguousarray(ds.labels, dtype="<u4")
+    else:
+        labels = np.ascontiguousarray(stacked_targets(ds), dtype="<f8")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    k = ds.k
-    meta = {"M": ds.m, "dN": ds.dn, "k": k, "task": ds.task,
+    meta = {"M": ds.m, "dN": ds.dn, "k": ds.k, "task": ds.task,
             "dtype": "f64", "endianness": "little", "provenance": ds.provenance}
     (path / "meta.json").write_text(json.dumps(meta, indent=1), encoding="utf-8")
     (path / "features_re.bin").write_bytes(
         np.ascontiguousarray(ds.features_re, dtype="<f8").tobytes())
     (path / "features_im.bin").write_bytes(
         np.ascontiguousarray(ds.features_im, dtype="<f8").tobytes())
-    if ds.task == "classification":
-        if int(ds.labels.max(initial=0)) >= 2 ** 32:
-            raise DataError("class ids exceed uint32 range")
-        blob = np.ascontiguousarray(ds.labels, dtype="<u4").tobytes()
-    else:
-        blob = np.ascontiguousarray(
-            stacked_targets(ds), dtype="<f8").tobytes()
-    (path / "labels.bin").write_bytes(blob)
+    (path / "labels.bin").write_bytes(labels.tobytes())
 
 
 def _read_file(path: Path, name: str) -> bytes:

@@ -26,13 +26,11 @@ from .data import (ChannelSpec, Dataset, add_complex_noise, dft_encode,
 from .diagnostics import latent_orthogonality
 from .errors import DataError, ValidationError
 from .losses import TrainConfig
-from .models import NetworkSpec, latent_channels, param_count
+from .models import KINDS, NetworkSpec, latent_channels, param_count
 from .rng import Rng
 # evaluate and train_model stay bound here, though unused, so
 # perfbench/spans.py can wrap every binding site of them
 from .train import evaluate, forward_metrics, train_model, train_models  # noqa: F401
-
-ARCHS = ("rvnn", "cvnn", "steinmetz", "analytic")
 
 CHANNEL_EPOCHS = 150
 CVMNIST_EPOCHS = 60
@@ -57,7 +55,7 @@ def _compare(runs: list[tuple[int, Dataset, Dataset]], lr: float, beta: float,
         raise ValidationError("n_seeds must be >= 1")
     train_ds = runs[0][1]
     per_seed: dict[str, list[dict]] = {}
-    for arch in ARCHS:
+    for arch in KINDS:
         spec = NetworkSpec(kind=arch, input_dim=train_ds.dn, latent_dim=64,
                            output_dim=train_ds.k, task=train_ds.task)
         cfgs = [TrainConfig(learning_rate=lr, beta=beta if arch == "analytic" else 0.0,
@@ -84,11 +82,11 @@ def _table(title: str, summary: dict, rows: Sequence[tuple[str, str, int]],
     """One column per architecture; a row (label, name, digits) shows
     summary[arch][name], and a Parameters row follows when ``per_seed``
     is given."""
-    cells = [(label, [_fmt(summary[a][name], digits) for a in ARCHS])
+    cells = [(label, [_fmt(summary[a][name], digits) for a in KINDS])
              for label, name, digits in rows]
     if per_seed is not None:
-        cells.append(("Parameters", [str(per_seed[a][0]["params"]) for a in ARCHS]))
-    return "\n".join([title, f"{'':<18}" + "".join(f"{a:>18}" for a in ARCHS)] + [
+        cells.append(("Parameters", [str(per_seed[a][0]["params"]) for a in KINDS]))
+    return "\n".join([title, f"{'':<18}" + "".join(f"{a:>18}" for a in KINDS)] + [
         f"{label:<18}" + "".join(f"{c:>18}" for c in row) for label, row in cells])
 
 
@@ -112,7 +110,7 @@ def run_channel_id(base_seed: int = 1, n_seeds: int = 5,
     per_seed = _compare(runs, CHANNEL_LR, CHANNEL_BETA, epochs, batch_size)
     summary = _summary({a: {key: [run[key] for run in per_seed[a]] for key in
                             ("mse", "mag_mse", "phase_mse", "orthogonality")}
-                        for a in ARCHS})
+                        for a in KINDS})
     return _write({
         "recipe": "channel-id",
         "base_seed": base_seed, "seeds": seeds, "epochs": epochs,
@@ -151,7 +149,7 @@ def run_cvmnist500(data_dir, base_seed: int = 1, n_seeds: int = 5,
     per_seed = _compare(runs, CVMNIST_LR, CVMNIST_BETA, epochs, batch_size)
     summary = _summary({a: {key: [run[key] for run in per_seed[a]] for key in
                             ("accuracy", "orthogonality")}
-                        for a in ARCHS})
+                        for a in KINDS})
     return _write({
         "recipe": "cvmnist500",
         "base_seed": base_seed, "seeds": seeds, "epochs": epochs, "m": m,
@@ -178,9 +176,9 @@ def run_noise_sweep(data_dir, base_seed: int = 1, n_seeds: int = 1,
             for eta, key in zip(etas, keys) for seed in seeds]
     results = _compare(runs, CVMNIST_LR, CVMNIST_BETA, epochs, batch_size)
     per_seed = {a: {key: results[a][i * n_seeds:(i + 1) * n_seeds]
-                    for i, key in enumerate(keys)} for a in ARCHS}
+                    for i, key in enumerate(keys)} for a in KINDS}
     grid = _summary({a: {key: [r["accuracy"] for r in per_seed[a][key]] for key in keys}
-                     for a in ARCHS})
+                     for a in KINDS})
     return _write({
         "recipe": "noise-sweep",
         "base_seed": base_seed, "seeds": seeds, "epochs": epochs, "m": m,

@@ -8,22 +8,22 @@ spectral path itself (``hilbert_rows``). The cotangent-kernel path is a
 direct time-domain evaluation kept as a cross-check; the two agree on
 signals with zero DC and Nyquist content.
 
-``dft_array`` evaluates a length n in one of three ways:
+``dft_array`` evaluates a length n in one of two ways:
 
-- n = 2^k: an iterative radix-2 FFT with bit-reversal ordering;
-- composite n: the Cooley-Tukey four-step split n = n1 * n2, with n1
-  the largest divisor of n not above sqrt(n) (784 = 28 * 28). Two
-  batched products against the cached n1- and n2-point kernels, joined
-  by a cached twiddle table, cost about 8 n (n1 + n2) real flops per
-  row instead of 8 n^2. Rows go through in blocks of about 1 MiB, so
-  the only large allocation is the output, as on the direct path;
-- prime n (and n = 0): direct summation against the cached n-point
+- composite n, powers of two included: the Cooley-Tukey four-step split
+  n = n1 * n2, with n1 the largest divisor of n not above sqrt(n)
+  (784 = 28 * 28, 64 = 8 * 8). Two batched products against the cached
+  n1- and n2-point kernels, joined by a cached twiddle table, cost about
+  8 n (n1 + n2) real flops per row instead of 8 n^2. Rows go through in
+  blocks of about 1 MiB, so the only large allocation is the output, as
+  on the direct path;
+- prime n, n = 0 and n = 1: direct summation against the cached n-point
   kernel.
 
 ``dft_direct_array`` is the direct sum for every n and stays the
-independent oracle for the other two. Kernel and twiddle exponents are
-reduced modulo n in integers before ``exp``, so all three paths agree
-with each other and with a reference FFT to about 1e-15 relative to the
+independent oracle for the split. Kernel and twiddle exponents are
+reduced modulo n in integers before ``exp``, so both paths agree with
+each other and with a reference FFT to about 1e-15 relative to the
 largest output bin.
 """
 
@@ -50,43 +50,6 @@ def _multiplier(n: int) -> np.ndarray:
     m[n // 2 + 1:] = 1j
     m.setflags(write=False)
     return m
-
-
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
-@lru_cache(maxsize=32)
-def _bit_reversal(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    rev = np.zeros(n, dtype=np.intp)
-    for i in range(n):
-        r = 0
-        x = i
-        for _ in range(bits):
-            r = (r << 1) | (x & 1)
-            x >>= 1
-        rev[i] = r
-    return rev
-
-
-def _fft_pow2(z: np.ndarray, sign: int) -> np.ndarray:
-    """Iterative radix-2 transform along the last axis (no normalization)."""
-    n = z.shape[-1]
-    out = np.ascontiguousarray(z[..., _bit_reversal(n)], dtype=np.complex128)
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw = np.exp(sign * 2j * np.pi * np.arange(half) / size)
-        shaped = out.reshape(out.shape[:-1] + (n // size, size))
-        even = shaped[..., :half]
-        odd = shaped[..., half:] * tw
-        upper = even + odd
-        lower = even - odd
-        shaped[..., :half] = upper
-        shaped[..., half:] = lower
-        size *= 2
-    return out
 
 
 @lru_cache(maxsize=8)
@@ -138,8 +101,9 @@ def _dft_split(z: np.ndarray, n1: int, n2: int, sign: int) -> np.ndarray:
 
 
 def dft_array(z: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """DFT along the last axis: radix-2 FFT for n = 2^k, the four-step
-    n1 * n2 split for composite n, direct summation for prime n.
+    """DFT along the last axis: the four-step n1 * n2 split for composite
+    n (powers of two included), direct summation for prime n, n = 0 and
+    n = 1.
 
     Forward: X[b] = sum_n z[n] exp(-2i pi b n / N).
     Inverse: z[n] = (1/N) sum_b X[b] exp(+2i pi b n / N).
@@ -148,20 +112,17 @@ def dft_array(z: np.ndarray, inverse: bool = False) -> np.ndarray:
     """
     z = np.asarray(z, dtype=np.complex128)
     n = z.shape[-1]
-    sign = 1 if inverse else -1
-    if _is_pow2(n):
-        out = _fft_pow2(z, sign)
-    elif n > 1 and (n1 := _split(n)) > 1:
-        out = _dft_split(z, n1, n // n1, sign)
-    else:
+    if n < 2 or (n1 := _split(n)) == 1:
         return dft_direct_array(z, inverse)
+    sign = 1 if inverse else -1
+    out = _dft_split(z, n1, n // n1, sign)
     if inverse:
         out /= n
     return out
 
 
 def dft_direct_array(z: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Direct O(n^2) summation along the last axis; oracle for the FFT path."""
+    """Direct O(n^2) summation along the last axis; oracle for the split path."""
     z = np.asarray(z, dtype=np.complex128)
     n = z.shape[-1]
     sign = 1 if inverse else -1

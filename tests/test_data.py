@@ -113,6 +113,26 @@ def test_dataset_validation():
     with pytest.raises(DataError):
         Dataset(np.ones((2, 3)), np.ones((2, 3)), np.zeros(2, dtype=int),
                 "clustering")
+    # class ids that int64 conversion would truncate or wrap
+    for labels in ([0.5, 1.7, 2.0], [0.0, np.nan, 1.0], [0.0, 2.0 ** 63, 1.0]):
+        with pytest.raises(DataError, match="labels"):
+            Dataset(np.ones((3, 2)), np.ones((3, 2)), np.array(labels), "classification")
+    whole = Dataset(np.ones((3, 2)), np.ones((3, 2)), np.array([0.0, 1.0, 2.0]),
+                    "classification")
+    assert whole.labels.dtype == np.int64 and whole.labels.tolist() == [0, 1, 2]
+
+
+def test_failed_save_leaves_existing_dataset_untouched(tmp_path):
+    cv.save_cvds(synthetic_classification(2, 4, 2, seed=3), tmp_path / "d")
+    before = {f.name: f.read_bytes() for f in (tmp_path / "d").iterdir()}
+    wide = Dataset(np.zeros((3, 5)), np.zeros((3, 5)), np.array([0, 1, 2 ** 32]),
+                   "classification")
+    with pytest.raises(DataError, match="uint32"):
+        cv.save_cvds(wide, tmp_path / "d")
+    assert {f.name: f.read_bytes() for f in (tmp_path / "d").iterdir()} == before
+    with pytest.raises(DataError, match="uint32"):
+        cv.save_cvds(wide, tmp_path / "fresh")
+    assert not (tmp_path / "fresh").exists()
 
 
 @pytest.mark.parametrize("task", ["classification", "complex_regression"])

@@ -67,7 +67,7 @@ def test_fft_matches_direct_summation(n):
     assert np.abs(fast_inv - direct_inv).max() <= 1e-9 * max(1.0, np.abs(direct_inv).max())
 
 
-SPLIT = [6, 9, 12, 15, 28, 49, 100, 194, 784]
+SPLIT = [4, 6, 8, 9, 12, 15, 28, 49, 64, 100, 194, 784, 1024, 2048]
 
 
 def _assert_oracle_close(got, want):
@@ -86,7 +86,7 @@ def test_split_path_matches_direct_oracle(n):
                              tr.dft_direct_array(z, inverse=True))
 
 
-@pytest.mark.parametrize("n", [7, 97])
+@pytest.mark.parametrize("n", [2, 7, 97])
 def test_prime_lengths_use_direct_sum(n):
     z = _rand_complex(n, 400 + n).reshape(1, n)
     assert np.array_equal(tr.dft_array(z), tr.dft_direct_array(z))
@@ -113,30 +113,33 @@ def test_pure_tone_maps_to_scaled_delta(n):
         assert np.abs(tr.dft_direct_array(tone) - expected).max() <= 1e-14 * n
 
 
-def test_split_path_builds_no_full_length_kernel(monkeypatch):
+@pytest.mark.parametrize("n, n1", [(784, 28), (64, 8)])
+def test_split_path_builds_no_full_length_kernel(monkeypatch, n, n1):
     built = []
     kernel = tr._dft_kernel
 
-    def spy(n, sign):
-        built.append(n)
-        return kernel(n, sign)
+    def spy(size, sign):
+        built.append(size)
+        return kernel(size, sign)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("784-point transform fell back to the direct sum")
+        raise AssertionError(f"{n}-point transform fell back to the direct sum")
 
     monkeypatch.setattr(tr, "_dft_kernel", spy)
     monkeypatch.setattr(tr, "dft_direct_array", forbidden)
-    z = _rand_complex(784, 500).reshape(1, 784)
+    z = _rand_complex(n, 500).reshape(1, n)
     tr.dft_array(z)
     tr.dft_array(z, inverse=True)
-    assert built and set(built) == {28}
+    assert built and set(built) == {n1}
 
 
-@pytest.mark.parametrize("n", [1] + POW2 + [2048])
-def test_power_of_two_lengths_stay_on_radix2(n):
+@pytest.mark.parametrize("n", POW2[1:] + [2048])
+def test_power_of_two_lengths_take_the_split_path(n):
     z = _rand_complex(2 * n, 600 + n).reshape(2, n)
-    assert np.array_equal(tr.dft_array(z), tr._fft_pow2(z, -1))
-    assert np.array_equal(tr.dft_array(z, inverse=True), tr._fft_pow2(z, 1) / n)
+    n1 = tr._split(n)
+    assert n1 > 1
+    assert np.array_equal(tr.dft_array(z), tr._dft_split(z, n1, n // n1, -1))
+    assert np.array_equal(tr.dft_array(z, inverse=True), tr._dft_split(z, n1, n // n1, 1) / n)
 
 
 @pytest.mark.parametrize("n", [4, 8, 64, 256, 100, 6])
