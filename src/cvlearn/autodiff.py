@@ -18,9 +18,10 @@ C-contiguous array as a read-only view without copying; the caller must
 not write to such an array while a tape that binds it is in use.
 
 The op set is what the four networks and their losses call: ``linear``
-(``x @ w.T + b`` as one node), ``add``, ``sub``, ``mul``, ``scale``,
-``add_const``, ``add_bias``, ``relu``, ``sqrt``, ``concat`` (last axis),
-``mean_center_rows``, ``sum_all`` and ``mean_all``. ``transforms`` adds
+(``x @ w.T + b`` as one node, the only affine op), ``add``, ``sub``,
+``mul``, ``scale``, ``add_const``, ``relu``, ``sqrt``, ``concat`` (last
+axis), ``mean_center_rows``, ``sum_all`` and ``mean_sq_diff`` (the
+squared error of ``mse`` and the Hilbert penalty). ``transforms`` adds
 the Hilbert matmul and ``losses`` the softmax cross-entropy through
 ``record_op``. Each acts on the last two axes, so one op body serves a
 single network's [m, n] operands and an ensemble's stacked [E, m, n]
@@ -183,16 +184,17 @@ def record_op(op: str, value: np.ndarray, parents: Sequence[Tensor],
 
 
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """Fully connected layer ``x @ w.T (+ b)`` as one tape node.
+    """Fully connected layer ``x @ w.T (+ b)`` as one tape node, the
+    tape's only affine op: every bias of the four networks enters here.
 
     Values and gradients match the unfused chain of a matmul by the
-    transposed weight and ``add_bias`` bit for bit. The forward pass
-    multiplies by a contiguous copy of ``w.T``, as that chain does; the
-    bias is added in place into the product, and the weight gradient is
-    ``g.T @ x`` straight from the operands, which rounds as the chain's
-    transposed ``x.T @ g`` does. Stacked operands ([E, m, in] inputs,
-    [E, out, in] weights, [E, out] biases) apply each member's weights
-    to its own inputs.
+    transposed weight and a row-broadcast bias add bit for bit. The
+    forward pass multiplies by a contiguous copy of ``w.T``, as that
+    chain does; the bias is added in place into the product, and the
+    weight gradient is ``g.T @ x`` straight from the operands, which
+    rounds as the chain's transposed ``x.T @ g`` does. Stacked operands
+    ([E, m, in] inputs, [E, out, in] weights, [E, out] biases) apply
+    each member's weights to its own inputs.
     """
     xd, wd = x.data, w.data
     if xd.ndim < 2 or wd.ndim != xd.ndim or xd.shape[:-2] != wd.shape[:-2]:
@@ -246,15 +248,6 @@ def add_const(x: Tensor, c: float) -> Tensor:
     return record_op("add_const", x.data + c, (x,), (lambda g: g,))
 
 
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Row-broadcast bias: [..., m, n] + [..., n]."""
-    xs = x.data.shape
-    if len(xs) < 2 or b.data.shape != xs[:-2] + xs[-1:]:
-        raise ShapeError(f"add_bias shapes incompatible: {xs} + {b.data.shape}")
-    return record_op("add_bias", x.data + b.data[..., None, :], (x, b),
-                     (lambda g: g, lambda g: np.add.reduce(g, axis=-2)))
-
-
 def relu(x: Tensor) -> Tensor:
     """max(x, 0); the mask of the VJP is built only when backward runs,
     so a pass that is never differentiated does not pay for it."""
@@ -297,20 +290,22 @@ def sum_all(x: Tensor) -> Tensor:
                      (lambda g: np.full(x.shape, float(g)),))
 
 
-def mean_all(x: Tensor) -> Tensor:
-    """Mean over the last two axes: a scalar for a 2-D tensor, one mean
-    per member for a stacked [E, m, n] one."""
-    shape = x.data.shape
-    if len(shape) < 2:
-        raise ShapeError(f"mean_all needs a 2-D or stacked tensor, got {shape}")
+def mean_sq_diff(a: Tensor, b: Tensor) -> Tensor:
+    """Mean of (a - b)^2 over the last two axes, one mean per stacked
+    member; bit for bit the ``sub``, ``mul``, mean chain it replaces."""
+    shape = a.data.shape
+    if len(shape) < 2 or b.data.shape != shape:
+        raise ShapeError(f"mean_sq_diff needs matching 2-D or stacked operands, "
+                         f"got {shape} and {b.data.shape}")
     n = shape[-2] * shape[-1]
-    inv = 1.0 / n
+    diff = a.data - b.data
     # == mean() per member: one pairwise sum over its m * n entries
-    value = np.asarray(np.add.reduce(x.data, axis=(-2, -1)) / n)
+    value = np.asarray(np.add.reduce(diff * diff, axis=(-2, -1)) / n)
 
-    def vjp(g):
-        out = np.empty(shape)
-        out[...] = (g * inv)[..., None, None]
-        return out
+    def vjp_a(g):
+        t = np.empty(shape)
+        t[...] = (g * (1.0 / n))[..., None, None]
+        t *= diff
+        return t + t  # the square's two operand paths, summed
 
-    return record_op("mean_all", value, (x,), (vjp,))
+    return record_op("mean_sq_diff", value, (a, b), (vjp_a, lambda g: -vjp_a(g)))

@@ -17,8 +17,12 @@ generator is deterministic per (arguments, seed).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import numbers
+import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,12 +48,12 @@ class Dataset:
     classification, num_classes fixes k even when a split happens not to
     contain every class; it defaults to max(label) + 1.
 
-    Construction converts and validates every field (shapes, class ids,
-    finiteness) and then keeps features_re, features_im and labels as
-    read-only arrays, views of the caller's arrays when no conversion was
-    needed; the caller's own arrays stay writable. The instance is frozen,
-    so training and evaluation bind its arrays without checking them
-    again.
+    Construction converts and validates every field (numeric dtypes,
+    shapes, class ids and count, finiteness), each error naming the field,
+    and keeps features_re, features_im and labels as read-only arrays,
+    views of the caller's arrays when no conversion was needed; the
+    caller's own arrays stay writable. The instance is frozen, so training
+    and evaluation bind its arrays without checking them again.
     """
     features_re: np.ndarray
     features_im: np.ndarray
@@ -62,8 +66,8 @@ class Dataset:
         def put(name, value):
             object.__setattr__(self, name, value)
 
-        put("features_re", np.ascontiguousarray(self.features_re, dtype=np.float64))
-        put("features_im", np.ascontiguousarray(self.features_im, dtype=np.float64))
+        put("features_re", _numeric(self.features_re, "features_re", "biuf", np.float64))
+        put("features_im", _numeric(self.features_im, "features_im", "biuf", np.float64))
         if self.task not in TASKS:
             raise DataError(f"unknown task: {self.task!r}")
         if self.features_re.ndim != 2 or self.features_re.shape != self.features_im.shape:
@@ -71,36 +75,27 @@ class Dataset:
         if self.m < 1:
             raise DataError("dataset must contain at least one sample")
         if self.task == "classification":
+            given = _numeric(self.labels, "labels", "biuf", None)
             with np.errstate(invalid="ignore"):
-                ids = np.ascontiguousarray(self.labels, dtype=np.int64)
-            if not np.array_equal(ids, self.labels):
+                ids = np.ascontiguousarray(given, dtype=np.int64)
+            if not np.array_equal(ids, given):
                 raise DataError("labels: class ids must be whole numbers in int64 range")
+            ids.setflags(write=False)  # a fresh array, or the checked view
             put("labels", ids)
             if self.labels.shape != (self.m,):
                 raise DataError(f"labels shape {self.labels.shape} != (M,) = ({self.m},)")
             if (self.labels < 0).any():
                 raise DataError("negative class id in labels")
-            if self.num_classes is None:
-                put("num_classes", int(self.labels.max()) + 1)
-            elif int(self.labels.max()) >= self.num_classes:
-                raise DataError(
-                    f"class id {int(self.labels.max())} >= num_classes {self.num_classes}")
+            k, top = self.num_classes, int(self.labels.max())
+            if k is not None and (isinstance(k, bool) or not isinstance(k, numbers.Integral)
+                                  or k <= top):  # so k >= 1, as ids are >= 0
+                raise DataError(f"num_classes {k!r} must be an integer above class id {top}")
+            put("num_classes", top + 1 if k is None else int(k))
         else:
-            put("labels", np.ascontiguousarray(self.labels, dtype=np.complex128))
+            put("labels", _numeric(self.labels, "labels", "biufc", np.complex128))
             if self.labels.ndim != 2 or self.labels.shape[0] != self.m:
                 raise DataError(f"labels shape {self.labels.shape} != (M, k)")
             put("num_classes", None)
-        for name, arr in (("features_re", self.features_re),
-                          ("features_im", self.features_im)):
-            if not np.isfinite(arr).all():
-                raise DataError(f"{name} contains non-finite values")
-        if self.task == "complex_regression":
-            if not np.isfinite(self.labels.view(np.float64)).all():
-                raise DataError("labels contain non-finite values")
-        for name in ("features_re", "features_im", "labels"):
-            view = getattr(self, name).view()
-            view.setflags(write=False)
-            put(name, view)
 
     @property
     def m(self) -> int:
@@ -138,6 +133,22 @@ class Dataset:
                             provenance=f"{self.provenance}|take({m})")
 
 
+def _numeric(value, name: str, kinds: str, dtype) -> np.ndarray:
+    """``value`` as a read-only C-contiguous ``dtype`` array (a view when it
+    is one); DataError naming ``name`` unless it is finite, of a kind in ``kinds``."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        raise DataError(f"{name} must be a rectangular array") from None
+    if arr.dtype.kind not in kinds:
+        raise DataError(f"{name} must hold numbers, got dtype {arr.dtype}")
+    if not np.isfinite(arr).all():
+        raise DataError(f"{name} contains non-finite values")
+    out = np.ascontiguousarray(arr, dtype=dtype).view()
+    out.setflags(write=False)
+    return out
+
+
 def parse_json_object(blob: bytes, what: str, error: type = DataError) -> dict:
     """``blob`` decoded as UTF-8 and parsed as a JSON object; ``error``
     naming ``what`` (e.g. "meta.json") when it is not one."""
@@ -164,8 +175,8 @@ def stacked_targets(ds: Dataset) -> np.ndarray:
 
 
 def save_cvds(ds: Dataset, path) -> None:
-    """Write ``ds`` as a CVDS directory; a dataset that cannot be written
-    raises before any file is touched."""
+    """Write ``ds`` as a CVDS directory, all four files or none: a failed
+    save leaves the files already there as they were."""
     if ds.task == "classification":
         if int(ds.labels.max(initial=0)) >= 2 ** 32:
             raise DataError("class ids exceed uint32 range")
@@ -176,12 +187,30 @@ def save_cvds(ds: Dataset, path) -> None:
     path.mkdir(parents=True, exist_ok=True)
     meta = {"M": ds.m, "dN": ds.dn, "k": ds.k, "task": ds.task,
             "dtype": "f64", "endianness": "little", "provenance": ds.provenance}
-    (path / "meta.json").write_text(json.dumps(meta, indent=1), encoding="utf-8")
-    (path / "features_re.bin").write_bytes(
-        np.ascontiguousarray(ds.features_re, dtype="<f8").tobytes())
-    (path / "features_im.bin").write_bytes(
-        np.ascontiguousarray(ds.features_im, dtype="<f8").tobytes())
-    (path / "labels.bin").write_bytes(labels.tobytes())
+    names = ("meta.json", "features_re.bin", "features_im.bin", "labels.bin")
+    with staged(*(path / n for n in names)) as (meta_tmp, re_tmp, im_tmp, labels_tmp):
+        meta_tmp.write_text(json.dumps(meta, indent=1), encoding="utf-8")
+        re_tmp.write_bytes(np.ascontiguousarray(ds.features_re, dtype="<f8").tobytes())
+        im_tmp.write_bytes(np.ascontiguousarray(ds.features_im, dtype="<f8").tobytes())
+        labels_tmp.write_bytes(labels.tobytes())
+
+
+@contextlib.contextmanager
+def staged(*paths: Path):
+    """A temp file beside each of ``paths``; all replace their targets
+    when the block ends normally, none when it raises, and none is left."""
+    tmps = []
+    try:
+        for path in paths:
+            fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=f".{path.name}.", dir=path.parent)
+            os.close(fd)
+            tmps.append(Path(tmp))
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    finally:
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
 
 
 def _read_file(path: Path, name: str) -> bytes:

@@ -108,12 +108,9 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 
 
 def mse(pred: Tensor, target) -> Tensor:
-    """Mean over all entries of the squared difference."""
+    """Mean squared difference over the last two axes (per stacked member)."""
     tgt = target if isinstance(target, Tensor) else ad.constant(np.asarray(target))
-    if pred.shape != tgt.shape:
-        raise ShapeError(f"mse shapes differ: {pred.shape} vs {tgt.shape}")
-    diff = ad.sub(pred, tgt)
-    return ad.mean_all(ad.mul(diff, diff))
+    return ad.mean_sq_diff(pred, tgt)
 
 
 def hilbert_penalty(latent: LatentPair) -> Tensor:
@@ -122,12 +119,7 @@ def hilbert_penalty(latent: LatentPair) -> Tensor:
     Zero iff z_im == H{z_re} for every sample. Differentiable through
     both latent channels.
     """
-    if latent.z_re.shape != latent.z_im.shape:
-        raise ShapeError(
-            f"latent shapes differ: {latent.z_re.shape} vs {latent.z_im.shape}")
-    hz = hilbert_rows(latent.z_re)
-    diff = ad.sub(hz, latent.z_im)
-    return ad.mean_all(ad.mul(diff, diff))
+    return ad.mean_sq_diff(hilbert_rows(latent.z_re), latent.z_im)
 
 
 def total_loss(task_loss: Tensor, penalty: Optional[Tensor], beta: float) -> Tensor:

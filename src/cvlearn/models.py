@@ -126,9 +126,6 @@ def init_params(spec: NetworkSpec, seed: int) -> Model:
     root = Rng(seed)
     params = {}
     for name, shape in _param_shapes(spec).items():
-        if math.prod(shape) * 8 > np.iinfo(np.intp).max:
-            # past numpy's size limit its error is a ValueError, not a MemoryError
-            raise MemoryError(f"parameter {name} of shape {shape} cannot be allocated")
         if len(shape) == 1:
             params[name] = np.zeros(shape)
         else:
@@ -149,10 +146,11 @@ def _rvnn(spec: NetworkSpec, p: dict, xr: Tensor, xi: Tensor) -> ForwardResult:
 
 
 def _complex_affine(xr: Tensor, xi: Tensor, p: dict, layer: str) -> tuple[Tensor, Tensor]:
-    """(yr + i yi) = (wr + i wi)(xr + i xi) + (br + i bi), via real matmuls."""
+    """(yr + i yi) = (wr + i wi)(xr + i xi) + (br + i bi), via real matmuls;
+    each part's bias rides on its first ``linear``."""
     wr, wi = p[f"{layer}.wr"], p[f"{layer}.wi"]
-    yr = ad.add_bias(ad.sub(ad.linear(xr, wr), ad.linear(xi, wi)), p[f"{layer}.br"])
-    yi = ad.add_bias(ad.add(ad.linear(xi, wr), ad.linear(xr, wi)), p[f"{layer}.bi"])
+    yr = ad.sub(ad.linear(xr, wr, p[f"{layer}.br"]), ad.linear(xi, wi))
+    yi = ad.add(ad.linear(xi, wr, p[f"{layer}.bi"]), ad.linear(xr, wi))
     return yr, yi
 
 

@@ -13,11 +13,8 @@ there is one training loop.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
-import os
-import tempfile
 import time
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
@@ -27,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape
-from .data import Dataset, add_complex_noise, load_cvds, stacked_targets
+from .data import Dataset, add_complex_noise, load_cvds, stacked_targets, staged
 from .diagnostics import accuracy, mag_phase_mse, mse_metric
 from .errors import ContractError, DataError, DivergenceError, ValidationError
 from .losses import (AdamState, TrainConfig, adam_init, adam_step, cross_entropy,
@@ -248,6 +245,8 @@ def resolve_config(raw) -> tuple[dict, TrainConfig]:
     if not isinstance(cfg["noise_test"], bool):
         raise ValidationError("config field noise_test: must be a boolean")
     tc = TrainConfig(**{name: cfg[name] for name in train_defaults})
+    if tc.beta > 0 and cfg["arch"] != "analytic":
+        raise ValidationError("config field beta: must be 0 unless arch is analytic")
     cfg.update(asdict(tc))
     return cfg, tc
 
@@ -298,23 +297,9 @@ def run_training(raw_config: dict, out_dir) -> dict:
         },
         "wall_clock_seconds": wall,
     }
-    with _staged(out_dir / "report.json") as report_tmp, \
-            _staged(out_dir / "checkpoint.bin") as checkpoint_tmp:
+    with staged(out_dir / "report.json", out_dir / "checkpoint.bin") as (
+            report_tmp, checkpoint_tmp):
         report_tmp.write_text(json.dumps(report, indent=1), encoding="utf-8")
         save_checkpoint(model, checkpoint_tmp, seed=tc.seed, epoch=tc.epochs)
     return report
 
-
-@contextlib.contextmanager
-def _staged(path: Path):
-    """A temp file beside ``path`` that replaces it when the block ends
-    normally and is removed when it raises, so ``path`` is never left
-    half-written."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    os.close(fd)
-    tmp = Path(tmp)
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)

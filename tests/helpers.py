@@ -58,20 +58,39 @@ def block_relative_error(fd: dict, tape_grads: dict) -> float:
 def linear_chain_reference(x, w, b, upstream, bias: bool):
     """Value and gradients of ``sum((x @ w.T (+ b)) * upstream)`` by the
     numpy calls of the unfused tape chain that ``autodiff.linear``
-    replaces: a transpose node, a matmul node, an ``add_bias`` node when
-    ``bias``, then the ``mul`` by a constant and ``sum_all``. Without
-    ``bias`` the gradient of ``b`` is zeros, as the tape reports for an
-    unreached parameter.
+    replaces: a transpose node, a matmul node, a row-broadcast bias add
+    node when ``bias``, then the ``mul`` by a constant and ``sum_all``.
+    Without ``bias`` the gradient of ``b`` is zeros, as the tape reports
+    for an unreached parameter.
     """
     wt = np.ascontiguousarray(w.T)                # transpose
     value = x @ wt                                # matmul
     if bias:
-        value = value + b[..., None, :]           # add_bias
+        value = value + b[..., None, :]           # bias add
     g = np.full(value.shape, 1.0) * upstream      # sum_all, then mul
     grads = {"x": g @ wt.T,                       # matmul, first operand
              "w": np.ascontiguousarray((x.T @ g).T),  # matmul, then transpose
              "b": np.add.reduce(g, axis=-2) if bias else np.zeros_like(b)}
     return value, grads
+
+
+def sq_diff_chain_reference(a, b, upstream):
+    """Value and gradients of ``sum(mean((a - b)^2) * upstream)``, the mean
+    over the last two axes, by the numpy calls of the tape chain that
+    ``autodiff.mean_sq_diff`` replaces: a ``sub`` node, a ``mul`` of the
+    difference by itself, a mean node, then the ``mul`` by a constant and
+    ``sum_all``. ``upstream`` is a scalar, or one weight per member of
+    stacked [E, m, n] operands.
+    """
+    diff = a - b                                  # sub
+    sq = diff * diff                              # mul
+    value = sq.mean(axis=(-2, -1))                # mean
+    n = a.shape[-2] * a.shape[-1]
+    g = np.full(upstream.shape, 1.0) * upstream   # sum_all, then mul
+    t = np.empty(a.shape)
+    t[...] = (g * (1.0 / n))[..., None, None]     # mean
+    g_diff = t * diff + t * diff                  # mul, both operands
+    return value, {"a": g_diff, "b": -g_diff}     # sub
 
 
 def build_arch_loss(kind: str, task: str, seed: int, beta: float = 0.0,

@@ -9,7 +9,7 @@ from cvlearn import autodiff as ad
 from cvlearn.errors import ContractError, DataError, ShapeError
 
 from helpers import (block_relative_error, central_diff, linear_chain_reference,
-                     relu_margin)
+                     relu_margin, sq_diff_chain_reference)
 
 
 def test_relu_values_and_subgradient_at_zero():
@@ -106,11 +106,12 @@ def test_backward_deterministic_bit_identical():
     g = np.random.default_rng(4)
     x = g.standard_normal((4, 8))
     w = g.standard_normal((3, 8))
+    target = g.standard_normal((4, 3))
 
     def run():
         tape = cv.Tape()
         tx, tw = tape.param(x, "x"), tape.param(w, "w")
-        loss = ad.mean_all(ad.relu(ad.linear(tx, tw)))
+        loss = ad.mean_sq_diff(ad.relu(ad.linear(tx, tw)), ad.constant(target))
         return tape.backward(loss)
 
     g1, g2 = run(), run()
@@ -189,13 +190,12 @@ def test_unary_op_gradients_100_seeds(name):
         assert block_relative_error(fd, grads) < 1e-5, f"{name} seed {seed}"
 
 
-@pytest.mark.parametrize("name", ["add", "sub", "mul", "add_bias", "concat",
-                                  "linear"])
+@pytest.mark.parametrize("name", ["add", "sub", "mul", "concat", "linear",
+                                  "mean_sq_diff"])
 def test_binary_op_gradients_100_seeds(name):
-    ops = {"add": ad.add, "sub": ad.sub, "mul": ad.mul,
-           "add_bias": ad.add_bias, "concat": ad.concat,
-           "linear": ad.linear}
-    b_shapes = {"add_bias": (4,), "linear": (5, 4)}
+    ops = {"add": ad.add, "sub": ad.sub, "mul": ad.mul, "concat": ad.concat,
+           "linear": ad.linear, "mean_sq_diff": ad.mean_sq_diff}
+    b_shapes = {"linear": (5, 4)}
     for seed in range(100):
         g = np.random.default_rng(1000 + seed)
         a = g.standard_normal((3, 4))
@@ -254,6 +254,33 @@ def test_linear_bit_identical_to_transpose_matmul_add_bias(shape, bias):
         assert np.array_equal(out.data[e], ref_value)
         for name in ("x", "w", "b"):
             assert np.array_equal(grads[name][e], ref_grads[name]), name
+
+
+# 2-D operands, the recipe batch shapes, and stacked [E, m, n] ensembles; the
+# 50 members of 3 x 5 give many weights whose g * (1 / 15) and g / 15 differ
+@pytest.mark.parametrize("shape", [(3, 4), (32, 2), (32, 64), (2, 32, 2), (5, 32, 64),
+                                   (50, 3, 5)])
+def test_mean_sq_diff_bit_identical_to_sub_mul_mean_chain(shape):
+    g = np.random.default_rng(sum(shape))
+    a, b = g.standard_normal(shape), g.standard_normal(shape)
+    upstream = g.standard_normal(shape[:-2])  # one weight per stacked member
+
+    tape = cv.Tape()
+    ta, tb = tape.param(a, "a"), tape.param(b, "b")
+    out = ad.mean_sq_diff(ta, tb)
+    grads = tape.backward(ad.sum_all(ad.mul(out, ad.constant(upstream))))
+    ref_value, ref_grads = sq_diff_chain_reference(a, b, upstream)
+    assert out.data.shape == shape[:-2]
+    assert np.array_equal(out.data, ref_value)
+    for name in ("a", "b"):
+        assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+def test_mean_sq_diff_shape_mismatch():
+    with pytest.raises(ShapeError):
+        ad.mean_sq_diff(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 4))))
+    with pytest.raises(ShapeError):
+        ad.mean_sq_diff(ad.constant(np.ones(3)), ad.constant(np.ones(3)))
 
 
 def test_linear_shape_mismatch():

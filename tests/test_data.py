@@ -1,5 +1,7 @@
 import json
+import warnings
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +122,27 @@ def test_dataset_validation():
     whole = Dataset(np.ones((3, 2)), np.ones((3, 2)), np.array([0.0, 1.0, 2.0]),
                     "classification")
     assert whole.labels.dtype == np.int64 and whole.labels.tolist() == [0, 1, 2]
+    # non-numeric and mistyped fields, each named, with no numpy warning first
+    two = np.ones((2, 2))
+    bad = [
+        ("labels", (two, two, np.array(["a", "b"]), "classification")),
+        ("labels", (two, two, [None, 1], "classification")),
+        ("labels", (two, two, np.array([0 + 1j, 1 + 0j]), "classification")),
+        ("labels", (two, two, [0, [1]], "classification")),
+        ("features_re", (np.array([["a", "b"], ["c", "d"]]), two, [0, 1],
+                         "classification")),
+        ("features_im", (two, np.array([[0j, 1j], [1j, 0j]]), [0, 1], "classification")),
+        ("labels", (two, two, np.array([["1.5"], ["2"]]), "complex_regression")),
+    ]
+    bad += [("num_classes", (two, two, [0, 1], "classification", "", k))
+            for k in (2.5, True, 0, -1, 1, "3")]
+    for needle, args in bad:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=needle):
+                Dataset(*args)
+    k = Dataset(two, two, [0, 1], "classification", num_classes=np.int64(3)).num_classes
+    assert k == 3 and type(k) is int
 
 
 def test_failed_save_leaves_existing_dataset_untouched(tmp_path):
@@ -133,6 +156,39 @@ def test_failed_save_leaves_existing_dataset_untouched(tmp_path):
     with pytest.raises(DataError, match="uint32"):
         cv.save_cvds(wide, tmp_path / "fresh")
     assert not (tmp_path / "fresh").exists()
+
+
+@pytest.mark.parametrize("task", ["classification", "complex_regression"])
+def test_failed_third_write_leaves_existing_dataset_untouched(tmp_path, monkeypatch, task):
+    def make(seed):
+        return (synthetic_classification(4, 3, 2, seed=seed) if task == "classification"
+                else random_regression(4, 3, 2, seed=seed))
+
+    cv.save_cvds(make(1), tmp_path / "d")
+    before = {f.name: f.read_bytes() for f in (tmp_path / "d").iterdir()}
+    writes = []
+
+    def counted(write):
+        def wrapper(self, data, *args, **kwargs):
+            writes.append(self.name)
+            if len(writes) == 3:
+                raise OSError(28, "No space left on device", str(self))
+            return write(self, data, *args, **kwargs)
+        return wrapper
+
+    # meta.json is written as text and the blobs as bytes
+    for method in ("write_text", "write_bytes"):
+        monkeypatch.setattr(Path, method, counted(getattr(Path, method)))
+    with pytest.raises(OSError, match="No space left"):
+        cv.save_cvds(make(2), tmp_path / "d")
+    assert len(writes) == 3 and writes[2].startswith(".features_im.bin.")
+    assert {f.name: f.read_bytes() for f in (tmp_path / "d").iterdir()} == before
+    monkeypatch.undo()
+    # the same save, unhindered, replaces all four files
+    for out in ("d", "ref"):
+        cv.save_cvds(make(2), tmp_path / out)
+    assert ({f.name: f.read_bytes() for f in (tmp_path / "d").iterdir()}
+            == {f.name: f.read_bytes() for f in (tmp_path / "ref").iterdir()})
 
 
 @pytest.mark.parametrize("task", ["classification", "complex_regression"])

@@ -11,7 +11,7 @@ from cvlearn import models
 from cvlearn.errors import ContractError, DataError, ShapeError
 
 from helpers import (block_relative_error, build_arch_loss, central_diff,
-                     synthetic_classification)
+                     random_regression, synthetic_classification)
 
 ALL_KINDS = ["rvnn", "cvnn", "steinmetz", "analytic"]
 
@@ -193,6 +193,34 @@ def test_cvnn_degenerate_reduces_to_real_mlp_bitwise():
     ref = (h @ model.params["fc3.wr"].T) - 0.0 + model.params["fc3.br"]
     assert np.array_equal(pred.data[:, :3], ref)
     assert np.all(pred.data[:, 3:] == 0)
+
+
+# tape nodes per training step (parameters, ops, and the summed loss)
+NODES_PER_STEP = {
+    "complex_regression": {"rvnn": 13, "cvnn": 37, "steinmetz": 24, "analytic": 28},
+    "classification": {"rvnn": 13, "cvnn": 41, "steinmetz": 24, "analytic": 28},
+}
+
+
+@pytest.mark.parametrize("task", sorted(NODES_PER_STEP))
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_nodes_per_training_step(monkeypatch, task, kind):
+    ds = (synthetic_classification(40, 6, 3, seed=2) if task == "classification"
+          else random_regression(40, 5, 1, seed=2))
+    spec = cv.NetworkSpec(kind=kind, input_dim=ds.dn, latent_dim=8, output_dim=ds.k,
+                          task=task)
+    counts = []
+    backward = ad.Tape.backward
+
+    def counting(tape, loss):
+        counts.append(len(tape.nodes))
+        return backward(tape, loss)
+
+    monkeypatch.setattr(ad.Tape, "backward", counting)
+    cfg = cv.TrainConfig(learning_rate=1e-3, beta=1e-3 if kind == "analytic" else 0.0,
+                         epochs=2, batch_size=16, seed=1)
+    cv.train_model(spec, ds, cfg)
+    assert counts == [NODES_PER_STEP[task][kind]] * 6  # 3 batches x 2 epochs
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

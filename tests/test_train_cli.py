@@ -180,6 +180,25 @@ def test_resolve_config_validation():
         resolve_config({**good, "noise_eta": -0.5})
 
 
+@pytest.mark.parametrize("arch", ["rvnn", "cvnn", "steinmetz"])
+def test_beta_only_for_the_analytic_arch(tmp_path, capsys, arch):
+    # only analytic adds the penalty; elsewhere the weight would be ignored
+    good = {"arch": arch, "latent_dim": 4, "learning_rate": 0.01, "epochs": 1,
+            "train_dataset": str(tmp_path / "train")}
+    with pytest.raises(ValidationError, match="beta"):
+        resolve_config({**good, "beta": 0.5})
+    assert resolve_config({**good, "beta": 0})[1].beta == 0.0
+    assert resolve_config({**good, "arch": "analytic", "beta": 0.5})[1].beta == 0.5
+    cv.save_cvds(synthetic_classification(20, 4, 2, seed=1), tmp_path / "train")
+    (tmp_path / "cfg.json").write_text(json.dumps({**good, "beta": 0.5}))
+    code = cv.cli.main(["train", "--config", str(tmp_path / "cfg.json"),
+                        "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "beta" in err, err
+    assert not (tmp_path / "run").exists()
+
+
 def test_noise_eta_boolean_rejected(tmp_path, capsys):
     config = {"arch": "rvnn", "latent_dim": 8, "train_dataset": "x",
               "learning_rate": 0.1, "noise_eta": True}
