@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +28,15 @@ from .models import forward, latent_channels, load_checkpoint  # noqa: F401
 from .train import evaluate, forward_metrics, run_training
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises ValidationError: exit 1 with one ``error:`` line."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cvlearn",
         description="Learning toolkit for complex-valued data")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -156,11 +164,11 @@ def _cmd_hilbert(args) -> None:
     else:
         rows = np.stack([transforms.dht_cotangent(r) for r in ds.features_re])
     if args.analytic:
-        out = ds.replace(features_im=rows,
-                         provenance=f"{ds.provenance}|analytic({args.method})")
+        out = replace(ds, features_im=rows,
+                      provenance=f"{ds.provenance}|analytic({args.method})")
     else:
-        out = ds.replace(features_re=rows, features_im=np.zeros_like(rows),
-                         provenance=f"{ds.provenance}|hilbert({args.method})")
+        out = replace(ds, features_re=rows, features_im=np.zeros_like(rows),
+                      provenance=f"{ds.provenance}|hilbert({args.method})")
     save_cvds(out, args.out)
     print(json.dumps({"out": str(args.out), "M": out.m, "dN": out.dn,
                       "method": args.method, "analytic": bool(args.analytic)}))
@@ -185,8 +193,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         _COMMANDS[args.command](args)
     except (ValidationError, ContractError) as e:
         print(f"error: {e}", file=sys.stderr)

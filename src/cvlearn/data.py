@@ -18,12 +18,13 @@ generator is deterministic per (arguments, seed).
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import math
 import numbers
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,11 +50,12 @@ class Dataset:
     contain every class; it defaults to max(label) + 1.
 
     Construction converts and validates every field (numeric dtypes,
-    shapes, class ids and count, finiteness), each error naming the field,
-    and keeps features_re, features_im and labels as read-only arrays,
-    views of the caller's arrays when no conversion was needed; the
-    caller's own arrays stay writable. The instance is frozen, so training
-    and evaluation bind its arrays without checking them again.
+    shapes, class ids and count, finiteness, a string provenance), each
+    error naming the field, and keeps features_re, features_im and labels
+    as read-only arrays, views of the caller's arrays when no conversion
+    was needed; the caller's own arrays stay writable. The instance is
+    frozen, so training and evaluation bind its arrays without checking
+    them again.
     """
     features_re: np.ndarray
     features_im: np.ndarray
@@ -70,6 +72,8 @@ class Dataset:
         put("features_im", _numeric(self.features_im, "features_im", "biuf", np.float64))
         if self.task not in TASKS:
             raise DataError(f"unknown task: {self.task!r}")
+        if not isinstance(self.provenance, str):
+            raise DataError(f"provenance must be a string, got {type(self.provenance).__name__}")
         if self.features_re.ndim != 2 or self.features_re.shape != self.features_im.shape:
             raise DataError("features_re and features_im must be matching 2-D arrays")
         if self.m < 1:
@@ -111,26 +115,14 @@ class Dataset:
             return self.num_classes
         return self.labels.shape[1]
 
-    def replace(self, features_re=None, features_im=None, labels=None,
-                provenance=None) -> "Dataset":
-        """A new Dataset with overridden fields; task and class count carry
-        over, and the read-only arrays not overridden are shared."""
-        return Dataset(
-            self.features_re if features_re is None else features_re,
-            self.features_im if features_im is None else features_im,
-            self.labels if labels is None else labels,
-            self.task,
-            provenance=self.provenance if provenance is None else provenance,
-            num_classes=self.num_classes)
-
     def take(self, m: int) -> "Dataset":
         """First m samples, copied, so they do not keep the full arrays alive."""
         if not 1 <= m <= self.m:
             raise ContractError(f"take({m}) out of range for M={self.m}")
-        return self.replace(features_re=self.features_re[:m].copy(),
-                            features_im=self.features_im[:m].copy(),
-                            labels=self.labels[:m].copy(),
-                            provenance=f"{self.provenance}|take({m})")
+        return replace(self, features_re=self.features_re[:m].copy(),
+                       features_im=self.features_im[:m].copy(),
+                       labels=self.labels[:m].copy(),
+                       provenance=f"{self.provenance}|take({m})")
 
 
 def _numeric(value, name: str, kinds: str, dtype) -> np.ndarray:
@@ -176,7 +168,8 @@ def stacked_targets(ds: Dataset) -> np.ndarray:
 
 def save_cvds(ds: Dataset, path) -> None:
     """Write ``ds`` as a CVDS directory, all four files or none: a failed
-    save leaves the files already there as they were."""
+    save leaves the files already there as they were, and removes the
+    directory again when it made it and nothing else was put there."""
     if ds.task == "classification":
         if int(ds.labels.max(initial=0)) >= 2 ** 32:
             raise DataError("class ids exceed uint32 range")
@@ -184,21 +177,30 @@ def save_cvds(ds: Dataset, path) -> None:
     else:
         labels = np.ascontiguousarray(stacked_targets(ds), dtype="<f8")
     path = Path(path)
+    fresh = not path.exists()
     path.mkdir(parents=True, exist_ok=True)
     meta = {"M": ds.m, "dN": ds.dn, "k": ds.k, "task": ds.task,
             "dtype": "f64", "endianness": "little", "provenance": ds.provenance}
     names = ("meta.json", "features_re.bin", "features_im.bin", "labels.bin")
-    with staged(*(path / n for n in names)) as (meta_tmp, re_tmp, im_tmp, labels_tmp):
-        meta_tmp.write_text(json.dumps(meta, indent=1), encoding="utf-8")
-        re_tmp.write_bytes(np.ascontiguousarray(ds.features_re, dtype="<f8").tobytes())
-        im_tmp.write_bytes(np.ascontiguousarray(ds.features_im, dtype="<f8").tobytes())
-        labels_tmp.write_bytes(labels.tobytes())
+    try:
+        with staged(*(path / n for n in names)) as (meta_tmp, re_tmp, im_tmp, labels_tmp):
+            meta_tmp.write_text(json.dumps(meta, indent=1), encoding="utf-8")
+            re_tmp.write_bytes(np.ascontiguousarray(ds.features_re, dtype="<f8").tobytes())
+            im_tmp.write_bytes(np.ascontiguousarray(ds.features_im, dtype="<f8").tobytes())
+            labels_tmp.write_bytes(labels.tobytes())
+    except BaseException:
+        if fresh:
+            with contextlib.suppress(OSError):  # rmdir refuses a non-empty directory
+                path.rmdir()
+        raise
 
 
 @contextlib.contextmanager
 def staged(*paths: Path):
     """A temp file beside each of ``paths``; all replace their targets
-    when the block ends normally, none when it raises, and none is left."""
+    when the block ends normally, none when it raises, and none is left.
+    A target that is a directory raises IsADirectoryError before any is
+    replaced."""
     tmps = []
     try:
         for path in paths:
@@ -206,6 +208,9 @@ def staged(*paths: Path):
             os.close(fd)
             tmps.append(Path(tmp))
         yield tmps
+        for path in paths:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         for tmp, path in zip(tmps, paths):
             os.replace(tmp, path)
     finally:
@@ -213,29 +218,34 @@ def staged(*paths: Path):
             tmp.unlink(missing_ok=True)
 
 
-def _read_file(path: Path, name: str) -> bytes:
+def _cvds_file(path: Path, name: str) -> Path:
     f = path / name
     if not f.exists():
         raise DataError(f"missing CVDS file: {f}")
-    return f.read_bytes()
+    return f
 
 
-def _read_matrix(path: Path, name: str, rows: int, cols: int) -> np.ndarray:
-    blob = _read_file(path, name)
-    expected = rows * cols * 8
-    if len(blob) != expected:
-        raise DataError(f"{name}: expected {expected} bytes for "
-                        f"{rows}x{cols} float64, found {len(blob)}")
-    return np.frombuffer(blob, dtype="<f8").reshape(rows, cols).astype(np.float64)
+def _read_array(path: Path, name: str, dtype: str, shape: tuple, what: str) -> np.ndarray:
+    """File ``name`` read straight into a fresh ``dtype`` array of ``shape``;
+    DataError when it is missing or its size does not fit ``what``."""
+    expected = math.prod(shape) * np.dtype(dtype).itemsize
+    with _cvds_file(path, name).open("rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size == expected:
+            out = np.empty(shape, dtype)
+            if fh.readinto(out) == size:
+                return out
+    raise DataError(f"{name}: expected {expected} bytes {what}, found {size}")
 
 
 def load_cvds(path) -> Dataset:
     """Load a CVDS directory; a missing features_im.bin means zeros.
 
     The header and blob sizes are checked here; the values (finiteness,
-    class ids) by the Dataset they build."""
+    class ids, provenance) by the Dataset they build. Each blob is read
+    straight into the array the Dataset keeps."""
     path = Path(path)
-    meta = parse_json_object(_read_file(path, "meta.json"), "meta.json")
+    meta = parse_json_object(_cvds_file(path, "meta.json").read_bytes(), "meta.json")
     for fieldname in ("M", "dN", "k", "task"):
         if fieldname not in meta:
             raise DataError(f"meta.json missing field {fieldname!r}")
@@ -251,22 +261,16 @@ def load_cvds(path) -> Dataset:
         raise DataError(f"meta.json: unknown task {task!r}")
     if m < 1 or dn < 1 or k < 1:
         raise DataError("meta.json: M, dN, k must be positive")
-    re = _read_matrix(path, "features_re.bin", m, dn)
+    re = _read_array(path, "features_re.bin", "<f8", (m, dn), f"for {m}x{dn} float64")
     if (path / "features_im.bin").exists():
-        im = _read_matrix(path, "features_im.bin", m, dn)
+        im = _read_array(path, "features_im.bin", "<f8", (m, dn), f"for {m}x{dn} float64")
     else:
         im = np.zeros_like(re)
-    blob = _read_file(path, "labels.bin")
     if task == "classification":
-        if len(blob) != m * 4:
-            raise DataError(f"labels.bin: expected {m * 4} bytes of uint32 ids, "
-                            f"found {len(blob)}")
-        labels = np.frombuffer(blob, dtype="<u4").astype(np.int64)
+        labels = _read_array(path, "labels.bin", "<u4", (m,), "of uint32 ids")
     else:
-        if len(blob) != m * 2 * k * 8:
-            raise DataError(f"labels.bin: expected {m * 2 * k * 8} bytes for "
-                            f"{m}x{2 * k} float64 targets, found {len(blob)}")
-        flat = np.frombuffer(blob, dtype="<f8").reshape(m, 2 * k)
+        flat = _read_array(path, "labels.bin", "<f8", (m, 2 * k),
+                           f"for {m}x{2 * k} float64 targets")
         labels = flat[:, :k] + 1j * flat[:, k:]
     return Dataset(re, im, labels, task, provenance=meta.get("provenance", ""),
                    num_classes=k if task == "classification" else None)
@@ -281,8 +285,8 @@ def dft_encode(ds: Dataset) -> Dataset:
     if np.any(ds.features_im != 0.0):
         raise DataError("dft_encode expects a real-form dataset (features_im all zero)")
     spectra = dft_array(ds.features_re.astype(np.complex128))
-    return ds.replace(features_re=spectra.real, features_im=spectra.imag,
-                      provenance=f"{ds.provenance}|dft_encode")
+    return replace(ds, features_re=spectra.real, features_im=spectra.imag,
+                   provenance=f"{ds.provenance}|dft_encode")
 
 
 def add_complex_noise(ds: Dataset, eta: float, seed: int) -> Dataset:
@@ -290,19 +294,19 @@ def add_complex_noise(ds: Dataset, eta: float, seed: int) -> Dataset:
 
     Each noise entry has independent real and imaginary parts of
     variance 1/2, so its complex variance is 1; labels are untouched.
-    eta = 0 returns the data unchanged.
+    eta = 0 returns ``ds`` itself, which is immutable.
     """
     if not 0.0 <= eta < math.inf:
         raise ContractError(f"eta must be finite and non-negative, got {eta}")
     if eta == 0.0:
-        return ds.replace()
+        return ds
     rng = Rng(seed)
     shape = ds.features_re.shape
     half = math.sqrt(0.5)
     re = ds.features_re + eta * half * rng.substream("noise/re").normal(shape)
     im = ds.features_im + eta * half * rng.substream("noise/im").normal(shape)
-    return ds.replace(features_re=re, features_im=im,
-                      provenance=f"{ds.provenance}|noise(eta={eta},seed={seed})")
+    return replace(ds, features_re=re, features_im=im,
+                   provenance=f"{ds.provenance}|noise(eta={eta},seed={seed})")
 
 
 # ---------------------------------------------------------------------------

@@ -158,13 +158,13 @@ class CovComparison(NamedTuple):
     ratio: float
 
 
-def covariance_comparison(z_re, z_im, p: float = 2.0, q: float = 2.0) -> CovComparison:
-    """Mixed-norm comparison of the latent covariance with and without the
-    cross-channel block; norm_j >= norm_s always, with equality when the
-    channels are uncorrelated."""
+def covariance_comparison(z_re, z_im) -> CovComparison:
+    """L_{2,2} mixed-norm comparison of the latent covariance with and
+    without the cross-channel block; norm_j >= norm_s always, with equality
+    when the channels are uncorrelated."""
     blocks = covariance_blocks(z_re, z_im)
-    norm_j = lpq_norm(blocks.joint(), p, q)
-    norm_s = lpq_norm(blocks.separate(), p, q)
+    norm_j = lpq_norm(blocks.joint(), 2.0, 2.0)
+    norm_s = lpq_norm(blocks.separate(), 2.0, 2.0)
     if norm_s == 0.0:
         raise DataError("degenerate batch: covariance norm is zero")
     return CovComparison(norm_j, norm_s, norm_j / norm_s)

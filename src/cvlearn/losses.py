@@ -150,7 +150,8 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     vector; functional (inputs untouched).
 
     The new parameters are read-only views into one fresh buffer. Raises
-    DivergenceError when any of them is non-finite.
+    DivergenceError when any of them is non-finite, carrying those views
+    as its ``params``.
     """
     if set(params) != set(grads):
         raise ContractError("gradient keys do not match parameter keys")
@@ -178,12 +179,12 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     tmp /= denom                                # lr * m_hat / denom
     flat = np.concatenate(list(params.values()), axis=None)
     flat -= tmp
-    if not np.isfinite(flat).all():
-        raise DivergenceError(t)
     flat.setflags(write=False)
     new_params = {}
     offset = 0
     for name, p in params.items():
         new_params[name] = flat[offset:offset + p.size].reshape(p.shape)
         offset += p.size
+    if not np.isfinite(flat).all():
+        raise DivergenceError(t, params=new_params)
     return new_params, AdamState(m=m, v=v, t=t)

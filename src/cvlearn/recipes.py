@@ -38,6 +38,7 @@ NOISE_EPOCHS = 40
 
 CHANNEL_LR, CHANNEL_BETA = 1e-4, 1e-4
 CVMNIST_LR, CVMNIST_BETA = 1e-3, 1e-3
+BATCH_SIZE = 32
 
 
 def _mean_std(values: Sequence[float]) -> dict:
@@ -47,7 +48,7 @@ def _mean_std(values: Sequence[float]) -> dict:
 
 
 def _compare(runs: list[tuple[int, Dataset, Dataset]], lr: float, beta: float,
-             epochs: int, batch_size: int) -> dict[str, list[dict]]:
+             epochs: int) -> dict[str, list[dict]]:
     """Train each architecture's (seed, train set, test set) runs as one
     ensemble; returns, per architecture, each run's test metrics,
     parameter count and latent orthogonality from one forward pass."""
@@ -59,7 +60,7 @@ def _compare(runs: list[tuple[int, Dataset, Dataset]], lr: float, beta: float,
         spec = NetworkSpec(kind=arch, input_dim=train_ds.dn, latent_dim=64,
                            output_dim=train_ds.k, task=train_ds.task)
         cfgs = [TrainConfig(learning_rate=lr, beta=beta if arch == "analytic" else 0.0,
-                            epochs=epochs, batch_size=batch_size, seed=seed)
+                            epochs=epochs, batch_size=BATCH_SIZE, seed=seed)
                 for seed, _, _ in runs]
         trained = train_models(spec, [ds for _, ds, _ in runs], cfgs)
         per_seed[arch] = []
@@ -96,8 +97,7 @@ def _fmt(ms: dict, digits: int) -> str:
 
 def run_channel_id(base_seed: int = 1, n_seeds: int = 5,
                    epochs: int = CHANNEL_EPOCHS, m: int = 1000,
-                   test_m: int = 1000, batch_size: int = 32,
-                   out_dir=None) -> dict:
+                   test_m: int = 1000, out_dir=None) -> dict:
     """Nonlinear channel identification: rho = sqrt(2)/2, 5 dB SNR."""
     chan = ChannelSpec()
     seeds = list(range(base_seed, base_seed + n_seeds))
@@ -107,7 +107,7 @@ def run_channel_id(base_seed: int = 1, n_seeds: int = 5,
         runs.append((seed,
                      gen_channel_dataset(chan, m, data_rng.substream("channel/train").seed),
                      gen_channel_dataset(chan, test_m, data_rng.substream("channel/test").seed)))
-    per_seed = _compare(runs, CHANNEL_LR, CHANNEL_BETA, epochs, batch_size)
+    per_seed = _compare(runs, CHANNEL_LR, CHANNEL_BETA, epochs)
     summary = _summary({a: {key: [run[key] for run in per_seed[a]] for key in
                             ("mse", "mag_mse", "phase_mse", "orthogonality")}
                         for a in KINDS})
@@ -136,8 +136,7 @@ def _mnist_datasets(data_dir) -> tuple[Dataset, Dataset]:
 
 
 def run_cvmnist500(data_dir, base_seed: int = 1, n_seeds: int = 5,
-                   epochs: int = CVMNIST_EPOCHS, m: int = 500,
-                   batch_size: int = 32, out_dir=None) -> dict:
+                   epochs: int = CVMNIST_EPOCHS, m: int = 500, out_dir=None) -> dict:
     """Spectral MNIST classification from the first m training images."""
     train_raw, test_raw = _mnist_datasets(data_dir)
     if train_raw.m < m:
@@ -146,7 +145,7 @@ def run_cvmnist500(data_dir, base_seed: int = 1, n_seeds: int = 5,
     test_ds = dft_encode(test_raw)
     seeds = list(range(base_seed, base_seed + n_seeds))
     runs = [(seed, train_ds, test_ds) for seed in seeds]
-    per_seed = _compare(runs, CVMNIST_LR, CVMNIST_BETA, epochs, batch_size)
+    per_seed = _compare(runs, CVMNIST_LR, CVMNIST_BETA, epochs)
     summary = _summary({a: {key: [run[key] for run in per_seed[a]] for key in
                             ("accuracy", "orthogonality")}
                         for a in KINDS})
@@ -161,8 +160,7 @@ def run_cvmnist500(data_dir, base_seed: int = 1, n_seeds: int = 5,
 
 def run_noise_sweep(data_dir, base_seed: int = 1, n_seeds: int = 1,
                     etas: Sequence[float] = (0.0, 0.5, 1.0, 1.5, 2.0),
-                    m: int = 2000, epochs: int = NOISE_EPOCHS,
-                    batch_size: int = 32, out_dir=None) -> dict:
+                    m: int = 2000, epochs: int = NOISE_EPOCHS, out_dir=None) -> dict:
     """Train-set noise robustness on spectral MNIST; test set stays clean."""
     train_raw, test_raw = _mnist_datasets(data_dir)
     if train_raw.m < m:
@@ -174,7 +172,7 @@ def run_noise_sweep(data_dir, base_seed: int = 1, n_seeds: int = 1,
     runs = [(seed, add_complex_noise(clean_train, eta,
                                      Rng(seed).substream(f"noise/eta{key}").seed), test_ds)
             for eta, key in zip(etas, keys) for seed in seeds]
-    results = _compare(runs, CVMNIST_LR, CVMNIST_BETA, epochs, batch_size)
+    results = _compare(runs, CVMNIST_LR, CVMNIST_BETA, epochs)
     per_seed = {a: {key: results[a][i * n_seeds:(i + 1) * n_seeds]
                     for i, key in enumerate(keys)} for a in KINDS}
     grid = _summary({a: {key: [r["accuracy"] for r in per_seed[a][key]] for key in keys}

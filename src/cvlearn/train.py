@@ -27,8 +27,8 @@ from .autodiff import Tape
 from .data import Dataset, add_complex_noise, load_cvds, stacked_targets, staged
 from .diagnostics import accuracy, mag_phase_mse, mse_metric
 from .errors import ContractError, DataError, DivergenceError, ValidationError
-from .losses import (AdamState, TrainConfig, adam_init, adam_step, cross_entropy,
-                     finite, hilbert_penalty, mse, total_loss)
+from .losses import (TrainConfig, adam_init, adam_step, cross_entropy, finite,
+                     hilbert_penalty, mse, total_loss)
 from .models import (KINDS, ForwardResult, Model, NetworkSpec, forward, init_params,
                      save_checkpoint)
 from .rng import Rng
@@ -97,25 +97,6 @@ def _rows(arrays: list) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def _diverged_member(params: dict, grads: dict, state: AdamState,
-                     cfg: TrainConfig, n: int) -> int:
-    """The first of the ``n`` members whose own Adam update is non-finite:
-    the update is elementwise, so it is re-run on each member's share of
-    every parameter, gradient and moment buffer."""
-    bounds = np.cumsum([0] + [p.size for p in params.values()])
-    for e in range(n):
-        def own(flat):
-            return np.concatenate([flat[lo:hi].reshape(n, -1)[e]
-                                   for lo, hi in zip(bounds, bounds[1:])])
-        try:
-            adam_step({k: p.reshape(n, -1)[e] for k, p in params.items()},
-                      {k: grads[k].reshape(n, -1)[e] for k in params},
-                      AdamState(own(state.m), own(state.v), state.t), cfg)
-        except DivergenceError:
-            return e
-    return 0
-
-
 def train_models(spec: NetworkSpec, train_sets: Sequence[Dataset],
                  cfgs: Sequence[TrainConfig],
                  test_sets: Optional[Sequence[Dataset]] = None
@@ -131,7 +112,9 @@ def train_models(spec: NetworkSpec, train_sets: Sequence[Dataset],
     leading axis, on the plain arrays, which numpy handles with less
     overhead per call. Returns (model, per-epoch records) per member, in
     order. A non-finite loss or update raises DivergenceError naming the
-    step, epoch and the member's seed.
+    step, epoch and the member's seed: the first member with a non-finite
+    loss, or with a non-finite entry in its own rows of the update Adam
+    refused (the update is elementwise, so those are its solo values).
     """
     _check_members(spec, train_sets, cfgs, test_sets)
     cfg, n, m = cfgs[0], len(cfgs), train_sets[0].m
@@ -187,7 +170,9 @@ def train_models(spec: NetworkSpec, train_sets: Sequence[Dataset],
                 try:
                     stack.params, state = adam_step(stack.params, grads, state, cfg)
                 except DivergenceError as e:
-                    bad = _diverged_member(stack.params, grads, state, cfg, n)
+                    member_ok = np.logical_and.reduce(
+                        [np.isfinite(p.reshape(n, -1)).all(axis=1) for p in e.params.values()])
+                    bad = int(np.argmin(member_ok))     # the first member not all finite
                     raise DivergenceError(e.step, e.what, epoch, cfgs[bad].seed) from None
                 loss_sums = [s + v * b for s, v in zip(loss_sums, losses)]
             for e, records in enumerate(histories):

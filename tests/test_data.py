@@ -1,6 +1,6 @@
 import json
 import warnings
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +96,15 @@ def test_cvds_values_checked_by_the_dataset_they_build(tmp_path, task, blob, val
         cv.load_cvds(tmp_path / "d")
 
 
+def test_cvds_meta_provenance_must_be_a_string(tmp_path):
+    cv.save_cvds(synthetic_classification(3, 4, 2, seed=5), tmp_path / "d")
+    meta = json.loads((tmp_path / "d" / "meta.json").read_text())
+    meta["provenance"] = {"a": [1]}
+    (tmp_path / "d" / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(DataError, match="provenance must be a string"):
+        cv.load_cvds(tmp_path / "d")
+
+
 def test_cvds_real_form_missing_im_is_zero(tmp_path):
     ds = synthetic_classification(4, 6, 2, seed=6)
     cv.save_cvds(ds, tmp_path / "d")
@@ -136,6 +145,10 @@ def test_dataset_validation():
     ]
     bad += [("num_classes", (two, two, [0, 1], "classification", "", k))
             for k in (2.5, True, 0, -1, 1, "3")]
+    bad += [("provenance", (two, two, labels, task, p))
+            for task, labels in (("classification", [0, 1]),
+                                 ("complex_regression", [[1j], [2.0]]))
+            for p in ({"a": [1]}, None, 3, b"p", ["p"])]
     for needle, args in bad:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -191,6 +204,42 @@ def test_failed_third_write_leaves_existing_dataset_untouched(tmp_path, monkeypa
             == {f.name: f.read_bytes() for f in (tmp_path / "ref").iterdir()})
 
 
+@pytest.mark.parametrize("name", ["meta.json", "features_re.bin", "features_im.bin",
+                                  "labels.bin"])
+def test_save_over_a_directory_target_replaces_nothing(tmp_path, name):
+    cv.save_cvds(synthetic_classification(4, 3, 2, seed=1), tmp_path / "d")
+    (tmp_path / "d" / name).unlink()
+    (tmp_path / "d" / name).mkdir()
+    before = {f.name: f.is_dir() or f.read_bytes() for f in (tmp_path / "d").iterdir()}
+    with pytest.raises(IsADirectoryError, match=name):
+        cv.save_cvds(synthetic_classification(4, 3, 2, seed=2), tmp_path / "d")
+    assert {f.name: f.is_dir() or f.read_bytes()
+            for f in (tmp_path / "d").iterdir()} == before
+
+
+def test_failed_save_to_a_new_path_leaves_no_directory(tmp_path, monkeypatch):
+    writes = []
+    write_bytes = Path.write_bytes
+
+    def failing_second(self, data):
+        writes.append(self.name)
+        if len(writes) == 2:
+            raise OSError(28, "No space left on device", str(self))
+        return write_bytes(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", failing_second)
+    ds = synthetic_classification(4, 3, 2, seed=1)
+    with pytest.raises(OSError, match="No space left"):
+        cv.save_cvds(ds, tmp_path / "fresh")
+    assert not (tmp_path / "fresh").exists()
+    # a directory that was there before the save stays, empty
+    (tmp_path / "empty").mkdir()
+    writes.clear()
+    with pytest.raises(OSError, match="No space left"):
+        cv.save_cvds(ds, tmp_path / "empty")
+    assert list((tmp_path / "empty").iterdir()) == []
+
+
 @pytest.mark.parametrize("task", ["classification", "complex_regression"])
 def test_dataset_is_frozen_and_read_only(task):
     re = np.ones((3, 4))
@@ -212,11 +261,12 @@ def test_dataset_is_frozen_and_read_only(task):
 
 def test_replace_shares_the_arrays_it_does_not_override():
     ds = random_regression(5, 4, 2, seed=3)
-    out = ds.replace(features_im=np.zeros((5, 4)), provenance="p")
+    out = replace(ds, features_im=np.zeros((5, 4)), provenance="p")
     assert np.shares_memory(out.features_re, ds.features_re)
     assert np.shares_memory(out.labels, ds.labels)
     assert not np.shares_memory(out.features_im, ds.features_im)
     same = cv.add_complex_noise(ds, 0.0, seed=1)
+    assert same is ds
     for name in ("features_re", "features_im", "labels"):
         assert np.shares_memory(getattr(same, name), getattr(ds, name)), name
     sub = ds.take(2)

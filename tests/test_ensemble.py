@@ -1,5 +1,7 @@
 """Stacked ensembles: each member trains exactly as its solo run."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -101,8 +103,8 @@ def _divergence(spec, ds, cfg):
 def test_loss_divergence_names_the_members_seed(kind):
     # member 1's features are 1e200 times larger: its squared error overflows
     spec, sets = _members(kind, "complex_regression", m=40)
-    sets[1] = sets[1].replace(features_re=sets[1].features_re * 1e200,
-                              features_im=sets[1].features_im * 1e200)
+    sets[1] = replace(sets[1], features_re=sets[1].features_re * 1e200,
+                      features_im=sets[1].features_im * 1e200)
     cfgs = [_cfg(s, epochs=2) for s in SEEDS]
     assert [_divergence(spec, ds, cfg) is None for ds, cfg in zip(sets, cfgs)] == [
         True, False, True]
@@ -121,8 +123,8 @@ def test_adam_divergence_names_the_members_seed():
     # features give gradients above 1.8, and 1e300 times that overflows
     spec = cv.NetworkSpec("rvnn", 8, 8, 3, "classification")
     sets = [synthetic_classification(32, 8, 3, seed=s) for s in (1, 2)]
-    sets[1] = sets[1].replace(features_re=sets[1].features_re * 1e10,
-                              features_im=sets[1].features_im * 1e10)
+    sets[1] = replace(sets[1], features_re=sets[1].features_re * 1e10,
+                      features_im=sets[1].features_im * 1e10)
     cfgs = [_cfg(s, learning_rate=1e300, epochs=1) for s in (4, 9)]
     assert _divergence(spec, sets[0], cfgs[0]) is None
     solo = _divergence(spec, sets[1], cfgs[1])
@@ -131,3 +133,46 @@ def test_adam_divergence_names_the_members_seed():
         train_models(spec, sets, cfgs)
     assert str(info.value) == str(solo)
     assert info.value.seed == 9
+
+
+def _overflowing_sets(n, big):
+    """``n`` classification sets of 32 rows; those in ``big`` have features
+    1e10 times larger, so an Adam step at learning rate 1e300 overflows
+    in them at step 1 and in no other member."""
+    sets = [synthetic_classification(32, 8, 3, seed=s) for s in range(1, n + 1)]
+    return [replace(ds, features_re=ds.features_re * 1e10, features_im=ds.features_im * 1e10)
+            if i in big else ds for i, ds in enumerate(sets)]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_adam_divergence_calls_adam_once_per_step(monkeypatch, n):
+    # the failing update itself names the member: Adam is not run again
+    calls = []
+    adam_step = cv.train.adam_step
+
+    def counted(*args):
+        calls.append(args[2].t + 1)
+        return adam_step(*args)
+
+    monkeypatch.setattr(cv.train, "adam_step", counted)
+    spec = cv.NetworkSpec("rvnn", 8, 8, 3, "classification")
+    cfgs = [_cfg(s, learning_rate=1e300, epochs=1) for s in SEEDS[:n]]
+    with pytest.raises(DivergenceError) as info:
+        train_models(spec, _overflowing_sets(n, {n - 1}), cfgs)
+    assert (info.value.step, info.value.seed) == (1, SEEDS[n - 1])
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_adam_divergence_in_two_members_names_the_first(kind):
+    spec = cv.NetworkSpec(kind, 8, 8, 3, "classification")
+    sets = _overflowing_sets(3, {1, 2})
+    cfgs = [_cfg(s, learning_rate=1e300, epochs=1) for s in SEEDS]
+    solo = [_divergence(spec, ds, cfg) for ds, cfg in zip(sets, cfgs)]
+    assert solo[0] is None and solo[1].step == solo[2].step
+    with pytest.raises(DivergenceError) as info:
+        train_models(spec, sets, cfgs)
+    err = info.value
+    assert (err.step, err.what, err.epoch, err.seed) == (
+        solo[1].step, "parameters", 1, SEEDS[1])
+    assert str(err) == str(solo[1])

@@ -287,6 +287,16 @@ CASES = {
         "experiment", "--recipe", "channel-id", "--seeds", "0", "--out", w / "e1"]),
     "experiment-seeds-negative": (1, "n_seeds", lambda w: [
         "experiment", "--recipe", "channel-id", "--seeds", "-2", "--out", w / "e2"]),
+    # usage errors: the parser's own message, as one error: line
+    "usage-no-command": (1, "required: command", lambda w: []),
+    "usage-unknown-command": (1, "invalid choice: 'bogus'", lambda w: ["bogus"]),
+    "usage-train-no-flags": (1, "required: --config, --out", lambda w: ["train"]),
+    "usage-gen-unknown-task": (1, "argument --task: invalid choice", lambda w: [
+        "gen", "--task", "bogus", "--out", "x"]),
+    "usage-gen-m-not-an-int": (1, "argument --m: invalid int value", lambda w: [
+        "gen", "--task", "channel", "--m", "abc", "--out", "x"]),
+    "usage-eval-checkpoint-no-value": (1, "argument --checkpoint: expected one", lambda w: [
+        "eval", "--checkpoint"]),
 }
 
 
@@ -299,6 +309,12 @@ def test_cli_bad_input_one_line_no_traceback(work, case):
     assert len(out.stderr.splitlines()) == 1, out.stderr
     assert out.stderr.startswith("data error: " if code == 2 else "error: "), out.stderr
     assert needle in out.stderr, out.stderr
+
+
+def test_cli_help_exits_0(work):
+    out = cli("train", "--help", cwd=work)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert "--config" in out.stdout
 
 
 @pytest.mark.parametrize("case", ["train-latent-dim-too-big",
