@@ -17,13 +17,14 @@ next cyclic garbage collection. ``Tape.param`` binds a float64
 C-contiguous array as a read-only view without copying; the caller must
 not write to such an array while a tape that binds it is in use.
 
-The op set is what the four networks and their losses call: ``linear``
-(``x @ w.T + b`` as one node, the only affine op), ``add``, ``sub``,
-``mul``, ``scale``, ``add_const``, ``relu``, ``sqrt``, ``concat`` (last
+The op set is the real ops the networks share: ``linear`` (``x @ w.T +
+b`` as one node, the only real affine op), ``relu``, ``concat`` (last
 axis), ``mean_center_rows``, ``sum_all`` and ``mean_sq_diff`` (the
-squared error of ``mse`` and the Hilbert penalty). ``transforms`` adds
-the Hilbert matmul and ``losses`` the softmax cross-entropy through
-``record_op``. Each acts on the last two axes, so one op body serves a
+squared error of ``mse`` and the Hilbert penalty). An op of one concept
+sits beside its caller and records through ``record_op``: ``transforms``
+adds the Hilbert matmul, ``losses`` the softmax cross-entropy and the
+penalised objective, and ``models`` cvnn's complex layer and magnitude
+head. Each acts on the last two axes, so one op body serves a
 single network's [m, n] operands and an ensemble's stacked [E, m, n]
 operands alike: every member slice makes the same numpy and BLAS calls
 as the 2-D case and rounds exactly as it would alone.
@@ -183,9 +184,18 @@ def record_op(op: str, value: np.ndarray, parents: Sequence[Tensor],
 # elementary operations
 
 
+def check_affine(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> None:
+    """ShapeError unless ``x @ w.T (+ b)`` has matching 2-D or stacked operands."""
+    xs, ws, bs = x.shape, w.shape, None if b is None else b.shape
+    if len(xs) < 2 or len(ws) != len(xs) or xs[:-2] != ws[:-2] or xs[-1] != ws[-1] \
+            or bs not in (None, ws[:-1]):
+        raise ShapeError(f"affine operand shapes do not match: x {xs}, w {ws}, b {bs}")
+
+
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     """Fully connected layer ``x @ w.T (+ b)`` as one tape node, the
-    tape's only affine op: every bias of the four networks enters here.
+    tape's only real affine op: every bias of rvnn, steinmetz and
+    analytic enters here, and cvnn's complex layer copies its forms.
 
     Values and gradients match the unfused chain of a matmul by the
     transposed weight and a row-broadcast bias add bit for bit. The
@@ -196,14 +206,8 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     ([E, m, in] inputs, [E, out, in] weights, [E, out] biases) apply
     each member's weights to its own inputs.
     """
+    check_affine(x, w, b)
     xd, wd = x.data, w.data
-    if xd.ndim < 2 or wd.ndim != xd.ndim or xd.shape[:-2] != wd.shape[:-2]:
-        raise ShapeError(f"linear needs matching 2-D or stacked operands, "
-                         f"got {xd.shape} and {wd.shape}")
-    if xd.shape[-1] != wd.shape[-1]:
-        raise ShapeError(f"linear inner dims differ: {xd.shape} x {wd.shape}.T")
-    if b is not None and b.data.shape != wd.shape[:-1]:
-        raise ShapeError(f"linear bias shape {b.data.shape} does not match {wd.shape}")
     # x @ w.T on the transposed view would round differently at some shapes
     wt = np.ascontiguousarray(wd.swapaxes(-1, -2))
     value = xd @ wt
@@ -217,50 +221,12 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     return record_op("linear", value, (x, w, b), vjps)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
-    return record_op("add", a.data + b.data, (a, b),
-                     (lambda g: g, lambda g: g))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"sub shapes differ: {a.shape} vs {b.shape}")
-    return record_op("sub", a.data - b.data, (a, b),
-                     (lambda g: g, lambda g: -g))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"mul shapes differ: {a.shape} vs {b.shape}")
-    return record_op("mul", a.data * b.data, (a, b),
-                     (lambda g: g * b.data, lambda g: g * a.data))
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return record_op("scale", x.data * c, (x,), (lambda g: g * c,))
-
-
-def add_const(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return record_op("add_const", x.data + c, (x,), (lambda g: g,))
-
-
 def relu(x: Tensor) -> Tensor:
     """max(x, 0); the mask of the VJP is built only when backward runs,
     so a pass that is never differentiated does not pay for it."""
     xd = x.data
     # subgradient at 0 is 0
     return record_op("relu", np.maximum(xd, 0.0), (x,), (lambda g: g * (xd > 0),))
-
-
-def sqrt(x: Tensor) -> Tensor:
-    if (x.data < 0).any():
-        raise ContractError("sqrt of negative entries")
-    value = np.sqrt(x.data)
-    return record_op("sqrt", value, (x,), (lambda g: g * (0.5 / value),))
 
 
 def concat(a: Tensor, b: Tensor) -> Tensor:

@@ -78,6 +78,8 @@ class Dataset:
             raise DataError("features_re and features_im must be matching 2-D arrays")
         if self.m < 1:
             raise DataError("dataset must contain at least one sample")
+        if self.dn < 1:
+            raise DataError("features_re and features_im must have at least one column")
         if self.task == "classification":
             given = _numeric(self.labels, "labels", "biuf", None)
             with np.errstate(invalid="ignore"):
@@ -97,8 +99,8 @@ class Dataset:
             put("num_classes", top + 1 if k is None else int(k))
         else:
             put("labels", _numeric(self.labels, "labels", "biufc", np.complex128))
-            if self.labels.ndim != 2 or self.labels.shape[0] != self.m:
-                raise DataError(f"labels shape {self.labels.shape} != (M, k)")
+            if self.labels.ndim != 2 or self.labels.shape[0] != self.m or self.k < 1:
+                raise DataError(f"labels shape {self.labels.shape} != (M, k) with k >= 1")
             put("num_classes", None)
 
     @property
@@ -177,17 +179,26 @@ def save_cvds(ds: Dataset, path) -> None:
     else:
         labels = np.ascontiguousarray(stacked_targets(ds), dtype="<f8")
     path = Path(path)
-    fresh = not path.exists()
-    path.mkdir(parents=True, exist_ok=True)
     meta = {"M": ds.m, "dN": ds.dn, "k": ds.k, "task": ds.task,
             "dtype": "f64", "endianness": "little", "provenance": ds.provenance}
     names = ("meta.json", "features_re.bin", "features_im.bin", "labels.bin")
+    with output_dir(path), staged(*(path / n for n in names)) as (
+            meta_tmp, re_tmp, im_tmp, labels_tmp):
+        meta_tmp.write_text(json.dumps(meta, indent=1), encoding="utf-8")
+        re_tmp.write_bytes(np.ascontiguousarray(ds.features_re, dtype="<f8").tobytes())
+        im_tmp.write_bytes(np.ascontiguousarray(ds.features_im, dtype="<f8").tobytes())
+        labels_tmp.write_bytes(labels.tobytes())
+
+
+@contextlib.contextmanager
+def output_dir(path: Path):
+    """Make directory ``path`` (and its parents) for a block that writes
+    into it. When the block raises, remove ``path`` again if this call
+    made it and nothing was left in it."""
+    fresh = not path.exists()
+    path.mkdir(parents=True, exist_ok=True)
     try:
-        with staged(*(path / n for n in names)) as (meta_tmp, re_tmp, im_tmp, labels_tmp):
-            meta_tmp.write_text(json.dumps(meta, indent=1), encoding="utf-8")
-            re_tmp.write_bytes(np.ascontiguousarray(ds.features_re, dtype="<f8").tobytes())
-            im_tmp.write_bytes(np.ascontiguousarray(ds.features_im, dtype="<f8").tobytes())
-            labels_tmp.write_bytes(labels.tobytes())
+        yield
     except BaseException:
         if fresh:
             with contextlib.suppress(OSError):  # rmdir refuses a non-empty directory

@@ -123,12 +123,16 @@ def hilbert_penalty(latent: LatentPair) -> Tensor:
 
 
 def total_loss(task_loss: Tensor, penalty: Optional[Tensor], beta: float) -> Tensor:
-    """task_loss + beta * penalty; beta = 0 (or no penalty) is plain training."""
+    """task_loss + beta * penalty as one tape node, with VJPs ``g`` and
+    ``g * beta``; beta = 0 (or no penalty) is plain training."""
     if beta < 0:
         raise ContractError("beta must be non-negative")
     if penalty is None or beta == 0.0:
         return task_loss
-    return ad.add(task_loss, ad.scale(penalty, beta))
+    if penalty.shape != task_loss.shape:
+        raise ShapeError(f"total_loss shapes differ: {task_loss.shape} vs {penalty.shape}")
+    return record_op("total_loss", task_loss.data + penalty.data * beta,
+                     (task_loss, penalty), (lambda g: g, lambda g: g * beta))
 
 
 @dataclass

@@ -7,7 +7,8 @@ feeds the concatenation to a shared linear head. "analytic" is the same
 forward graph; it differs only in training, where the Hilbert
 consistency penalty is added to the loss. "rvnn" concatenates the
 channels up front; "cvnn" uses complex linear layers (kept as real
-weight pairs) with ReLU applied independently to each part.
+weight pairs, one tape node per part, recorded here like its one-node
+magnitude head) with ReLU applied independently to each part.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor
+from .autodiff import Tape, Tensor, record_op
 from .data import TASKS, parse_json_object
 from .errors import ContractError, DataError, ShapeError
 from .rng import Rng
@@ -146,12 +147,44 @@ def _rvnn(spec: NetworkSpec, p: dict, xr: Tensor, xi: Tensor) -> ForwardResult:
 
 
 def _complex_affine(xr: Tensor, xi: Tensor, p: dict, layer: str) -> tuple[Tensor, Tensor]:
-    """(yr + i yi) = (wr + i wi)(xr + i xi) + (br + i bi), via real matmuls;
-    each part's bias rides on its first ``linear``."""
-    wr, wi = p[f"{layer}.wr"], p[f"{layer}.wi"]
-    yr = ad.sub(ad.linear(xr, wr, p[f"{layer}.br"]), ad.linear(xi, wi))
-    yi = ad.add(ad.linear(xi, wr, p[f"{layer}.bi"]), ad.linear(xr, wi))
-    return yr, yi
+    """(yr + i yi) = (wr + i wi)(xr + i xi) + (br + i bi) as one tape node
+    per part: ``yr = xr @ wr.T + br - xi @ wi.T``, ``yi = xi @ wr.T + bi + xr @ wi.T``.
+
+    ``linear``'s product and gradient forms over one contiguous copy of each
+    transposed weight, shared by both parts, the bias added before the second
+    product and the sign applied as ``sign * g`` keep values and gradients bit
+    for bit those of two ``linear`` nodes joined by a subtraction or an addition.
+    """
+    wr, wi, br, bi = (p[f"{layer}.{n}"] for n in ("wr", "wi", "br", "bi"))
+    for x, w, b in ((xr, wr, br), (xi, wi, bi), (xi, wr, bi)):  # all four weights agree
+        ad.check_affine(x, w, b)
+    wtr, wti = (np.ascontiguousarray(w.data.swapaxes(-1, -2)) for w in (wr, wi))
+
+    def part(x1: Tensor, x2: Tensor, b: Tensor, sign: float) -> Tensor:
+        # x1 @ wr.T + b + sign * (x2 @ wi.T); negation is exact
+        x1d, x2d = x1.data, x2.data
+        value = x1d @ wtr
+        value += b.data[..., None, :]
+        (np.add if sign > 0 else np.subtract)(value, x2d @ wti, out=value)
+        vjps = (lambda g: g @ wtr.swapaxes(-1, -2),
+                lambda g: (sign * g) @ wti.swapaxes(-1, -2),
+                lambda g: g.swapaxes(-1, -2) @ x1d,
+                lambda g: (sign * g).swapaxes(-1, -2) @ x2d,
+                lambda g: np.add.reduce(g, axis=-2))
+        return record_op("complex_affine", value, (x1, x2, wr, wi, b), vjps)
+
+    return part(xr, xi, br, -1.0), part(xi, xr, bi, 1.0)
+
+
+def _magnitude(yr: Tensor, yi: Tensor) -> Tensor:
+    """Per-class magnitude ``sqrt(yr*yr + yi*yi + eps)`` as one tape node;
+    eps keeps it differentiable at zero. Each part's gradient is ``t + t``
+    with ``t = g * (0.5 / value) * y``, the square's two operand paths
+    summed, bit for bit what the multiply, add and sqrt chain accumulated
+    (doubling is exact, so ``t * 2.0`` is ``t + t``)."""
+    value = np.sqrt(yr.data * yr.data + yi.data * yi.data + MAGNITUDE_EPS)
+    return record_op("magnitude", value, (yr, yi),
+                     [lambda g, y=y: g * (0.5 / value) * y * 2.0 for y in (yr.data, yi.data)])
 
 
 def _cvnn(spec: NetworkSpec, p: dict, xr: Tensor, xi: Tensor) -> ForwardResult:
@@ -161,12 +194,7 @@ def _cvnn(spec: NetworkSpec, p: dict, xr: Tensor, xi: Tensor) -> ForwardResult:
     yr, yi = _complex_affine(yr, yi, p, "fc2")
     zr, zi = ad.relu(yr), ad.relu(yi)
     yr, yi = _complex_affine(zr, zi, p, "fc3")
-    if spec.task == "classification":
-        # per-class magnitude; eps keeps the sqrt differentiable at zero
-        sq = ad.add_const(ad.add(ad.mul(yr, yr), ad.mul(yi, yi)), MAGNITUDE_EPS)
-        pred = ad.sqrt(sq)
-    else:
-        pred = ad.concat(yr, yi)
+    pred = _magnitude(yr, yi) if spec.task == "classification" else ad.concat(yr, yi)
     return ForwardResult(pred=pred, latent_pair=LatentPair(z_re=zr, z_im=zi))
 
 

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape
-from .data import Dataset, add_complex_noise, load_cvds, stacked_targets, staged
+from .data import (Dataset, add_complex_noise, load_cvds, output_dir, stacked_targets,
+                   staged)
 from .diagnostics import accuracy, mag_phase_mse, mse_metric
 from .errors import ContractError, DataError, DivergenceError, ValidationError
 from .losses import (TrainConfig, adam_init, adam_step, cross_entropy, finite,
@@ -259,32 +260,33 @@ def run_training(raw_config: dict, out_dir) -> dict:
     train_ds, test_ds = _load_run_datasets(cfg)
     spec = NetworkSpec(kind=cfg["arch"], input_dim=train_ds.dn, latent_dim=cfg["latent_dim"],
                        output_dim=train_ds.k, task=train_ds.task)
-    # an unusable output path fails here, not after the whole run
+    # an unusable output path fails here, not after the whole run; a run
+    # that fails leaves no directory it made behind
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    started = time.monotonic()
-    try:
-        model, epochs = train_model(spec, train_ds, tc, test_ds)
-    except MemoryError:
-        raise ValidationError(f"config field latent_dim: a network with latent_dim "
-                              f"{spec.latent_dim} does not fit in memory") from None
-    wall = time.monotonic() - started
-    report = {
-        "format": REPORT_FORMAT,
-        "config": cfg,
-        "network": asdict(spec),
-        "dataset_provenance": {"train": train_ds.provenance,
-                               "test": test_ds.provenance if test_ds else None},
-        "epochs": epochs,
-        "final": {
-            "train": evaluate(model, train_ds),
-            "test": evaluate(model, test_ds) if test_ds is not None else None,
-        },
-        "wall_clock_seconds": wall,
-    }
-    with staged(out_dir / "report.json", out_dir / "checkpoint.bin") as (
-            report_tmp, checkpoint_tmp):
-        report_tmp.write_text(json.dumps(report, indent=1), encoding="utf-8")
-        save_checkpoint(model, checkpoint_tmp, seed=tc.seed, epoch=tc.epochs)
+    with output_dir(out_dir):
+        started = time.monotonic()
+        try:
+            model, epochs = train_model(spec, train_ds, tc, test_ds)
+        except MemoryError:
+            raise ValidationError(f"config field latent_dim: a network with latent_dim "
+                                  f"{spec.latent_dim} does not fit in memory") from None
+        wall = time.monotonic() - started
+        report = {
+            "format": REPORT_FORMAT,
+            "config": cfg,
+            "network": asdict(spec),
+            "dataset_provenance": {"train": train_ds.provenance,
+                                   "test": test_ds.provenance if test_ds else None},
+            "epochs": epochs,
+            "final": {
+                "train": evaluate(model, train_ds),
+                "test": evaluate(model, test_ds) if test_ds is not None else None,
+            },
+            "wall_clock_seconds": wall,
+        }
+        with staged(out_dir / "report.json", out_dir / "checkpoint.bin") as (
+                report_tmp, checkpoint_tmp):
+            report_tmp.write_text(json.dumps(report, indent=1), encoding="utf-8")
+            save_checkpoint(model, checkpoint_tmp, seed=tc.seed, epoch=tc.epochs)
     return report
 

@@ -59,7 +59,7 @@ def linear_chain_reference(x, w, b, upstream, bias: bool):
     """Value and gradients of ``sum((x @ w.T (+ b)) * upstream)`` by the
     numpy calls of the unfused tape chain that ``autodiff.linear``
     replaces: a transpose node, a matmul node, a row-broadcast bias add
-    node when ``bias``, then the ``mul`` by a constant and ``sum_all``.
+    node when ``bias``, then the ``weighted_sum`` probe.
     Without ``bias`` the gradient of ``b`` is zeros, as the tape reports
     for an unreached parameter.
     """
@@ -67,7 +67,7 @@ def linear_chain_reference(x, w, b, upstream, bias: bool):
     value = x @ wt                                # matmul
     if bias:
         value = value + b[..., None, :]           # bias add
-    g = np.full(value.shape, 1.0) * upstream      # sum_all, then mul
+    g = np.full(value.shape, 1.0) * upstream      # the probe
     grads = {"x": g @ wt.T,                       # matmul, first operand
              "w": np.ascontiguousarray((x.T @ g).T),  # matmul, then transpose
              "b": np.add.reduce(g, axis=-2) if bias else np.zeros_like(b)}
@@ -78,19 +78,74 @@ def sq_diff_chain_reference(a, b, upstream):
     """Value and gradients of ``sum(mean((a - b)^2) * upstream)``, the mean
     over the last two axes, by the numpy calls of the tape chain that
     ``autodiff.mean_sq_diff`` replaces: a ``sub`` node, a ``mul`` of the
-    difference by itself, a mean node, then the ``mul`` by a constant and
-    ``sum_all``. ``upstream`` is a scalar, or one weight per member of
+    difference by itself, a mean node, then the ``weighted_sum`` probe.
+    ``upstream`` is a scalar, or one weight per member of
     stacked [E, m, n] operands.
     """
     diff = a - b                                  # sub
     sq = diff * diff                              # mul
     value = sq.mean(axis=(-2, -1))                # mean
     n = a.shape[-2] * a.shape[-1]
-    g = np.full(upstream.shape, 1.0) * upstream   # sum_all, then mul
+    g = np.full(upstream.shape, 1.0) * upstream   # the probe
     t = np.empty(a.shape)
     t[...] = (g * (1.0 / n))[..., None, None]     # mean
     g_diff = t * diff + t * diff                  # mul, both operands
     return value, {"a": g_diff, "b": -g_diff}     # sub
+
+
+def weighted_sum(outs, weights):
+    """Scalar probe ``sum(out * w)`` over ``outs`` (a tensor, or a tuple of
+    them) and their ``weights``, as one tape node whose gradient to each
+    ``out`` is exactly its ``w``: backward from it runs the ops under test
+    with ``weights`` as their upstream gradients."""
+    if not isinstance(outs, tuple):
+        outs, weights = (outs,), (weights,)
+    weights = [np.asarray(w, dtype=np.float64) for w in weights]
+    value = sum(np.add.reduce(o.data * w, axis=None) for o, w in zip(outs, weights))
+    return cv.autodiff.record_op("weighted_sum", np.asarray(value), outs,
+                                 [lambda g, w=w: g * w for w in weights])
+
+
+def complex_affine_chain_reference(xr, xi, wr, wi, br, bi, up_r, up_i):
+    """Values and gradients of ``sum(yr * up_r) + sum(yi * up_i)`` for one
+    complex layer on 2-D operands, by the numpy calls of the tape chain
+    that each part of ``models._complex_affine`` replaces: the real part
+    was ``sub(linear(xr, wr, br), linear(xi, wi))`` and the imaginary part
+    ``add(linear(xi, wr, bi), linear(xr, wi))``. ``sub`` passes ``g`` and
+    ``-g`` and ``add`` passes ``g`` twice; every operand gets one
+    contribution from each part, summed.
+    """
+    a, ga = linear_chain_reference(xr, wr, br, up_r, bias=True)
+    b, gb = linear_chain_reference(xi, wi, br, -up_r, bias=False)
+    c, gc = linear_chain_reference(xi, wr, bi, up_i, bias=True)
+    d, gd = linear_chain_reference(xr, wi, bi, up_i, bias=False)
+    grads = {"xr": ga["x"] + gd["x"], "xi": gb["x"] + gc["x"],
+             "wr": ga["w"] + gc["w"], "wi": gb["w"] + gd["w"],
+             "br": ga["b"], "bi": gc["b"]}
+    return (a - b, c + d), grads
+
+
+def magnitude_chain_reference(yr, yi, upstream):
+    """Value and gradients of ``sum(sqrt(yr^2 + yi^2 + eps) * upstream)``
+    by the numpy calls of the tape chain that ``models._magnitude``
+    replaces: ``mul(yr, yr)``, ``mul(yi, yi)``, ``add``, ``add_const``,
+    ``sqrt``, then the probe. Each ``mul`` of a tensor by itself sends it
+    two equal contributions, which backward sums.
+    """
+    value = np.sqrt(yr * yr + yi * yi + cv.models.MAGNITUDE_EPS)
+    g = np.full(value.shape, 1.0) * upstream      # the probe
+    g_sq = g * (0.5 / value)                      # sqrt; add_const and add pass it on
+    t_r, t_i = g_sq * yr, g_sq * yi               # mul, each operand
+    return value, {"yr": t_r + t_r, "yi": t_i + t_i}
+
+
+def total_loss_chain_reference(task, penalty, beta, upstream):
+    """Value and gradients of ``sum((task + beta * penalty) * upstream)``
+    by the numpy calls of the ``add(task, scale(penalty, beta))`` chain
+    that ``losses.total_loss`` replaces."""
+    value = task + penalty * float(beta)          # scale, then add
+    g = np.full(np.shape(value), 1.0) * upstream  # the probe
+    return value, {"task": g, "penalty": g * float(beta)}
 
 
 def build_arch_loss(kind: str, task: str, seed: int, beta: float = 0.0,

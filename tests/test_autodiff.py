@@ -6,10 +6,11 @@ import pytest
 
 import cvlearn as cv
 from cvlearn import autodiff as ad
+from cvlearn import models
 from cvlearn.errors import ContractError, DataError, ShapeError
 
 from helpers import (block_relative_error, central_diff, linear_chain_reference,
-                     relu_margin, sq_diff_chain_reference)
+                     relu_margin, sq_diff_chain_reference, weighted_sum)
 
 
 def test_relu_values_and_subgradient_at_zero():
@@ -49,7 +50,7 @@ def test_concat_and_split():
     tape = cv.Tape()
     out = ad.concat(tape.param([[1.0, 2.0]], "a"), tape.param([[3.0, 4.0]], "b"))
     assert np.array_equal(out.data, [[1.0, 2.0, 3.0, 4.0]])
-    grads = tape.backward(ad.sum_all(ad.mul(out, ad.constant([[5.0, 6.0, 7.0, 8.0]]))))
+    grads = tape.backward(weighted_sum(out, [[5.0, 6.0, 7.0, 8.0]]))
     assert np.array_equal(grads["a"], [[5.0, 6.0]])
     assert np.array_equal(grads["b"], [[7.0, 8.0]])
 
@@ -138,7 +139,7 @@ def test_op_results_are_not_checked_for_overflow():
     # divergence is caught on the loss and the Adam update, not per op
     tape = cv.Tape()
     x = tape.param(np.full((2, 2), 1e308), "x")
-    out = ad.mul(x, x)  # overflows to inf
+    out = ad.linear(x, x)  # overflows to inf
     assert np.isinf(out.data).all()
 
 
@@ -146,7 +147,7 @@ def test_mixed_tapes_rejected():
     a = cv.Tape().param(np.ones((2, 2)), "a")
     b = cv.Tape().param(np.ones((2, 2)), "b")
     with pytest.raises(ContractError):
-        ad.add(a, b)
+        ad.concat(a, b)
 
 
 def test_tensors_are_frozen():
@@ -156,24 +157,28 @@ def test_tensors_are_frozen():
 
 
 def _unary_cases(g):
+    """The ``sqrt`` and ``add_const`` rows keep the ids of the ops that
+    cvnn's magnitude head was built from; both now live in the one
+    magnitude node, checked here with one part held off the tape."""
     x = g.standard_normal((3, 4))
+    away_from_zero = np.where(np.abs(x) < 1e-3, x + 0.01, x)
+    zeros = ad.constant(np.zeros((3, 4)))
+    # a constant under the sqrt, as eps was: c*c + eps, c bounded away from 0
+    c = ad.constant(1.0 + np.abs(g.standard_normal((3, 4))))
     return {
-        "relu": (ad.relu, np.where(np.abs(x) < 1e-3, x + 0.01, x)),
-        "sqrt": (ad.sqrt, np.abs(x) + 0.5),
-        "scale": (lambda t: ad.scale(t, -1.7), x),
-        "add_const": (lambda t: ad.add_const(t, 2.5), x),
+        "relu": (ad.relu, away_from_zero),
         "mean_center_rows": (ad.mean_center_rows, x),
+        "sqrt": (lambda t: models._magnitude(t, zeros), away_from_zero),
+        "add_const": (lambda t: models._magnitude(t, c), x),
     }
 
 
 def _project(out, seed):
     """Random linear functional of the op output; keeps gradients nonzero."""
-    c = ad.constant(np.random.default_rng(90_000 + seed).standard_normal(out.shape))
-    return ad.sum_all(ad.mul(out, c))
+    return weighted_sum(out, np.random.default_rng(90_000 + seed).standard_normal(out.shape))
 
 
-@pytest.mark.parametrize("name", ["relu", "sqrt", "scale", "add_const",
-                                  "mean_center_rows"])
+@pytest.mark.parametrize("name", ["relu", "mean_center_rows", "sqrt", "add_const"])
 def test_unary_op_gradients_100_seeds(name):
     for seed in range(100):
         g = np.random.default_rng(seed)
@@ -190,11 +195,12 @@ def test_unary_op_gradients_100_seeds(name):
         assert block_relative_error(fd, grads) < 1e-5, f"{name} seed {seed}"
 
 
-@pytest.mark.parametrize("name", ["add", "sub", "mul", "concat", "linear",
-                                  "mean_sq_diff"])
+@pytest.mark.parametrize("name", ["concat", "linear", "mean_sq_diff", "mul"])
 def test_binary_op_gradients_100_seeds(name):
-    ops = {"add": ad.add, "sub": ad.sub, "mul": ad.mul, "concat": ad.concat,
-           "linear": ad.linear, "mean_sq_diff": ad.mean_sq_diff}
+    # "mul" keeps the id of the op that spelled the magnitude head's squares
+    # y*y; with both parts on the tape it checks their summed operand paths
+    ops = {"concat": ad.concat, "linear": ad.linear, "mean_sq_diff": ad.mean_sq_diff,
+           "mul": models._magnitude}
     b_shapes = {"linear": (5, 4)}
     for seed in range(100):
         g = np.random.default_rng(1000 + seed)
@@ -230,6 +236,44 @@ def test_linear_with_bias_gradients_100_seeds():
         assert block_relative_error(fd, grads) < 1e-5, f"linear+bias seed {seed}"
 
 
+def _node_case(name, g):
+    """(op over a dict of tape tensors, parameter arrays) for the one-node
+    ops of cvnn's complex layer and magnitude head and of the penalised
+    loss; every input of the node is a parameter."""
+    if name.startswith("complex"):
+        lead = (2,) if name.endswith("stacked") else ()
+        shapes = {"xr": (3, 4), "xi": (3, 4), "wr": (5, 4), "wi": (5, 4),
+                  "br": (5,), "bi": (5,)}
+        part = 0 if name.startswith("complex_re") else 1
+
+        def op(t):
+            layer = {f"fc.{k}": t[k] for k in ("wr", "wi", "br", "bi")}
+            return models._complex_affine(t["xr"], t["xi"], layer, "fc")[part]
+
+        return op, {k: g.standard_normal(lead + s) for k, s in shapes.items()}
+    if name == "magnitude":
+        return (lambda t: models._magnitude(t["yr"], t["yi"]),
+                {"yr": g.standard_normal((3, 4)), "yi": g.standard_normal((3, 4))})
+    return (lambda t: cv.total_loss(t["task"], t["penalty"], 0.37),
+            {"task": g.standard_normal(()), "penalty": g.standard_normal(())})
+
+
+@pytest.mark.parametrize("name", ["complex_re", "complex_im", "complex_re_stacked",
+                                  "complex_im_stacked", "magnitude", "total_loss"])
+def test_node_gradients_100_seeds(name):
+    for seed in range(100):
+        op, params = _node_case(name, np.random.default_rng(3000 + seed))
+
+        def run(params, op=op, seed=seed):
+            tape = cv.Tape()
+            return tape, _project(op({k: tape.param(v, k) for k, v in params.items()}), seed)
+
+        tape, loss = run(params)
+        grads = tape.backward(loss)
+        fd = central_diff(lambda p: float(run(p)[1].data), params)
+        assert block_relative_error(fd, grads) < 1e-5, f"{name} seed {seed}"
+
+
 # (m, in, out), then the layers of the spectral networks (784 and 1568
 # wide inputs, 10 classes) and two stacked [E, m, in] ensembles
 @pytest.mark.parametrize("shape", [(32, 5, 64), (32, 64, 64), (32, 128, 2),
@@ -247,7 +291,7 @@ def test_linear_bit_identical_to_transpose_matmul_add_bias(shape, bias):
     tape = cv.Tape()
     tx, tw, tb = tape.param(x, "x"), tape.param(w, "w"), tape.param(b, "b")
     out = ad.linear(tx, tw, tb if bias else None)
-    grads = tape.backward(ad.sum_all(ad.mul(out, ad.constant(upstream))))
+    grads = tape.backward(weighted_sum(out, upstream))
     # each stacked member against the 2-D chain on its own slices
     for e in np.ndindex(*lead):
         ref_value, ref_grads = linear_chain_reference(x[e], w[e], b[e], upstream[e], bias)
@@ -268,7 +312,7 @@ def test_mean_sq_diff_bit_identical_to_sub_mul_mean_chain(shape):
     tape = cv.Tape()
     ta, tb = tape.param(a, "a"), tape.param(b, "b")
     out = ad.mean_sq_diff(ta, tb)
-    grads = tape.backward(ad.sum_all(ad.mul(out, ad.constant(upstream))))
+    grads = tape.backward(weighted_sum(out, upstream))
     ref_value, ref_grads = sq_diff_chain_reference(a, b, upstream)
     assert out.data.shape == shape[:-2]
     assert np.array_equal(out.data, ref_value)

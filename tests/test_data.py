@@ -142,6 +142,11 @@ def test_dataset_validation():
                          "classification")),
         ("features_im", (two, np.array([[0j, 1j], [1j, 0j]]), [0, 1], "classification")),
         ("labels", (two, two, np.array([["1.5"], ["2"]]), "complex_regression")),
+        # widths that load_cvds refuses (dN and k must be positive)
+        ("features_re", (np.ones((2, 0)), np.ones((2, 0)), [0, 1], "classification")),
+        ("features_re", (np.ones((2, 0)), np.ones((2, 0)), np.ones((2, 1)),
+                         "complex_regression")),
+        ("labels", (two, two, np.ones((2, 0)), "complex_regression")),
     ]
     bad += [("num_classes", (two, two, [0, 1], "classification", "", k))
             for k in (2.5, True, 0, -1, 1, "3")]

@@ -11,6 +11,8 @@ from cvlearn.losses import TrainConfig, adam_init, adam_step
 from cvlearn.models import LatentPair
 from cvlearn.train import resolve_config
 
+from helpers import total_loss_chain_reference, weighted_sum
+
 
 def test_cross_entropy_uniform_logits():
     loss = cv.cross_entropy(ad.constant(np.zeros((4, 10))), np.zeros(4, dtype=int))
@@ -139,6 +141,26 @@ def test_total_loss_arithmetic():
     assert cv.total_loss(task, None, 0.5) is task
     with pytest.raises(ContractError):
         cv.total_loss(task, penalty, -0.1)
+    with pytest.raises(ShapeError):  # one penalty per task loss, not broadcast
+        cv.total_loss(task, ad.constant(np.ones(2)), 0.5)
+
+
+# a solo run's scalar losses, then one loss per member of stacked ensembles;
+# 0.37 and 1e-3 are not powers of two, so scaling rounds
+@pytest.mark.parametrize("shape", [(), (2,), (5,)])
+@pytest.mark.parametrize("beta", [1e-3, 0.37])
+def test_total_loss_bit_identical_to_add_scale_chain(shape, beta):
+    g = np.random.default_rng(len(shape) + int(beta * 1000))
+    task, penalty, upstream = (np.abs(g.standard_normal(shape)) for _ in range(3))
+    tape = cv.Tape()
+    tt, tp = tape.param(task, "task"), tape.param(penalty, "penalty")
+    out = cv.total_loss(tt, tp, beta)
+    assert len(tape.nodes) == 3
+    grads = tape.backward(weighted_sum(out, upstream))
+    ref_value, ref_grads = total_loss_chain_reference(task, penalty, beta, upstream)
+    assert np.array_equal(out.data, ref_value)
+    for name in ("task", "penalty"):
+        assert np.array_equal(grads[name], ref_grads[name]), name
 
 
 def test_total_loss_monotone_in_penalty():

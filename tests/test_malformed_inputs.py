@@ -324,8 +324,21 @@ def test_cli_failed_train_writes_no_run_files(work, case):
     args = argv(work)
     out_dir = Path(args[args.index("--out") + 1])
     assert cli(*args, cwd=work).returncode != 0
-    assert not (out_dir / "report.json").exists()
-    assert not (out_dir / "checkpoint.bin").exists()
+    assert not out_dir.exists()  # nor run files, nor the directory the run made
+
+
+def test_cli_failed_train_keeps_an_existing_out_dir(work):
+    empty, used = work / "kept-empty", work / "kept-used"
+    empty.mkdir()
+    used.mkdir()
+    (used / "notes.txt").write_text("mine")
+    for out_dir in (empty, used):
+        out = cli("train", "--config", _latent_config(work, 10 ** 15), "--out", out_dir,
+                  cwd=work)
+        assert out.returncode == 1 and "latent_dim" in out.stderr, out.stderr
+    assert list(empty.iterdir()) == []
+    assert [f.name for f in used.iterdir()] == ["notes.txt"]
+    assert (used / "notes.txt").read_text() == "mine"
 
 
 @pytest.mark.parametrize("case", ["gen-m-too-big", "gen-m-past-array-limit"])

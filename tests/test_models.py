@@ -11,7 +11,8 @@ from cvlearn import models
 from cvlearn.errors import ContractError, DataError, ShapeError
 
 from helpers import (block_relative_error, build_arch_loss, central_diff,
-                     random_regression, synthetic_classification)
+                     complex_affine_chain_reference, magnitude_chain_reference,
+                     random_regression, synthetic_classification, weighted_sum)
 
 ALL_KINDS = ["rvnn", "cvnn", "steinmetz", "analytic"]
 
@@ -158,19 +159,76 @@ def test_steinmetz_batch_permutation_equivariance():
 
 def test_complex_layer_single_neuron():
     # one complex neuron with weight i and input 1: output i, crelu (0, 1)
+    w, b, x = np.array([[1j]]), np.array([0j]), np.array([[1 + 0j]])
     tape = cv.Tape()
-    p = {"fc1.wr": tape.param(np.array([[0.0]]), "wr"),
-         "fc1.wi": tape.param(np.array([[1.0]]), "wi"),
-         "fc1.br": tape.param(np.zeros(1), "br"),
-         "fc1.bi": tape.param(np.zeros(1), "bi")}
-    xr, xi = ad.constant(np.array([[1.0]])), ad.constant(np.array([[0.0]]))
-    yr, yi = models._complex_affine(xr, xi, p, "fc1")
+    p = {"fc1.wr": tape.param(w.real, "wr"), "fc1.wi": tape.param(w.imag, "wi"),
+         "fc1.br": tape.param(b.real, "br"), "fc1.bi": tape.param(b.imag, "bi")}
+    yr, yi = models._complex_affine(ad.constant(x.real), ad.constant(x.imag), p, "fc1")
+    y = x @ w.T + b  # numpy's complex arithmetic
+    assert np.array_equal(yr.data, y.real) and np.array_equal(yi.data, y.imag)
     assert float(yr.data[0, 0]) == 0.0 and float(yi.data[0, 0]) == 1.0
     rr, ri = ad.relu(yr), ad.relu(yi)
     assert float(rr.data[0, 0]) == 0.0 and float(ri.data[0, 0]) == 1.0
-    mag = ad.sqrt(ad.add_const(ad.add(ad.mul(rr, rr), ad.mul(ri, ri)),
-                               models.MAGNITUDE_EPS))
+    mag = models._magnitude(rr, ri)
+    z = np.maximum(y.real, 0) + 1j * np.maximum(y.imag, 0)
+    assert np.array_equal(mag.data, np.sqrt(np.abs(z) ** 2 + models.MAGNITUDE_EPS))
     assert abs(float(mag.data[0, 0]) - 1.0) < 1e-9
+
+
+# a bias, weight or row count that numpy would broadcast or fail on
+@pytest.mark.parametrize("name,shape", [("fc1.br", (1,)), ("fc2.wi", (4, 3)),
+                                        ("fc2.wi", (1, 4)), ("fc3.bi", (1,))])
+def test_cvnn_rejects_mismatched_parameter_shapes(name, shape):
+    spec = cv.NetworkSpec(kind="cvnn", input_dim=3, latent_dim=4, output_dim=2,
+                          task="complex_regression")
+    model = cv.init_params(spec, 1)
+    model.params[name] = np.zeros(shape)
+    with pytest.raises(ShapeError):
+        cv.forward(model, np.ones((2, 3)), np.ones((2, 3)))
+
+
+# (m, in, out) of cvnn's layers at the recipe shapes (channel input, latent,
+# 784-wide spectral input, 10-class head), then stacked [E, m, in] ensembles
+@pytest.mark.parametrize("shape", [(32, 5, 64), (32, 64, 64), (32, 784, 64), (32, 64, 10),
+                                   (2, 32, 784, 64), (5, 32, 64, 64)])
+def test_complex_affine_bit_identical_to_linear_sub_add_chain(shape):
+    *lead, m, d_in, d_out = shape
+    g = np.random.default_rng(d_in * 1000 + d_out + len(lead))
+    x_shape, w_shape, b_shape = (*lead, m, d_in), (*lead, d_out, d_in), (*lead, d_out)
+    arrays = {"xr": x_shape, "xi": x_shape, "wr": w_shape, "wi": w_shape,
+              "br": b_shape, "bi": b_shape}
+    arrays = {k: g.standard_normal(s) for k, s in arrays.items()}
+    up_r, up_i = g.standard_normal((*lead, m, d_out)), g.standard_normal((*lead, m, d_out))
+
+    tape = cv.Tape()
+    t = {k: tape.param(v, k) for k, v in arrays.items()}
+    layer = {f"fc.{k}": t[k] for k in ("wr", "wi", "br", "bi")}
+    yr, yi = models._complex_affine(t["xr"], t["xi"], layer, "fc")
+    assert [n.op for n in tape.nodes[len(t):]] == ["complex_affine"] * 2
+    grads = tape.backward(weighted_sum((yr, yi), (up_r, up_i)))
+    # each stacked member against the 2-D chain on its own slices
+    for e in np.ndindex(*lead):
+        (ref_r, ref_i), ref_grads = complex_affine_chain_reference(
+            *(arrays[k][e] for k in ("xr", "xi", "wr", "wi", "br", "bi")), up_r[e], up_i[e])
+        assert np.array_equal(yr.data[e], ref_r) and np.array_equal(yi.data[e], ref_i)
+        for name in arrays:
+            assert np.array_equal(grads[name][e], ref_grads[name]), name
+
+
+@pytest.mark.parametrize("shape", [(32, 10), (32, 64), (2, 32, 10), (5, 32, 10)])
+def test_magnitude_bit_identical_to_mul_add_sqrt_chain(shape):
+    g = np.random.default_rng(sum(shape))
+    yr, yi, upstream = (g.standard_normal(shape) for _ in range(3))
+    yr[..., 0, 0] = yi[..., 0, 0] = 0.0  # at zero, where eps keeps the gradient finite
+    tape = cv.Tape()
+    tr, ti = tape.param(yr, "yr"), tape.param(yi, "yi")
+    mag = models._magnitude(tr, ti)
+    assert len(tape.nodes) == 3
+    grads = tape.backward(weighted_sum(mag, upstream))
+    ref_value, ref_grads = magnitude_chain_reference(yr, yi, upstream)
+    assert np.array_equal(mag.data, ref_value)
+    for name in ("yr", "yi"):
+        assert np.array_equal(grads[name], ref_grads[name]), name
 
 
 def test_cvnn_degenerate_reduces_to_real_mlp_bitwise():
@@ -197,8 +255,8 @@ def test_cvnn_degenerate_reduces_to_real_mlp_bitwise():
 
 # tape nodes per training step (parameters, ops, and the summed loss)
 NODES_PER_STEP = {
-    "complex_regression": {"rvnn": 13, "cvnn": 37, "steinmetz": 24, "analytic": 28},
-    "classification": {"rvnn": 13, "cvnn": 41, "steinmetz": 24, "analytic": 28},
+    "complex_regression": {"rvnn": 13, "cvnn": 25, "steinmetz": 24, "analytic": 27},
+    "classification": {"rvnn": 13, "cvnn": 25, "steinmetz": 24, "analytic": 27},
 }
 
 

@@ -232,6 +232,10 @@ def test_failed_run_output_write_leaves_no_files(tmp_path, monkeypatch):
     monkeypatch.setattr(cv.train, "save_checkpoint", failing_save)
     with pytest.raises(OSError, match="disk full"):
         run_training(_small_run_config(tmp_path), tmp_path / "run")
+    assert not (tmp_path / "run").exists()  # the run made it and removed it again
+    (tmp_path / "run").mkdir()
+    with pytest.raises(OSError, match="disk full"):
+        run_training(_small_run_config(tmp_path), tmp_path / "run")
     assert list((tmp_path / "run").iterdir()) == []
 
 
@@ -441,8 +445,7 @@ def test_cli_train_divergence_exits_2_without_report(tmp_path):
     # numpy's overflow warnings stay silent: the one line is the error
     assert len(out.stderr.splitlines()) == 1, out.stderr
     assert out.stderr.startswith("data error: training diverged"), out.stderr
-    assert not (tmp_path / "run" / "report.json").exists()
-    assert not (tmp_path / "run" / "checkpoint.bin").exists()
+    assert not (tmp_path / "run").exists()  # nor run files, nor the directory the run made
 
 
 def test_cli_missing_dataset_exit_code(tmp_path):

@@ -5,7 +5,7 @@ import cvlearn as cv
 from cvlearn import transforms as tr
 from cvlearn.errors import ContractError, DataError
 
-from helpers import zero_dc_nyquist
+from helpers import weighted_sum, zero_dc_nyquist
 
 POW2 = [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
 
@@ -294,8 +294,7 @@ def test_hilbert_rows_tape_gradient_is_adjoint():
     tx = tape.param(x, "x")
     out = tr.hilbert_rows(tx)
     assert np.abs(out.data - x @ h_matrix.T).max() < 1e-12
-    loss = cv.autodiff.sum_all(cv.autodiff.mul(out, cv.autodiff.constant(upstream_target)))
-    grads = tape.backward(loss)
+    grads = tape.backward(weighted_sum(out, upstream_target))
     assert np.abs(grads["x"] - upstream_target @ h_matrix).max() < 1e-10
 
 
@@ -315,8 +314,7 @@ def test_hilbert_rows_dense_operator_matches_spectral_path(n):
     scale = max(1.0, float(np.abs(x).max()))
     assert np.abs(out.data - tr.hilbert_rows_array(x)).max() <= 1e-12 * scale
     upstream = np.random.default_rng(n + 1).standard_normal((5, n))
-    grads = tape.backward(cv.autodiff.sum_all(
-        cv.autodiff.mul(out, cv.autodiff.constant(upstream))))
+    grads = tape.backward(weighted_sum(out, upstream))
     assert np.abs(grads["x"] - tr.hilbert_adjoint_rows_array(upstream)).max() <= 1e-12 * n
 
 
