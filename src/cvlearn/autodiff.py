@@ -100,8 +100,8 @@ class Tape:
         """Bind a named tensor whose gradient ``backward`` returns, as a
         read-only view (copied only when not float64 C-contiguous).
 
-        There is no finite check here: parameters are checked where they
-        are made (``init_params``, ``load_checkpoint``, each Adam step).
+        There is no finite check here: a ``Model`` checks its parameters'
+        layout and values when built, and training checks each Adam update.
         """
         if name in self._param_ids:
             raise ContractError(f"duplicate parameter name on tape: {name}")

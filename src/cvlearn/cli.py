@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import recipes, transforms
-from .data import (ChannelSpec, add_complex_noise, dft_encode,
-                   gen_channel_dataset, load_cvds, parse_json_object, save_cvds)
+from .data import (ChannelSpec, add_complex_noise, dft_encode, gen_channel_dataset,
+                   load_cvds, parse_json_object, save_cvds, staged)
 # accuracy, mag_phase_mse, mse_metric and forward stay bound here, though
 # unused, so perfbench/spans.py can wrap every binding site of them
 from .diagnostics import (accuracy, covariance_comparison,  # noqa: F401
@@ -128,10 +128,12 @@ def _load_eval_pair(args):
 
 
 def _emit(payload: dict, out_path) -> None:
+    """Print the payload as JSON, once it is written to ``out_path`` when given."""
     text = json.dumps(payload, indent=1)
-    print(text)
     if out_path:
-        Path(out_path).write_text(text + "\n", encoding="utf-8")
+        with staged(Path(out_path)) as (tmp,):
+            tmp.write_text(text + "\n", encoding="utf-8")
+    print(text)
 
 
 def _cmd_eval(args) -> None:

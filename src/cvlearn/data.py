@@ -215,7 +215,11 @@ def staged(*paths: Path):
     tmps = []
     try:
         for path in paths:
-            fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=f".{path.name}.", dir=path.parent)
+            try:
+                fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=f".{path.name}.",
+                                           dir=path.parent)
+            except OSError as e:  # name the target, not a temp file never made
+                raise type(e)(e.errno, e.strerror, str(path)) from None
             os.close(fd)
             tmps.append(Path(tmp))
         yield tmps
@@ -236,17 +240,17 @@ def _cvds_file(path: Path, name: str) -> Path:
     return f
 
 
-def _read_array(path: Path, name: str, dtype: str, shape: tuple, what: str) -> np.ndarray:
-    """File ``name`` read straight into a fresh ``dtype`` array of ``shape``;
-    DataError when it is missing or its size does not fit ``what``."""
+def read_array(fh, name: str, dtype: str, shape: tuple) -> np.ndarray:
+    """The rest of open file ``fh`` read straight into a fresh ``dtype`` array of
+    ``shape``; DataError naming ``name``, before any allocation, when it does not fit."""
     expected = math.prod(shape) * np.dtype(dtype).itemsize
-    with _cvds_file(path, name).open("rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size == expected:
-            out = np.empty(shape, dtype)
-            if fh.readinto(out) == size:
-                return out
-    raise DataError(f"{name}: expected {expected} bytes {what}, found {size}")
+    size = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size == expected:
+        out = np.empty(shape, dtype)
+        if fh.readinto(out) == size:
+            return out
+    raise DataError(f"{name}: expected {expected} bytes for {np.dtype(dtype).name} "
+                    f"shape {shape}, found {size}")
 
 
 def load_cvds(path) -> Dataset:
@@ -256,6 +260,11 @@ def load_cvds(path) -> Dataset:
     class ids, provenance) by the Dataset they build. Each blob is read
     straight into the array the Dataset keeps."""
     path = Path(path)
+
+    def blob(name: str, dtype: str, shape: tuple) -> np.ndarray:
+        with _cvds_file(path, name).open("rb") as fh:
+            return read_array(fh, name, dtype, shape)
+
     meta = parse_json_object(_cvds_file(path, "meta.json").read_bytes(), "meta.json")
     for fieldname in ("M", "dN", "k", "task"):
         if fieldname not in meta:
@@ -272,16 +281,15 @@ def load_cvds(path) -> Dataset:
         raise DataError(f"meta.json: unknown task {task!r}")
     if m < 1 or dn < 1 or k < 1:
         raise DataError("meta.json: M, dN, k must be positive")
-    re = _read_array(path, "features_re.bin", "<f8", (m, dn), f"for {m}x{dn} float64")
+    re = blob("features_re.bin", "<f8", (m, dn))
     if (path / "features_im.bin").exists():
-        im = _read_array(path, "features_im.bin", "<f8", (m, dn), f"for {m}x{dn} float64")
+        im = blob("features_im.bin", "<f8", (m, dn))
     else:
         im = np.zeros_like(re)
     if task == "classification":
-        labels = _read_array(path, "labels.bin", "<u4", (m,), "of uint32 ids")
+        labels = blob("labels.bin", "<u4", (m,))
     else:
-        flat = _read_array(path, "labels.bin", "<f8", (m, 2 * k),
-                           f"for {m}x{2 * k} float64 targets")
+        flat = blob("labels.bin", "<f8", (m, 2 * k))
         labels = flat[:, :k] + 1j * flat[:, k:]
     return Dataset(re, im, labels, task, provenance=meta.get("provenance", ""),
                    num_classes=k if task == "classification" else None)

@@ -20,7 +20,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, record_op
 from .errors import (ContractError, DataError, DivergenceError, ShapeError,
                      ValidationError)
-from .models import LatentPair
+from .models import LatentPair, param_views
 from .transforms import hilbert_rows
 
 
@@ -183,12 +183,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     tmp /= denom                                # lr * m_hat / denom
     flat = np.concatenate(list(params.values()), axis=None)
     flat -= tmp
-    flat.setflags(write=False)
-    new_params = {}
-    offset = 0
-    for name, p in params.items():
-        new_params[name] = flat[offset:offset + p.size].reshape(p.shape)
-        offset += p.size
+    new_params = param_views(flat, {name: p.shape for name, p in params.items()})
     if not np.isfinite(flat).all():
         raise DivergenceError(t, params=new_params)
     return new_params, AdamState(m=m, v=v, t=t)

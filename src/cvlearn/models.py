@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, record_op
-from .data import TASKS, parse_json_object
+from .data import TASKS, parse_json_object, read_array
 from .errors import ContractError, DataError, ShapeError
 from .rng import Rng
 
@@ -63,13 +63,18 @@ class NetworkSpec:
 
 @dataclass
 class Model:
-    """A network's parameters; training also holds an ensemble of E
-    members as one Model whose parameters carry a leading [E] axis."""
+    """A network's parameters: the spec's, in declared order and shape, and
+    finite, or construction raises DataError (forward binds them unchecked).
+    Training holds an ensemble as one Model whose parameters carry a leading [E] axis."""
     spec: NetworkSpec
-    params: dict[str, np.ndarray] = field(default_factory=dict)
+    params: dict[str, np.ndarray]
 
     def __post_init__(self):
-        # forward binds parameters unchecked; training re-checks every update
+        got = [(name, np.shape(p)) for name, p in self.params.items()]
+        lead = got[0][1][:-2] if got else ()  # every layout starts with a weight matrix
+        want = [(name, lead + shape) for name, shape in _param_shapes(self.spec).items()]
+        if len(lead) > 1 or got != want:
+            raise DataError(f"parameters {got} do not match the spec's layout {want}")
         for name, p in self.params.items():
             if not np.isfinite(p).all():
                 raise DataError(f"parameter {name!r} has non-finite values")
@@ -133,6 +138,16 @@ def init_params(spec: NetworkSpec, seed: int) -> Model:
             bound = 1.0 / np.sqrt(shape[1])
             params[name] = root.substream(f"init/{name}").uniform(-bound, bound, shape)
     return Model(spec=spec, params=params)
+
+
+def param_views(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """``flat``, made read-only, cut in order into views of ``shapes``."""
+    flat.setflags(write=False)
+    views, end = {}, 0
+    for name, shape in shapes.items():
+        start, end = end, end + math.prod(shape)
+        views[name] = flat[start:end].reshape(shape)
+    return views
 
 
 def param_count(model: Model) -> int:
@@ -258,6 +273,9 @@ def latent_channels(result: ForwardResult) -> tuple[np.ndarray, np.ndarray]:
 
 
 def save_checkpoint(model: Model, path, seed: int, epoch: int) -> None:
+    """Write one network; a stacked ensemble raises ContractError."""
+    if [p.shape for p in model.params.values()] != list(_param_shapes(model.spec).values()):
+        raise ContractError("save_checkpoint writes one network, not a stacked ensemble")
     header = {
         "format": CHECKPOINT_FORMAT,
         "spec": asdict(model.spec),
@@ -301,40 +319,26 @@ def _header_spec(header: dict) -> NetworkSpec:
 
 
 def load_checkpoint(path) -> tuple[Model, dict]:
-    """Returns (model, header). Raises DataError on malformed files; Model
-    construction rejects non-finite parameters."""
+    """Returns (model, header), the parameters read-only views of one buffer
+    the blob is read into. Raises DataError on malformed files."""
     with open(path, "rb") as f:
-        header_line = f.readline()
-        blob = f.read()
-    header = parse_json_object(header_line, "checkpoint header")
-    if header.get("format") != CHECKPOINT_FORMAT:
-        raise DataError(f"unexpected checkpoint format: {header.get('format')!r}")
-    if (header.get("dtype"), header.get("endianness")) != ("f64", "little"):
-        raise DataError("checkpoint header: only f64 little-endian parameters are supported")
-    spec = _header_spec(header)
-    expected = _param_shapes(spec)
-    params = {}
-    offset = 0
-    for i, entry in enumerate(_field(header, "params", list)):
-        name = _field(entry, "name", str, f"params[{i}].")
-        shape = _field(entry, "shape", list, f"params[{i}].")
-        if not all(isinstance(d, int) and not isinstance(d, bool) for d in shape):
-            raise DataError(f"checkpoint header: field params[{i}].shape "
-                            "must be a list of integers")
-        shape = tuple(shape)
-        if name not in expected or expected[name] != shape:
-            raise DataError(f"checkpoint parameter {name!r} has unexpected shape {shape}")
-        if name in params:
-            raise DataError(f"checkpoint parameter {name!r} is listed twice")
-        nbytes = math.prod(shape) * 8  # exact: np.prod wraps around in int64
-        if offset + nbytes > len(blob):
-            raise DataError(f"checkpoint blob truncated at parameter {name!r}")
-        arr = np.frombuffer(blob[offset:offset + nbytes], dtype="<f8").reshape(shape)
-        params[name] = arr.astype(np.float64)
-        offset += nbytes
-    if offset != len(blob):
-        raise DataError("checkpoint blob has trailing bytes")
-    if set(params) != set(expected):
-        missing = sorted(set(expected) - set(params))
-        raise DataError(f"checkpoint missing parameters: {missing}")
-    return Model(spec=spec, params=params), header
+        header = parse_json_object(f.readline(), "checkpoint header")
+        if header.get("format") != CHECKPOINT_FORMAT:
+            raise DataError(f"unexpected checkpoint format: {header.get('format')!r}")
+        if (header.get("dtype"), header.get("endianness")) != ("f64", "little"):
+            raise DataError("checkpoint header: only f64 little-endian parameters are supported")
+        spec = _header_spec(header)
+        listed = []
+        for i, entry in enumerate(_field(header, "params", list)):
+            name = _field(entry, "name", str, f"params[{i}].")
+            shape = _field(entry, "shape", list, f"params[{i}].")
+            if not all(isinstance(d, int) and not isinstance(d, bool) for d in shape):
+                raise DataError(f"checkpoint header: field params[{i}].shape "
+                                "must be a list of integers")
+            listed.append((name, tuple(shape)))
+        shapes = _param_shapes(spec)
+        if listed != list(shapes.items()):
+            raise DataError(f"checkpoint header: field params lists {listed}, not the "
+                            f"spec's {list(shapes.items())}")
+        flat = read_array(f, "checkpoint blob", "<f8", (sum(map(math.prod, shapes.values())),))
+    return Model(spec=spec, params=param_views(flat, shapes)), header

@@ -15,6 +15,7 @@ directory as mnist-real/train and mnist-real/test.
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 from typing import Optional, Sequence
@@ -22,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import (ChannelSpec, Dataset, add_complex_noise, dft_encode,
-                   gen_channel_dataset, load_cvds)
+                   gen_channel_dataset, load_cvds, output_dir, staged)
 from .diagnostics import latent_orthogonality
 from .errors import DataError, ValidationError
 from .losses import TrainConfig
@@ -95,9 +96,30 @@ def _fmt(ms: dict, digits: int) -> str:
     return f"{ms['mean']:.{digits}f} ± {ms['std']:.{digits}f}"
 
 
+def _writes_out_dir(run):
+    """``run`` with an ``out_dir`` keyword. Unless it is None, the directory
+    is made before ``run`` starts, and the result is written there as JSON
+    and as its table, both files or neither."""
+    @functools.wraps(run)
+    def wrapper(*args, out_dir=None, **kwargs) -> dict:
+        if out_dir is None:
+            return run(*args, **kwargs)
+        out_dir = Path(out_dir)
+        with output_dir(out_dir):
+            result = run(*args, **kwargs)
+            name = result["recipe"].replace("-", "_")
+            with staged(out_dir / f"{name}.json", out_dir / f"{name}.txt") as (
+                    json_tmp, table_tmp):
+                json_tmp.write_text(json.dumps(result, indent=1), encoding="utf-8")
+                table_tmp.write_text(result["table"] + "\n", encoding="utf-8")
+        return result
+    return wrapper
+
+
+@_writes_out_dir
 def run_channel_id(base_seed: int = 1, n_seeds: int = 5,
                    epochs: int = CHANNEL_EPOCHS, m: int = 1000,
-                   test_m: int = 1000, out_dir=None) -> dict:
+                   test_m: int = 1000) -> dict:
     """Nonlinear channel identification: rho = sqrt(2)/2, 5 dB SNR."""
     chan = ChannelSpec()
     seeds = list(range(base_seed, base_seed + n_seeds))
@@ -111,7 +133,7 @@ def run_channel_id(base_seed: int = 1, n_seeds: int = 5,
     summary = _summary({a: {key: [run[key] for run in per_seed[a]] for key in
                             ("mse", "mag_mse", "phase_mse", "orthogonality")}
                         for a in KINDS})
-    return _write({
+    return {
         "recipe": "channel-id",
         "base_seed": base_seed, "seeds": seeds, "epochs": epochs,
         "channel": {"rho": chan.rho, "snr_db": chan.snr_db, "m": m, "test_m": test_m},
@@ -120,7 +142,7 @@ def run_channel_id(base_seed: int = 1, n_seeds: int = 5,
                         f"M={m}, {n_seeds} seed(s))", summary,
                         [("Magnitude MSE", "mag_mse", 3), ("Phase MSE", "phase_mse", 3)],
                         per_seed),
-    }, out_dir)
+    }
 
 
 def _mnist_datasets(data_dir) -> tuple[Dataset, Dataset]:
@@ -135,8 +157,9 @@ def _mnist_datasets(data_dir) -> tuple[Dataset, Dataset]:
     return load_cvds(train_path), load_cvds(test_path)
 
 
+@_writes_out_dir
 def run_cvmnist500(data_dir, base_seed: int = 1, n_seeds: int = 5,
-                   epochs: int = CVMNIST_EPOCHS, m: int = 500, out_dir=None) -> dict:
+                   epochs: int = CVMNIST_EPOCHS, m: int = 500) -> dict:
     """Spectral MNIST classification from the first m training images."""
     train_raw, test_raw = _mnist_datasets(data_dir)
     if train_raw.m < m:
@@ -149,18 +172,19 @@ def run_cvmnist500(data_dir, base_seed: int = 1, n_seeds: int = 5,
     summary = _summary({a: {key: [run[key] for run in per_seed[a]] for key in
                             ("accuracy", "orthogonality")}
                         for a in KINDS})
-    return _write({
+    return {
         "recipe": "cvmnist500",
         "base_seed": base_seed, "seeds": seeds, "epochs": epochs, "m": m,
         "per_seed": per_seed, "summary": summary,
         "table": _table(f"cvmnist500 (M={m}, {n_seeds} seed(s), {epochs} epochs)",
                         summary, [("Accuracy (%)", "accuracy", 3)], per_seed),
-    }, out_dir)
+    }
 
 
+@_writes_out_dir
 def run_noise_sweep(data_dir, base_seed: int = 1, n_seeds: int = 1,
                     etas: Sequence[float] = (0.0, 0.5, 1.0, 1.5, 2.0),
-                    m: int = 2000, epochs: int = NOISE_EPOCHS, out_dir=None) -> dict:
+                    m: int = 2000, epochs: int = NOISE_EPOCHS) -> dict:
     """Train-set noise robustness on spectral MNIST; test set stays clean."""
     train_raw, test_raw = _mnist_datasets(data_dir)
     if train_raw.m < m:
@@ -177,27 +201,13 @@ def run_noise_sweep(data_dir, base_seed: int = 1, n_seeds: int = 1,
                     for i, key in enumerate(keys)} for a in KINDS}
     grid = _summary({a: {key: [r["accuracy"] for r in per_seed[a][key]] for key in keys}
                      for a in KINDS})
-    return _write({
+    return {
         "recipe": "noise-sweep",
         "base_seed": base_seed, "seeds": seeds, "epochs": epochs, "m": m,
         "etas": list(etas), "per_seed": per_seed, "summary": grid,
         "table": _table(f"noise-sweep accuracy (%) (M={m}, {n_seeds} seed(s))", grid,
                         [(f"eta={key}", key, 2) for key in keys]),
-    }, out_dir)
-
-
-def _write(result: dict, out_dir) -> dict:
-    """The result, also written as JSON and as its table under ``out_dir``
-    unless that is None."""
-    if out_dir is None:
-        return result
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    name = result["recipe"].replace("-", "_")
-    (out_dir / f"{name}.json").write_text(json.dumps(result, indent=1),
-                                          encoding="utf-8")
-    (out_dir / f"{name}.txt").write_text(result["table"] + "\n", encoding="utf-8")
-    return result
+    }
 
 
 # channel-id generates its data, so it takes no data directory

@@ -82,15 +82,21 @@ def _check_members(spec: NetworkSpec, train_sets: Sequence[Dataset],
         raise ContractError("an ensemble needs one train set and one config per "
                             "member, and one test set each when any is given")
     shared = asdict(cfgs[0])
-    for i, (cfg, ds) in enumerate(zip(cfgs, train_sets)):
+    for i, cfg in enumerate(cfgs):
         for key, value in asdict(cfg).items():
             if key != "seed" and value != shared[key]:
                 raise ContractError(f"ensemble member {i} differs in config field {key}")
-        if (ds.task, ds.dn, ds.m) != (spec.task, spec.input_dim, train_sets[0].m) or (
-                ds.task == "complex_regression" and ds.k != spec.output_dim):
-            raise ContractError(
-                f"ensemble member {i}: train set (task {ds.task}, M={ds.m}, "
-                f"dN={ds.dn}, k={ds.k}) does not fit the network spec and member 0")
+    for what, sets in (("train", train_sets), ("test", test_sets or ())):
+        for i, ds in enumerate(sets):
+            # a classification set may lack the spec's last classes, but not add any
+            k_fits = (ds.k <= spec.output_dim if ds.task == "classification"
+                      else ds.k == spec.output_dim)
+            if (ds.task, ds.dn) != (spec.task, spec.input_dim) or not k_fits or (
+                    what == "train" and ds.m != train_sets[0].m):
+                raise ContractError(
+                    f"ensemble member {i}: {what} set (task {ds.task}, M={ds.m}, "
+                    f"dN={ds.dn}, k={ds.k}) does not fit the network spec (or, for a "
+                    "train set, member 0's M)")
 
 
 def _rows(arrays: list) -> np.ndarray:

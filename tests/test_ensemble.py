@@ -91,6 +91,26 @@ def test_members_must_share_spec_m_and_config():
         train_models(spec, sets, cfgs, sets[:2])
 
 
+def test_every_set_is_checked_before_the_first_step(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("training stepped before every set was checked")
+
+    monkeypatch.setattr(cv.train, "adam_step", unreachable)
+    spec = cv.NetworkSpec("rvnn", 3, 4, 2, "classification")
+    train, cfg = synthetic_classification(20, 3, 2, seed=1), _cfg(1)
+    for test in (synthetic_classification(20, 5, 2, seed=2),   # feature width 5
+                 synthetic_classification(20, 3, 5, seed=2),   # 5 classes, 2 outputs
+                 random_regression(20, 3, 2, seed=2)):         # another task
+        with pytest.raises(ContractError, match="member 0: test set"):
+            train_models(spec, [train], [cfg], [test])
+    with pytest.raises(ContractError, match="member 0: train set"):
+        train_models(spec, [synthetic_classification(20, 3, 5, seed=2)], [cfg])
+    regression = cv.NetworkSpec("rvnn", 3, 4, 2, "complex_regression")
+    with pytest.raises(ContractError, match="member 0: test set"):
+        train_models(regression, [random_regression(20, 3, 2, seed=1)], [cfg],
+                     [random_regression(20, 3, 1, seed=2)])
+
+
 def _divergence(spec, ds, cfg):
     try:
         train_model(spec, ds, cfg)

@@ -336,6 +336,50 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
         assert np.array_equal(loaded.params[name], model.params[name])
 
 
+def test_loaded_parameters_are_read_only_views_of_one_buffer(tmp_path):
+    spec = cv.NetworkSpec(kind="cvnn", input_dim=5, latent_dim=4, output_dim=3,
+                          task="classification")
+    cv.save_checkpoint(cv.init_params(spec, 2), tmp_path / "ckpt.bin", seed=2, epoch=0)
+    params = list(cv.load_checkpoint(tmp_path / "ckpt.bin")[0].params.values())
+    first, last = params[0], params[-1]
+    # disjoint slices overlap in no byte, so the check is on their common base
+    assert first.base is last.base and np.shares_memory(first.base, last)
+    assert first.base.size == sum(p.size for p in params)
+    assert not any(p.flags.writeable for p in params)
+
+
+RVNN = cv.NetworkSpec(kind="rvnn", input_dim=3, latent_dim=4, output_dim=2,
+                      task="classification")
+
+
+def _stacked(params: dict) -> dict:
+    return {name: np.stack([p, p]) for name, p in params.items()}
+
+
+OFF_LAYOUT = {
+    "wrong-shape": lambda p: {**p, "fc1.b": np.zeros(7)},
+    "missing": lambda p: {name: a for name, a in p.items() if name != "fc3.b"},
+    "extra": lambda p: {**p, "fc4.w": np.zeros((2, 2))},
+    "out-of-order": lambda p: dict(reversed(p.items())),
+    "mixed-leading-axes": lambda p: {**_stacked(p), "fc2.b": p["fc2.b"]},
+    "two-leading-axes": lambda p: {name: a[None, None] for name, a in p.items()},
+}
+
+
+@pytest.mark.parametrize("case", sorted(OFF_LAYOUT))
+def test_model_refuses_parameters_off_the_spec_layout(case):
+    params = OFF_LAYOUT[case](cv.init_params(RVNN, 1).params)
+    with pytest.raises(DataError, match="do not match the spec's layout"):
+        cv.Model(RVNN, params)
+
+
+def test_model_takes_a_stacked_ensemble_that_save_checkpoint_refuses(tmp_path):
+    stacked = cv.Model(RVNN, _stacked(cv.init_params(RVNN, 1).params))
+    with pytest.raises(ContractError, match="stacked"):
+        cv.save_checkpoint(stacked, tmp_path / "ckpt.bin", seed=1, epoch=0)
+    assert not (tmp_path / "ckpt.bin").exists()
+
+
 def test_checkpoint_truncation_rejected(tmp_path):
     spec = cv.NetworkSpec(kind="rvnn", input_dim=4, latent_dim=4,
                           output_dim=2, task="classification")

@@ -1,6 +1,8 @@
 """Package-level guards: the public names resolve, no runtime check
 relies on ``assert``, which ``python -O`` strips, no module keeps an
-import it does not use, and no function, class or method goes unused."""
+import it does not use, no function, class or method goes unused, and
+every file is written through ``data.staged`` into a directory made by
+``data.output_dir``."""
 
 import ast
 from collections import Counter
@@ -139,3 +141,59 @@ def test_unused_definition_check_flags_planted_defs():
         "    def planted_method(self):\n        return self.planted_method\n")
     assert _unused_definitions(sources, _bench_sources()) == [
         "rng.py:planted", "rng.py:Planted", "rng.py:Planted.planted_method"]
+
+
+_WRITES = ("write_text", "write_bytes")
+
+
+def _unstaged_writes(sources: dict[str, str]) -> list[str]:
+    """Calls that could leave a half-written output: ``mkdir`` anywhere but
+    in ``data.output_dir``, and ``write_text`` or ``write_bytes`` outside
+    the body of a ``with staged(...)`` block."""
+    found = []
+
+    def is_staged(item: ast.withitem) -> bool:
+        call = item.context_expr
+        return isinstance(call, ast.Call) and "staged" in (
+            getattr(call.func, "id", None), getattr(call.func, "attr", None))
+
+    def visit(node, module, function, staged):
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            name = node.func.attr
+            if ((name == "mkdir" and (module, function) != ("data.py", "output_dir"))
+                    or (name in _WRITES and not staged)):
+                found.append(f"{module}:{node.lineno} {name}")
+        for child in ast.iter_child_nodes(node):
+            in_body = isinstance(node, ast.With) and child in node.body
+            visit(child, module, function,
+                  staged or (in_body and any(is_staged(item) for item in node.items)))
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, None, False)
+    return found
+
+
+def test_every_write_is_staged():
+    assert _unstaged_writes(_package_sources()) == []
+
+
+def test_unstaged_write_check_flags_planted_writes():
+    sources = _package_sources()
+    lines = sources["rng.py"].count("\n")
+    sources["rng.py"] += (
+        "\n\ndef planted(path, data):\n"
+        "    path.parent.mkdir()\n"
+        "    path.write_bytes(data)\n"
+        "    with staged(path) as (tmp,), open(path) as f:\n"
+        "        tmp.write_text(f.read())\n"
+        "    with open(path) as f, staged(path) as (tmp,):\n"
+        "        tmp.write_bytes(data)\n"
+        "    with open(path) as f:\n"
+        "        f.write_text(data)\n"
+        "\n\ndef output_dir(path):\n"
+        "    path.mkdir()\n")
+    assert _unstaged_writes(sources) == [
+        f"rng.py:{lines + 4} mkdir", f"rng.py:{lines + 5} write_bytes",
+        f"rng.py:{lines + 11} write_text", f"rng.py:{lines + 15} mkdir"]

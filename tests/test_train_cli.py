@@ -420,6 +420,42 @@ def test_cli_eval_mismatched_checkpoint_is_data_error(tmp_path):
     assert "task" in out.stderr
 
 
+@pytest.mark.parametrize("target", ["a-directory", "no-such-dir/m.json"])
+@pytest.mark.parametrize("command", ["eval", "diag"])
+def test_cli_eval_and_diag_out_fails_before_printing(tmp_path, capsys, command, target):
+    spec = _smoke_spec("steinmetz")
+    cv.save_cvds(synthetic_classification(16, 8, 3, seed=1), tmp_path / "d")
+    cv.save_checkpoint(cv.init_params(spec, 1), tmp_path / "ckpt.bin", seed=1, epoch=0)
+    (tmp_path / "a-directory").mkdir()
+    code = cv.cli.main([command, "--checkpoint", str(tmp_path / "ckpt.bin"),
+                        "--dataset", str(tmp_path / "d"), "--out", str(tmp_path / target)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, ""), err
+    assert err.startswith("data error: ") and f"'{tmp_path / target}'" in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory", "ckpt.bin", "d"]
+    assert list((tmp_path / "a-directory").iterdir()) == []
+
+
+def test_recipe_output_is_both_files_or_neither(tmp_path):
+    out_dir = tmp_path / "exp"
+    (out_dir / "channel_id.txt").mkdir(parents=True)
+    with pytest.raises(IsADirectoryError):
+        cv.recipes.run_channel_id(n_seeds=1, epochs=1, m=16, test_m=16, out_dir=out_dir)
+    assert [p.name for p in out_dir.iterdir()] == ["channel_id.txt"]
+
+
+def test_recipe_out_is_a_file_fails_before_training(tmp_path, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the recipe started before its output path was checked")
+
+    monkeypatch.setattr(cv.recipes, "gen_channel_dataset", unreachable)
+    (tmp_path / "taken").write_text("keep")
+    with pytest.raises(FileExistsError):
+        cv.recipes.run_channel_id(n_seeds=1, epochs=1, m=16, test_m=16,
+                                  out_dir=tmp_path / "taken")
+    assert (tmp_path / "taken").read_text() == "keep"
+
+
 def test_cli_invalid_config_exit_code(tmp_path):
     (tmp_path / "cfg.json").write_text(json.dumps({"arch": "nope"}))
     out = _cli("train", "--config", str(tmp_path / "cfg.json"),
