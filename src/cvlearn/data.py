@@ -290,7 +290,9 @@ def load_cvds(path) -> Dataset:
         labels = blob("labels.bin", "<u4", (m,))
     else:
         flat = blob("labels.bin", "<f8", (m, 2 * k))
-        labels = flat[:, :k] + 1j * flat[:, k:]
+        # an infinity gives NaN here, which the Dataset check reports
+        with np.errstate(invalid="ignore"):
+            labels = flat[:, :k] + 1j * flat[:, k:]
     return Dataset(re, im, labels, task, provenance=meta.get("provenance", ""),
                    num_classes=k if task == "classification" else None)
 

@@ -137,53 +137,94 @@ def total_loss(task_loss: Tensor, penalty: Optional[Tensor], beta: float) -> Ten
 
 @dataclass
 class AdamState:
-    """Moment estimates as flat buffers in parameter declaration order."""
+    """Every buffer Adam touches, allocated once by ``adam_init``.
+
+    ``m`` and ``v`` are the flat moment estimates in the declaration order
+    of ``shapes``; ``grad``, ``tmp``, ``denom`` and ``ok`` are per-step
+    scratch. The parameters live in the two flat buffers of ``flats``,
+    which take turns: ``flats[active]`` holds the last accepted values and
+    ``views`` holds each buffer's read-only views, cut once. ``refused``
+    is set once an update was refused, since ``m`` and ``v`` have moved.
+    """
+    shapes: dict[str, tuple]
     m: np.ndarray
     v: np.ndarray
+    grad: np.ndarray
+    tmp: np.ndarray
+    denom: np.ndarray
+    ok: np.ndarray
+    flats: tuple[np.ndarray, np.ndarray]
+    views: tuple[dict, dict]
+    active: int = 0
     t: int = 0
+    refused: bool = False
 
 
 def adam_init(params: dict[str, np.ndarray]) -> AdamState:
-    size = sum(np.size(p) for p in params.values())
-    return AdamState(m=np.zeros(size), v=np.zeros(size), t=0)
+    """Allocate an Adam run's buffers for parameters shaped like
+    ``params``; their values are copied in by the first step."""
+    shapes = {name: np.shape(p) for name, p in params.items()}
+    size = sum(math.prod(shape) for shape in shapes.values())
+    flats = (np.empty(size), np.empty(size))
+    return AdamState(shapes=shapes, m=np.zeros(size), v=np.zeros(size),
+                     grad=np.empty(size), tmp=np.empty(size), denom=np.empty(size),
+                     ok=np.empty(size, dtype=bool), flats=flats,
+                     views=tuple(param_views(f.view(), shapes) for f in flats))
+
+
+def _check_keys(arrays: dict, shapes: dict, what: str) -> None:
+    if set(arrays) != set(shapes):
+        raise ContractError(f"{what} keys do not match the Adam state's parameter keys")
+    for name, shape in shapes.items():
+        if np.shape(arrays[name]) != shape:
+            raise ShapeError(f"{what} shape {np.shape(arrays[name])} != the Adam "
+                             f"state's shape {shape} for {name}")
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, config: TrainConfig) -> tuple[dict, AdamState]:
     """One bias-corrected Adam update over all parameters as one flat
-    vector; functional (inputs untouched).
+    vector, computed in place in ``state``'s buffers; returns the new
+    parameters and ``state``.
 
-    The new parameters are read-only views into one fresh buffer. Raises
-    DivergenceError when any of them is non-finite, carrying those views
-    as its ``params``.
+    ``params`` is normally the dict the last step returned. Any other dict
+    (at step 1 always) is first copied into the active buffer. The update
+    is written into the idle buffer and, when every entry is finite, the
+    two swap and that buffer's read-only views are returned: a returned
+    dict keeps its values until the step after next, so copy it to keep
+    it. Otherwise the last accepted values stay as they are, and
+    DivergenceError carries the refused values as its ``params``; the
+    moments have moved, so the state then refuses every further step.
     """
-    if set(params) != set(grads):
-        raise ContractError("gradient keys do not match parameter keys")
-    for name, p in params.items():
-        if grads[name].shape != p.shape:
-            raise ShapeError(f"gradient shape {grads[name].shape} != param shape "
-                             f"{p.shape} for {name}")
+    if state.refused:
+        raise ContractError("this Adam state refused an update and cannot step again")
+    _check_keys(grads, state.shapes, "gradient")
+    active, idle = state.flats[state.active], state.flats[1 - state.active]
+    if params is not state.views[state.active]:
+        _check_keys(params, state.shapes, "parameter")
+        np.concatenate([params[name] for name in state.shapes], axis=None, out=active)
     b1, b2, eps, lr = config.adam_b1, config.adam_b2, config.adam_eps, config.learning_rate
-    t = state.t + 1
-    # the per-tensor formulas, evaluated in place on fresh buffers in the
-    # same operation order, so every element rounds exactly as before
-    g = np.concatenate([grads[name] for name in params], axis=None)
-    tmp = np.multiply(g, 1 - b1)
-    m = np.multiply(state.m, b1)
+    t = state.t = state.t + 1
+    g, m, v, tmp, denom = state.grad, state.m, state.v, state.tmp, state.denom
+    # the per-tensor formulas in their operation order, so every element
+    # rounds as it would in a per-tensor update
+    np.concatenate([grads[name] for name in state.shapes], axis=None, out=g)
+    np.multiply(g, 1 - b1, out=tmp)
+    np.multiply(m, b1, out=m)
     m += tmp                                    # b1 * m + (1 - b1) * g
     np.multiply(g, g, out=tmp)
     tmp *= 1 - b2
-    v = np.multiply(state.v, b2)
+    np.multiply(v, b2, out=v)
     v += tmp                                    # b2 * v + (1 - b2) * g^2
-    denom = np.divide(v, 1 - b2 ** t)
+    np.divide(v, 1 - b2 ** t, out=denom)
     np.sqrt(denom, out=denom)
     denom += eps                                # sqrt(v_hat) + eps
     np.divide(m, 1 - b1 ** t, out=tmp)
     tmp *= lr
     tmp /= denom                                # lr * m_hat / denom
-    flat = np.concatenate(list(params.values()), axis=None)
-    flat -= tmp
-    new_params = param_views(flat, {name: p.shape for name, p in params.items()})
-    if not np.isfinite(flat).all():
-        raise DivergenceError(t, params=new_params)
-    return new_params, AdamState(m=m, v=v, t=t)
+    np.subtract(active, tmp, out=idle)
+    if not np.isfinite(idle, out=state.ok).all():
+        state.refused = True
+        raise DivergenceError(t, params=state.views[1 - state.active])
+    state.active = 1 - state.active
+    return state.views[state.active], state

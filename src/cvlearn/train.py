@@ -118,7 +118,8 @@ def train_models(spec: NetworkSpec, train_sets: Sequence[Dataset],
     equal its solo run bit for bit. A lone member trains without the
     leading axis, on the plain arrays, which numpy handles with less
     overhead per call. Returns (model, per-epoch records) per member, in
-    order. A non-finite loss or update raises DivergenceError naming the
+    order; each model views the Adam buffer of the last accepted update,
+    which nothing writes once training ends. A non-finite loss or update raises DivergenceError naming the
     step, epoch and the member's seed: the first member with a non-finite
     loss, or with a non-finite entry in its own rows of the update Adam
     refused (the update is elementwise, so those are its solo values).

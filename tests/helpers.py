@@ -148,6 +148,37 @@ def total_loss_chain_reference(task, penalty, beta, upstream):
     return value, {"task": g, "penalty": g * float(beta)}
 
 
+def adam_reference(params: dict, grads: dict, state: tuple, config) -> tuple[dict, tuple]:
+    """The functional Adam step that ``losses.adam_step`` computes in place:
+    fresh buffers, the same operations in the same order, inputs untouched.
+    ``state`` is (m, v, t), ``(0.0, 0.0, 0)`` at the start; returns the new
+    parameters (views into one fresh flat buffer) and the new state."""
+    m0, v0, t = state
+    b1, b2, eps, lr = config.adam_b1, config.adam_b2, config.adam_eps, config.learning_rate
+    t += 1
+    g = np.concatenate([grads[name] for name in params], axis=None)
+    tmp = np.multiply(g, 1 - b1)
+    m = np.multiply(m0, b1)
+    m += tmp
+    np.multiply(g, g, out=tmp)
+    tmp *= 1 - b2
+    v = np.multiply(v0, b2)
+    v += tmp
+    denom = np.divide(v, 1 - b2 ** t)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    np.divide(m, 1 - b1 ** t, out=tmp)
+    tmp *= lr
+    tmp /= denom
+    flat = np.concatenate(list(params.values()), axis=None)
+    flat -= tmp
+    new, end = {}, 0
+    for name, p in params.items():
+        new[name] = flat[end:end + p.size].reshape(p.shape)
+        end += p.size
+    return new, (m, v, t)
+
+
 def build_arch_loss(kind: str, task: str, seed: int, beta: float = 0.0,
                     dn: int = 6, ln: int = 4, k: int = 3, batch: int = 2):
     """A small architecture instance and its loss closure for grad checks.

@@ -320,6 +320,21 @@ def test_mean_sq_diff_bit_identical_to_sub_mul_mean_chain(shape):
         assert np.array_equal(grads[name], ref_grads[name]), name
 
 
+@pytest.mark.parametrize("on_tape", ["a", "b"])
+def test_mean_sq_diff_one_operand_on_the_tape(on_tape):
+    # b's gradient is the negation of a's, computed once per backward; it
+    # must not depend on a being on the tape
+    g = np.random.default_rng(11)
+    a, b = g.standard_normal((32, 64)), g.standard_normal((32, 64))
+    upstream = g.standard_normal(())
+    tape = cv.Tape()
+    ta = tape.param(a, "a") if on_tape == "a" else ad.constant(a)
+    tb = tape.param(b, "b") if on_tape == "b" else ad.constant(b)
+    grads = tape.backward(weighted_sum(ad.mean_sq_diff(ta, tb), upstream))
+    assert list(grads) == [on_tape]
+    assert np.array_equal(grads[on_tape], sq_diff_chain_reference(a, b, upstream)[1][on_tape])
+
+
 def test_mean_sq_diff_shape_mismatch():
     with pytest.raises(ShapeError):
         ad.mean_sq_diff(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 4))))

@@ -96,6 +96,19 @@ def test_cvds_values_checked_by_the_dataset_they_build(tmp_path, task, blob, val
         cv.load_cvds(tmp_path / "d")
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_cvds_infinite_regression_label_warns_nothing(tmp_path, value):
+    # the Dataset check is the only report: no numpy warning before it
+    cv.save_cvds(cv.gen_channel_dataset(cv.ChannelSpec(), 3, seed=5), tmp_path / "d")
+    flat = np.fromfile(tmp_path / "d" / "labels.bin", dtype="<f8")
+    flat[1] = value     # an imaginary part
+    flat.tofile(tmp_path / "d" / "labels.bin")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="labels"):
+            cv.load_cvds(tmp_path / "d")
+
+
 def test_cvds_meta_provenance_must_be_a_string(tmp_path):
     cv.save_cvds(synthetic_classification(3, 4, 2, seed=5), tmp_path / "d")
     meta = json.loads((tmp_path / "d" / "meta.json").read_text())

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -6,12 +7,13 @@ import pytest
 import cvlearn as cv
 from cvlearn import autodiff as ad
 from cvlearn import transforms as tr
-from cvlearn.errors import ContractError, DataError, ShapeError, ValidationError
+from cvlearn.errors import (ContractError, DataError, DivergenceError, ShapeError,
+                            ValidationError)
 from cvlearn.losses import TrainConfig, adam_init, adam_step
 from cvlearn.models import LatentPair
 from cvlearn.train import resolve_config
 
-from helpers import total_loss_chain_reference, weighted_sum
+from helpers import adam_reference, total_loss_chain_reference, weighted_sum
 
 
 def test_cross_entropy_uniform_logits():
@@ -218,6 +220,146 @@ def test_adam_vanishing_alpha_keeps_params():
         grads = {"w": np.sin(np.arange(5) + i)}
         params, state = adam_step(params, grads, state, cfg)
     assert np.abs(params["w"] - original).max() < 1e-9
+
+
+ADAM_SHAPES = {
+    "1-D": {"w": (7,)},
+    "2-D": {"w": (3, 4), "b": (3,), "u": (2, 5)},
+    "stacked": {"w": (2, 3, 4), "b": (2, 3)},
+}
+
+
+def _adam_case(shapes: dict, seed: int):
+    """Parameters and a gradient per step, drawn once, for 30 steps."""
+    g = np.random.default_rng(seed)
+    params = {name: g.standard_normal(shape) for name, shape in shapes.items()}
+    grads = [{name: g.standard_normal(shape) * 10.0 ** g.integers(-4, 2)
+              for name, shape in shapes.items()} for _ in range(30)]
+    return params, grads
+
+
+@pytest.mark.parametrize("layout", sorted(ADAM_SHAPES))
+@pytest.mark.parametrize("knobs", [{}, {"adam_b1": 0.8, "adam_b2": 0.99, "adam_eps": 1e-6}])
+def test_adam_in_place_matches_functional_oracle(layout, knobs):
+    params, grads = _adam_case(ADAM_SHAPES[layout], seed=len(layout) + len(knobs))
+    cfg = TrainConfig(learning_rate=0.01, **knobs)
+    state, ref, ref_state = adam_init(params), params, (0.0, 0.0, 0)
+    p = params
+    for g in grads:
+        p, state = adam_step(p, g, state, cfg)
+        ref, ref_state = adam_reference(ref, g, ref_state, cfg)
+        assert list(p) == list(ref)
+        for name in ref:
+            assert np.array_equal(p[name], ref[name]), name
+    assert state.t == ref_state[2] == 30
+    assert np.array_equal(state.m, ref_state[0]) and np.array_equal(state.v, ref_state[1])
+
+
+def test_adam_returns_read_only_views_and_leaves_inputs_alone():
+    params, grads = _adam_case(ADAM_SHAPES["2-D"], seed=1)
+    kept = {name: p.copy() for name, p in params.items()}
+    state = adam_init(params)
+    p, state = adam_step(params, grads[0], state, TrainConfig(learning_rate=0.01))
+    for name, arr in p.items():
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+        assert np.array_equal(params[name], kept[name])
+
+
+def test_adam_returned_dict_keeps_its_values_through_the_next_step():
+    params, grads = _adam_case(ADAM_SHAPES["stacked"], seed=2)
+    cfg = TrainConfig(learning_rate=0.01)
+    p, state = adam_step(params, grads[0], adam_init(params), cfg)
+    for g in grads[1:5]:
+        kept = {name: arr.copy() for name, arr in p.items()}
+        nxt, state = adam_step(p, g, state, cfg)
+        for name in p:
+            assert np.array_equal(p[name], kept[name]), name
+        p = nxt
+
+
+@pytest.mark.parametrize("foreign", ["fresh", "previous"])
+def test_adam_any_params_dict_gives_the_oracle_result(foreign):
+    # a dict that is not the last step's is copied in first, the dict of
+    # the step before the last included (it views the idle buffer)
+    params, grads = _adam_case(ADAM_SHAPES["2-D"], seed=3)
+    cfg = TrainConfig(learning_rate=0.01)
+    state, ref_state = adam_init(params), (0.0, 0.0, 0)
+    history = [params]
+    for g in grads[:4]:
+        p, state = adam_step(history[-1], g, state, cfg)
+        _, ref_state = adam_reference(history[-1], g, ref_state, cfg)
+        history.append(p)
+    given = ({name: np.full(arr.shape, 0.25) for name, arr in params.items()}
+             if foreign == "fresh" else history[-2])
+    expected = {name: arr.copy() for name, arr in given.items()}
+    ref, _ = adam_reference(expected, grads[4], ref_state, cfg)
+    p, state = adam_step(given, grads[4], state, cfg)
+    for name in ref:
+        assert np.array_equal(p[name], ref[name]), name
+
+
+def test_adam_refused_update_keeps_the_last_accepted_params():
+    params = {"w": np.array([1.5e308, 0.0, -1.0]), "b": np.array([2.0])}
+    grads = {"w": np.array([-1.0, 1.0, 0.5]), "b": np.array([3.0])}
+    calm, wild = TrainConfig(learning_rate=1e-3), TrainConfig(learning_rate=1e308)
+    state = adam_init(params)
+    accepted, state = adam_step(params, grads, state, calm)
+    ref, ref_state = adam_reference(params, grads, (0.0, 0.0, 0), calm)
+    kept = {name: arr.copy() for name, arr in accepted.items()}
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError) as info:
+        adam_step(accepted, grads, state, wild)
+    with np.errstate(over="ignore"):
+        refused, _ = adam_reference(ref, grads, ref_state, wild)
+    assert info.value.step == 2
+    assert not np.isfinite(refused["w"][0]) and np.isfinite(refused["w"][1:]).all()
+    for name in params:
+        assert np.array_equal(accepted[name], kept[name]), name
+        assert np.array_equal(info.value.params[name], refused[name]), name
+    # the moments already moved, so this state cannot step again
+    with pytest.raises(ContractError, match="refused"):
+        adam_step(accepted, grads, state, calm)
+
+
+def test_adam_checks_keys_and_shapes():
+    params = {"w": np.zeros((2, 3)), "b": np.zeros(2)}
+    cfg = TrainConfig(learning_rate=0.01)
+    state = adam_init(params)
+    with pytest.raises(ContractError, match="gradient keys"):
+        adam_step(params, {"w": np.zeros((2, 3))}, state, cfg)
+    with pytest.raises(ShapeError, match="for b"):
+        adam_step(params, {"w": np.zeros((2, 3)), "b": np.zeros(3)}, state, cfg)
+    grads = {"w": np.zeros((2, 3)), "b": np.zeros(2)}
+    with pytest.raises(ContractError, match="parameter keys"):
+        adam_step({"w": params["w"]}, grads, state, cfg)
+    with pytest.raises(ShapeError, match="for w"):
+        adam_step({"w": np.zeros((3, 2)), "b": np.zeros(2)}, grads, state, cfg)
+
+
+@pytest.mark.parametrize("dn,k,task", [(5, 1, "complex_regression"),
+                                       (784, 10, "classification")])
+@pytest.mark.parametrize("members", [1, 2])
+def test_adam_step_allocates_nothing_parameter_sized(dn, k, task, members):
+    # every buffer lives in the state: a step after the first allocated
+    # about 1.5 kB at both shapes (the gradient list and the checks), where
+    # the functional step peaked at 6.1x the parameter bytes (461 kB at the
+    # channel shapes, 9.3k parameters). 4 KiB leaves room for Python's own
+    # small allocations and is far below one buffer of the smallest set.
+    spec = cv.NetworkSpec("steinmetz", dn, 64, k, task)
+    params = cv.init_params(spec, 1).params
+    if members > 1:
+        params = {name: np.stack([p] * members) for name, p in params.items()}
+    grads = {name: np.full(p.shape, 1e-3) for name, p in params.items()}
+    cfg = TrainConfig(learning_rate=1e-3)
+    p, state = adam_step(params, grads, adam_init(params), cfg)
+    tracemalloc.start()
+    try:
+        adam_step(p, grads, state, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4096, peak
 
 
 def test_train_config_validation_messages():

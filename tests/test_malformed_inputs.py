@@ -269,6 +269,15 @@ def _cvds_bad_meta(w: Path) -> Path:
     return d
 
 
+def _cvds_inf_label(w: Path) -> Path:
+    d = w / "inflabel"
+    cv.save_cvds(cv.gen_channel_dataset(cv.ChannelSpec(), 4, seed=2), d)
+    flat = np.fromfile(d / "labels.bin", dtype="<f8")
+    flat[1] = np.inf    # an imaginary part: 1j * inf made numpy warn
+    flat.tofile(d / "labels.bin")
+    return d
+
+
 def _config(w: Path, name: str, content: bytes) -> Path:
     (w / name).write_bytes(content)
     return w / name
@@ -306,6 +315,9 @@ CASES = {
     "gen-meta-not-utf8": (2, "meta.json is not valid JSON", lambda w: [
         "gen", "--task", "noise", "--eta", "0.5", "--in", _cvds_bad_meta(w),
         "--out", w / "n2"]),
+    "gen-labels-inf": (2, "labels", lambda w: [
+        "gen", "--task", "noise", "--eta", "0.5", "--in", _cvds_inf_label(w),
+        "--out", w / "n8"]),
     "gen-eta-nan": (1, "eta", lambda w: [
         "gen", "--task", "noise", "--eta", "nan", "--in", w / "chan", "--out", w / "n3"]),
     "gen-eta-inf": (1, "eta", lambda w: [
