@@ -184,16 +184,16 @@ def record_op(op: str, value: np.ndarray, parents: Sequence[Tensor],
 # elementary operations
 
 
-def check_affine(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> None:
-    """ShapeError unless ``x @ w.T (+ b)`` has matching 2-D or stacked operands."""
-    xs, ws, bs = x.shape, w.shape, None if b is None else b.shape
+def check_affine(x: Tensor, w: Tensor, b: Tensor) -> None:
+    """ShapeError unless ``x @ w.T + b`` has matching 2-D or stacked operands."""
+    xs, ws, bs = x.shape, w.shape, b.shape
     if len(xs) < 2 or len(ws) != len(xs) or xs[:-2] != ws[:-2] or xs[-1] != ws[-1] \
-            or bs not in (None, ws[:-1]):
+            or bs != ws[:-1]:
         raise ShapeError(f"affine operand shapes do not match: x {xs}, w {ws}, b {bs}")
 
 
-def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """Fully connected layer ``x @ w.T (+ b)`` as one tape node, the
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Fully connected layer ``x @ w.T + b`` as one tape node, the
     tape's only real affine op: every bias of rvnn, steinmetz and
     analytic enters here, and cvnn's complex layer copies its forms.
 
@@ -211,14 +211,12 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     # x @ w.T on the transposed view would round differently at some shapes
     wt = np.ascontiguousarray(wd.swapaxes(-1, -2))
     value = xd @ wt
-    vjps = [lambda g: g @ wt.swapaxes(-1, -2),
-            lambda g: g.swapaxes(-1, -2) @ xd]
-    if b is None:
-        return record_op("linear", value, (x, w), vjps)
-    # np.add.reduce is ndarray.sum without its Python wrapper
-    vjps.append(lambda g: np.add.reduce(g, axis=-2))
     value += b.data[..., None, :]  # value is the matmul's own fresh array
-    return record_op("linear", value, (x, w, b), vjps)
+    return record_op("linear", value, (x, w, b),
+                     (lambda g: g @ wt.swapaxes(-1, -2),
+                      lambda g: g.swapaxes(-1, -2) @ xd,
+                      # np.add.reduce is ndarray.sum without its Python wrapper
+                      lambda g: np.add.reduce(g, axis=-2)))
 
 
 def relu(x: Tensor) -> Tensor:

@@ -2,8 +2,8 @@
 
 Subcommands: gen, train, eval, diag, hilbert, experiment. All state
 flows through flags and config files (no environment variables); exit
-code 0 on success, 1 on validation/usage errors, 2 on data errors and
-unreadable or unwritable files.
+code 0 on success, 1 on validation/usage errors (running out of memory
+included), 2 on data errors and unreadable or unwritable files.
 """
 
 from __future__ import annotations
@@ -197,7 +197,11 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        _COMMANDS[args.command](args)
+        try:
+            _COMMANDS[args.command](args)
+        except MemoryError as e:  # e.g. a dense transform kernel of a very long row
+            detail = f" ({e})" if str(e) else ""
+            raise ValidationError(f"{args.command}: out of memory{detail}") from None
     except (ValidationError, ContractError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -23,6 +23,7 @@ import json
 import math
 import numbers
 import os
+import sys
 import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -35,9 +36,10 @@ from .transforms import dft_array
 
 TASKS = ("classification", "complex_regression")
 
-DEFAULT_TAPS = (0.432 + 0.297j, 0.349 - 0.074j, 0.202 + 0.166j,
-                0.112 + 0.094j, 0.051 + 0.036j)
-DEFAULT_NL_COEFF = 0.15 + 0.10j
+# the paper's channel: FIR taps, square-term coefficient, window length
+TAPS = (0.432 + 0.297j, 0.349 - 0.074j, 0.202 + 0.166j, 0.112 + 0.094j, 0.051 + 0.036j)
+NL_COEFF = 0.15 + 0.10j
+SEQ_LEN = 5
 
 
 @dataclass(frozen=True)
@@ -157,6 +159,21 @@ def parse_json_object(blob: bytes, what: str, error: type = DataError) -> dict:
     return value
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
+
+
+def json_field(obj, key: str, kind: type, what: str, where: str = ""):
+    """``obj[key]`` when ``obj`` is a JSON object holding a ``kind`` value
+    there (JSON booleans are not integers); DataError naming ``what`` (e.g.
+    "meta.json") and the field otherwise."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise DataError(f"{what}: missing field {where}{key}")
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise DataError(f"{what}: field {where}{key} must be {_JSON_TYPES[kind]}")
+    return value
+
+
 def stacked_targets(ds: Dataset) -> np.ndarray:
     """Regression targets as [M, 2k]: k real parts then k imaginary parts."""
     if ds.task != "complex_regression":
@@ -266,15 +283,8 @@ def load_cvds(path) -> Dataset:
             return read_array(fh, name, dtype, shape)
 
     meta = parse_json_object(_cvds_file(path, "meta.json").read_bytes(), "meta.json")
-    for fieldname in ("M", "dN", "k", "task"):
-        if fieldname not in meta:
-            raise DataError(f"meta.json missing field {fieldname!r}")
-    for fieldname in ("M", "dN", "k"):
-        value = meta[fieldname]
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise DataError(f"meta.json: field {fieldname!r} must be an integer, "
-                            f"got {value!r}")
-    m, dn, k, task = meta["M"], meta["dN"], meta["k"], meta["task"]
+    m, dn, k = (json_field(meta, key, int, "meta.json") for key in ("M", "dN", "k"))
+    task = json_field(meta, "task", str, "meta.json")
     if meta.get("dtype", "f64") != "f64" or meta.get("endianness", "little") != "little":
         raise DataError("meta.json: only f64 little-endian CVDS data is supported")
     if task not in TASKS:
@@ -324,8 +334,10 @@ def add_complex_noise(ds: Dataset, eta: float, seed: int) -> Dataset:
     rng = Rng(seed)
     shape = ds.features_re.shape
     half = math.sqrt(0.5)
-    re = ds.features_re + eta * half * rng.substream("noise/re").normal(shape)
-    im = ds.features_im + eta * half * rng.substream("noise/im").normal(shape)
+    # an overflow to inf is reported by the Dataset check, as one error
+    with np.errstate(over="ignore"):
+        re = ds.features_re + eta * half * rng.substream("noise/re").normal(shape)
+        im = ds.features_im + eta * half * rng.substream("noise/im").normal(shape)
     return replace(ds, features_re=re, features_im=im,
                    provenance=f"{ds.provenance}|noise(eta={eta},seed={seed})")
 
@@ -336,22 +348,22 @@ def add_complex_noise(ds: Dataset, eta: float, seed: int) -> Dataset:
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Nonlinear FIR channel with controllable input circularity and SNR."""
+    """The paper's nonlinear FIR channel (``TAPS``, square-term ``NL_COEFF``,
+    ``SEQ_LEN``-sample windows) at a chosen input circularity and SNR."""
     rho: float = math.sqrt(2.0) / 2.0
-    taps: tuple = DEFAULT_TAPS
-    nl_coeff: complex = DEFAULT_NL_COEFF
     snr_db: float = 5.0
-    seq_len: int = 5
 
     def __post_init__(self):
         if not 0.0 <= self.rho <= 1.0:
             raise ContractError(f"rho must lie in [0, 1], got {self.rho}")
-        if not math.isfinite(self.snr_db):
-            raise ContractError(f"snr_db must be finite, got {self.snr_db}")
-        if len(self.taps) == 0 or not any(abs(t) > 0 for t in self.taps):
-            raise ContractError("taps must contain a nonzero coefficient")
-        if self.seq_len < 1:
-            raise ContractError("seq_len must be >= 1")
+        try:
+            ratio = 10.0 ** (self.snr_db / 10.0)  # signal to noise power
+        except OverflowError:
+            ratio = math.inf
+        # a ratio that is 0, subnormal or infinite would break the noise power
+        if not sys.float_info.min <= ratio < math.inf:
+            raise ContractError(f"snr_db must be finite, with 10**(snr_db/10) a positive "
+                                f"normal float (about -3076 to 3082), got {self.snr_db}")
 
 
 def gen_channel_dataset(spec: ChannelSpec, m: int, seed: int) -> Dataset:
@@ -360,7 +372,7 @@ def gen_channel_dataset(spec: ChannelSpec, m: int, seed: int) -> Dataset:
 
     Inputs are x = sqrt(1 - rho^2) * a + i * rho * b with a, b standard
     Gaussian streams; rho sets the circularity of the input law. Each
-    sample's features are seq_len consecutive inputs (oldest first) and
+    sample's features are SEQ_LEN consecutive inputs (oldest first) and
     its label is the noisy channel output aligned with the newest input.
     Noise power is set from the empirical clean-output power to hit
     snr_db. Deterministic per (spec, m, seed).
@@ -368,16 +380,15 @@ def gen_channel_dataset(spec: ChannelSpec, m: int, seed: int) -> Dataset:
     if m < 1:
         raise ContractError("m must be >= 1")
     rng = Rng(seed)
-    total = m + spec.seq_len - 1
+    total = m + SEQ_LEN - 1
     a = rng.substream("channel/re").normal(total)
     b = rng.substream("channel/im").normal(total)
     x = math.sqrt(1.0 - spec.rho ** 2) * a + 1j * spec.rho * b
 
-    taps = np.asarray(spec.taps, dtype=np.complex128)
-    filtered = np.convolve(x, taps)[:total]
-    clean = filtered + spec.nl_coeff * filtered ** 2
+    filtered = np.convolve(x, np.asarray(TAPS, dtype=np.complex128))[:total]
+    clean = filtered + NL_COEFF * filtered ** 2
     # outputs aligned with the last entry of each window
-    clean = clean[spec.seq_len - 1:]
+    clean = clean[SEQ_LEN - 1:]
 
     signal_power = float(np.mean(np.abs(clean) ** 2))
     noise_power = signal_power / (10.0 ** (spec.snr_db / 10.0))
@@ -386,7 +397,7 @@ def gen_channel_dataset(spec: ChannelSpec, m: int, seed: int) -> Dataset:
          + 1j * rng.substream("channel/noise-im").normal(m)) * half
     y = clean + math.sqrt(noise_power) * w
 
-    idx = np.arange(spec.seq_len)[None, :] + np.arange(m)[:, None]
+    idx = np.arange(SEQ_LEN)[None, :] + np.arange(m)[:, None]
     windows = x[idx]
     provenance = (f"channel(rho={spec.rho:.6g},snr_db={spec.snr_db:.6g},"
                   f"m={m},seed={seed})")

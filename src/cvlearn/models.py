@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, record_op
-from .data import TASKS, parse_json_object, read_array
+from .data import TASKS, json_field, parse_json_object, read_array
 from .errors import ContractError, DataError, ShapeError
 from .rng import Rng
 
@@ -291,26 +291,11 @@ def save_checkpoint(model: Model, path, seed: int, epoch: int) -> None:
         f.write(blob.tobytes())
 
 
-_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
-
-
-def _field(obj, key: str, kind: type, where: str = ""):
-    """``obj[key]`` when ``obj`` is a JSON object holding a ``kind`` value
-    there (JSON booleans are not integers); DataError naming the field
-    otherwise."""
-    if not isinstance(obj, dict) or key not in obj:
-        raise DataError(f"checkpoint header: missing field {where}{key}")
-    value = obj[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise DataError(f"checkpoint header: field {where}{key} must be {_JSON_TYPES[kind]}")
-    return value
-
-
 def _header_spec(header: dict) -> NetworkSpec:
-    spec = _field(header, "spec", dict)
+    spec = json_field(header, "spec", dict, "checkpoint header")
     # the annotations are strings under postponed evaluation
     kinds = {"str": str, "int": int}
-    values = {f.name: _field(spec, f.name, kinds[f.type], "spec.")
+    values = {f.name: json_field(spec, f.name, kinds[f.type], "checkpoint header", "spec.")
               for f in fields(NetworkSpec)}
     try:
         return NetworkSpec(**values)
@@ -329,9 +314,9 @@ def load_checkpoint(path) -> tuple[Model, dict]:
             raise DataError("checkpoint header: only f64 little-endian parameters are supported")
         spec = _header_spec(header)
         listed = []
-        for i, entry in enumerate(_field(header, "params", list)):
-            name = _field(entry, "name", str, f"params[{i}].")
-            shape = _field(entry, "shape", list, f"params[{i}].")
+        for i, entry in enumerate(json_field(header, "params", list, "checkpoint header")):
+            name = json_field(entry, "name", str, "checkpoint header", f"params[{i}].")
+            shape = json_field(entry, "shape", list, "checkpoint header", f"params[{i}].")
             if not all(isinstance(d, int) and not isinstance(d, bool) for d in shape):
                 raise DataError(f"checkpoint header: field params[{i}].shape "
                                 "must be a list of integers")

@@ -145,7 +145,8 @@ def run_channel_id(base_seed: int = 1, n_seeds: int = 5,
     }
 
 
-def _mnist_datasets(data_dir) -> tuple[Dataset, Dataset]:
+def _mnist_datasets(data_dir, m: int) -> tuple[Dataset, Dataset]:
+    """The first m training images and every test image, dft_encoded."""
     data_dir = Path(data_dir)
     train_path = data_dir / "mnist-real" / "train"
     test_path = data_dir / "mnist-real" / "test"
@@ -154,18 +155,17 @@ def _mnist_datasets(data_dir) -> tuple[Dataset, Dataset]:
             raise DataError(
                 f"expected a real-form CVDS dataset at {p} "
                 "(see README: converting MNIST to CVDS)")
-    return load_cvds(train_path), load_cvds(test_path)
+    train_raw, test_raw = load_cvds(train_path), load_cvds(test_path)
+    if train_raw.m < m:
+        raise DataError(f"mnist-real/train has {train_raw.m} rows; need {m}")
+    return dft_encode(train_raw.take(m)), dft_encode(test_raw)
 
 
 @_writes_out_dir
 def run_cvmnist500(data_dir, base_seed: int = 1, n_seeds: int = 5,
                    epochs: int = CVMNIST_EPOCHS, m: int = 500) -> dict:
     """Spectral MNIST classification from the first m training images."""
-    train_raw, test_raw = _mnist_datasets(data_dir)
-    if train_raw.m < m:
-        raise DataError(f"mnist-real/train has {train_raw.m} rows; need {m}")
-    train_ds = dft_encode(train_raw.take(m))
-    test_ds = dft_encode(test_raw)
+    train_ds, test_ds = _mnist_datasets(data_dir, m)
     seeds = list(range(base_seed, base_seed + n_seeds))
     runs = [(seed, train_ds, test_ds) for seed in seeds]
     per_seed = _compare(runs, CVMNIST_LR, CVMNIST_BETA, epochs)
@@ -186,11 +186,7 @@ def run_noise_sweep(data_dir, base_seed: int = 1, n_seeds: int = 1,
                     etas: Sequence[float] = (0.0, 0.5, 1.0, 1.5, 2.0),
                     m: int = 2000, epochs: int = NOISE_EPOCHS) -> dict:
     """Train-set noise robustness on spectral MNIST; test set stays clean."""
-    train_raw, test_raw = _mnist_datasets(data_dir)
-    if train_raw.m < m:
-        raise DataError(f"mnist-real/train has {train_raw.m} rows; need {m}")
-    clean_train = dft_encode(train_raw.take(m))
-    test_ds = dft_encode(test_raw)
+    clean_train, test_ds = _mnist_datasets(data_dir, m)
     seeds = list(range(base_seed, base_seed + n_seeds))
     keys = [f"{eta:g}" for eta in etas]
     runs = [(seed, add_complex_noise(clean_train, eta,

@@ -44,17 +44,25 @@ def evaluate(model: Model, ds: Dataset) -> dict:
 
 def forward_metrics(model: Model, ds: Dataset) -> tuple[dict, ForwardResult]:
     """One forward pass over a dataset: the task metrics, and the result
-    whose latents the diagnostics read."""
-    result = forward(model, ad.trusted_constant(ds.features_re),
-                     ad.trusted_constant(ds.features_im))
-    pred = result.pred.data
-    if ds.task == "classification":
-        return {"accuracy": accuracy(pred, ds.labels)}, result
-    targets = stacked_targets(ds)
-    mp = mag_phase_mse(pred, targets)
-    return {"mse": mse_metric(pred, targets),
-            "mag_mse": mp.mag_mse, "phase_mse": mp.phase_mse,
-            "degenerate_phases": mp.degenerate_phases}, result
+    whose latents the diagnostics read. Finite parameters can still
+    overflow on the way: predictions or metrics that are not all finite
+    raise DataError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = forward(model, ad.trusted_constant(ds.features_re),
+                         ad.trusted_constant(ds.features_im))
+        pred = result.pred.data
+        if ds.task == "classification":
+            metrics = {"accuracy": accuracy(pred, ds.labels)}
+        else:
+            targets = stacked_targets(ds)
+            mp = mag_phase_mse(pred, targets)
+            metrics = {"mse": mse_metric(pred, targets),
+                       "mag_mse": mp.mag_mse, "phase_mse": mp.phase_mse,
+                       "degenerate_phases": mp.degenerate_phases}
+    if not (np.isfinite(pred).all() and all(map(math.isfinite, metrics.values()))):
+        raise DataError("the model's predictions or metrics on this dataset are not "
+                        "all finite: its parameters overflow")
+    return metrics, result
 
 
 def primary_metric(metrics: dict) -> float:

@@ -1,6 +1,6 @@
 import json
 import warnings
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +8,7 @@ import pytest
 
 import cvlearn as cv
 from cvlearn import transforms as tr
-from cvlearn.data import ChannelSpec, Dataset, stacked_targets
+from cvlearn.data import NL_COEFF, SEQ_LEN, TAPS, ChannelSpec, Dataset, stacked_targets
 from cvlearn.errors import ContractError, DataError
 from cvlearn.rng import Rng
 
@@ -61,7 +61,22 @@ def test_cvds_header_counts_must_be_json_integers(field, value, tmp_path):
     meta = json.loads((tmp_path / "d" / "meta.json").read_text())
     meta[field] = value
     (tmp_path / "d" / "meta.json").write_text(json.dumps(meta))
-    with pytest.raises(DataError, match=f"'{field}' must be an integer"):
+    with pytest.raises(DataError, match=f"^meta.json: field {field} must be an integer$"):
+        cv.load_cvds(tmp_path / "d")
+
+
+@pytest.mark.parametrize("field,value,needle", [
+    ("M", None, "missing field M"), ("task", None, "missing field task"),
+    ("task", 3, "field task must be a string")])
+def test_cvds_header_fields_named(field, value, needle, tmp_path):
+    cv.save_cvds(synthetic_classification(2, 4, 2, seed=3), tmp_path / "d")
+    meta = json.loads((tmp_path / "d" / "meta.json").read_text())
+    if value is None:
+        del meta[field]
+    else:
+        meta[field] = value
+    (tmp_path / "d" / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(DataError, match=f"^meta.json: {needle}$"):
         cv.load_cvds(tmp_path / "d")
 
 
@@ -89,7 +104,7 @@ def test_cvds_non_finite_rejected(tmp_path):
 ])
 def test_cvds_values_checked_by_the_dataset_they_build(tmp_path, task, blob, values, needle):
     ds = (synthetic_classification(3, 4, 2, seed=5) if task == "classification"
-          else cv.gen_channel_dataset(cv.ChannelSpec(seq_len=4), 3, seed=5))
+          else cv.gen_channel_dataset(cv.ChannelSpec(), 3, seed=5))
     cv.save_cvds(ds, tmp_path / "d")
     (tmp_path / "d" / blob).write_bytes(values.astype(values.dtype.newbyteorder("<")).tobytes())
     with pytest.raises(DataError, match=needle):
@@ -379,8 +394,8 @@ def test_noise_deterministic_per_seed():
 def test_channel_spec_validation():
     with pytest.raises(ContractError):
         ChannelSpec(rho=1.5)
-    with pytest.raises(ContractError):
-        ChannelSpec(taps=(0.0, 0.0))
+    # the channel itself is fixed: only the input law and the SNR vary
+    assert [f.name for f in fields(ChannelSpec)] == ["rho", "snr_db"]
 
 
 def test_channel_circular_input_variance_split():
@@ -401,12 +416,12 @@ def test_channel_snr_hits_target():
     m, seed = 200_000, 15
     ds = cv.gen_channel_dataset(spec, m, seed)
     rng = Rng(seed)
-    total = m + spec.seq_len - 1
+    total = m + SEQ_LEN - 1
     a = rng.substream("channel/re").normal(total)
     b = rng.substream("channel/im").normal(total)
     x = np.sqrt(1 - spec.rho ** 2) * a + 1j * spec.rho * b
-    filt = np.convolve(x, np.asarray(spec.taps))[:total]
-    clean = (filt + spec.nl_coeff * filt ** 2)[spec.seq_len - 1:]
+    filt = np.convolve(x, np.asarray(TAPS))[:total]
+    clean = (filt + NL_COEFF * filt ** 2)[SEQ_LEN - 1:]
     noise = ds.labels[:, 0] - clean
     snr_db = 10 * np.log10(np.mean(np.abs(clean) ** 2) / np.mean(np.abs(noise) ** 2))
     assert abs(snr_db - spec.snr_db) < 0.1
@@ -415,7 +430,7 @@ def test_channel_snr_hits_target():
 def test_channel_windows_align_chronologically():
     spec = ChannelSpec()
     ds = cv.gen_channel_dataset(spec, 50, seed=16)
-    # consecutive windows overlap by seq_len - 1 entries
+    # consecutive windows overlap by SEQ_LEN - 1 entries
     assert np.allclose(ds.features_re[1, :-1], ds.features_re[0, 1:])
     assert np.allclose(ds.features_im[1, :-1], ds.features_im[0, 1:])
 

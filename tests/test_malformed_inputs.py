@@ -10,6 +10,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -39,7 +40,7 @@ SPEC_KEYS = tuple(f.name for f in fields(cv.NetworkSpec))
 
 DATASETS = {
     "classification": synthetic_classification(3, 2, 2, seed=1),
-    "complex_regression": cv.gen_channel_dataset(cv.ChannelSpec(seq_len=2), 3, seed=1),
+    "complex_regression": cv.gen_channel_dataset(cv.ChannelSpec(), 3, seed=1),
 }
 SPEC = cv.NetworkSpec(kind="rvnn", input_dim=2, latent_dim=2, output_dim=2,
                       task="classification")
@@ -278,6 +279,15 @@ def _cvds_inf_label(w: Path) -> Path:
     return d
 
 
+def _overflowing_checkpoint(w: Path, scale: float = 1e200) -> Path:
+    # finite parameters whose products overflow on the way through the network
+    header, blob = (w / "run" / "checkpoint.bin").read_bytes().split(b"\n", 1)
+    path = w / f"overflow{scale:g}.bin"
+    _write_checkpoint(path, json.loads(header),
+                      (np.frombuffer(blob, dtype="<f8") * scale).tobytes())
+    return path
+
+
 def _config(w: Path, name: str, content: bytes) -> Path:
     (w / name).write_bytes(content)
     return w / name
@@ -296,6 +306,12 @@ CASES = {
         "eval", "--checkpoint", w / "chan", "--dataset", w / "chan"]),
     "eval-checkpoint-huge-shape": (2, "checkpoint blob: expected", lambda w: [
         "eval", "--checkpoint", _bad_checkpoint(w), "--dataset", w / "chan"]),
+    "eval-checkpoint-overflows": (2, "not all finite", lambda w: [
+        "eval", "--checkpoint", _overflowing_checkpoint(w), "--dataset", w / "chan",
+        "--out", w / "o1.json"]),
+    "diag-checkpoint-overflows": (2, "not all finite", lambda w: [
+        "diag", "--checkpoint", _overflowing_checkpoint(w), "--dataset", w / "chan",
+        "--out", w / "o2.json"]),
     "train-config-is-directory": (2, "Is a directory", lambda w: [
         "train", "--config", w / "chan", "--out", w / "r1"]),
     "train-config-not-utf8": (1, "config is not valid JSON", lambda w: [
@@ -324,6 +340,13 @@ CASES = {
         "gen", "--task", "noise", "--eta", "inf", "--in", w / "chan", "--out", w / "n4"]),
     "gen-snr-db-nan": (1, "snr_db", lambda w: [
         "gen", "--task", "channel", "--m", "8", "--snr-db", "nan", "--out", w / "n5"]),
+    # 10**(snr_db/10) overflows, or underflows to zero
+    "gen-snr-db-overflows": (1, "snr_db", lambda w: [
+        "gen", "--task", "channel", "--m", "8", "--snr-db=3100", "--out", w / "n9"]),
+    "gen-snr-db-underflows": (1, "snr_db", lambda w: [
+        "gen", "--task", "channel", "--m", "8", "--snr-db=-3300", "--out", w / "n10"]),
+    "gen-eta-overflows": (2, "non-finite", lambda w: [
+        "gen", "--task", "noise", "--eta", "1e308", "--in", w / "chan", "--out", w / "n11"]),
     # the channel draws alone need 8e15 bytes, beyond any address space
     "gen-m-too-big": (1, "--m", lambda w: [
         "gen", "--task", "channel", "--m", 10 ** 15, "--out", w / "n6"]),
@@ -386,6 +409,42 @@ def test_cli_failed_train_keeps_an_existing_out_dir(work):
     assert list(empty.iterdir()) == []
     assert [f.name for f in used.iterdir()] == ["notes.txt"]
     assert (used / "notes.txt").read_text() == "mine"
+
+
+@pytest.mark.parametrize("case", ["eval-checkpoint-overflows", "diag-checkpoint-overflows"])
+def test_cli_overflowing_checkpoint_writes_no_out_file(work, case):
+    _, _, argv = CASES[case]
+    args = argv(work)
+    assert cli(*args, cwd=work).returncode == 2
+    assert not Path(args[args.index("--out") + 1]).exists()
+
+
+# 1e200: the predictions overflow; 1e60: they stay finite, their squared errors do not
+@pytest.mark.parametrize("scale", [1e200, 1e60])
+def test_evaluate_overflowing_parameters_is_a_data_error(work, scale):
+    model, _ = cv.load_checkpoint(_overflowing_checkpoint(work, scale))
+    ds = cv.load_cvds(work / "chan")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning before the error
+        with pytest.raises(DataError, match="not all finite"):
+            cv.evaluate(model, ds)
+
+
+@pytest.mark.parametrize("kernel,argv", [
+    ("_dft_kernel", ["gen", "--task", "dft-encode"]),
+    ("_cotangent_kernel", ["hilbert", "--method", "cotangent"])])
+def test_cli_out_of_memory_is_one_error_line(tmp_path, monkeypatch, kernel, argv):
+    # a stand-in for a dense kernel too large to allocate: a real request of
+    # that size may be granted by the OS and then killed when touched
+    def unaffordable(n, *args):
+        raise MemoryError(f"Unable to allocate a {n} x {n} kernel")
+    monkeypatch.setattr(cv.transforms, kernel, unaffordable)
+    real_form = cv.Dataset(np.ones((2, 6)), np.zeros((2, 6)), np.array([0, 1]), "classification")
+    cv.save_cvds(real_form, tmp_path / "d")
+    code, err = _main(*argv, "--in", tmp_path / "d", "--out", tmp_path / "out")
+    assert code == 1
+    assert err.startswith(f"error: {argv[0]}: out of memory") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("case", ["gen-m-too-big", "gen-m-past-array-limit"])

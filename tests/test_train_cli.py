@@ -281,12 +281,14 @@ def test_test_dataset_mismatch_rejected(tmp_path):
 
 
 def test_cli_gen_train_eval_diag_roundtrip(tmp_path):
+    # every command succeeds with nothing on stderr: no numpy warning leaks
     out = _cli("gen", "--task", "channel", "--m", "64", "--seed", "4",
                "--out", str(tmp_path / "train"))
-    assert out.returncode == 0, out.stderr
+    assert (out.returncode, out.stderr) == (0, ""), out.stderr
     assert json.loads(out.stdout)["task"] == "complex_regression"
-    _cli("gen", "--task", "channel", "--m", "48", "--seed", "5",
-         "--out", str(tmp_path / "test"))
+    out = _cli("gen", "--task", "channel", "--m", "48", "--seed", "5",
+               "--out", str(tmp_path / "test"))
+    assert (out.returncode, out.stderr) == (0, ""), out.stderr
 
     config = {"arch": "analytic", "latent_dim": 8,
               "train_dataset": str(tmp_path / "train"),
@@ -296,21 +298,21 @@ def test_cli_gen_train_eval_diag_roundtrip(tmp_path):
     (tmp_path / "cfg.json").write_text(json.dumps(config))
     out = _cli("train", "--config", str(tmp_path / "cfg.json"),
                "--out", str(tmp_path / "run"))
-    assert out.returncode == 0, out.stderr
+    assert (out.returncode, out.stderr) == (0, ""), out.stderr
 
     out = _cli("eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.bin"),
                "--dataset", str(tmp_path / "test"))
-    assert out.returncode == 0, out.stderr
+    assert (out.returncode, out.stderr) == (0, ""), out.stderr
     metrics = json.loads(out.stdout)
     assert set(metrics) >= {"mse", "mag_mse", "phase_mse"}
 
     again = _cli("eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.bin"),
                  "--dataset", str(tmp_path / "test"))
-    assert again.stdout == out.stdout  # deterministic evaluation
+    assert (again.stdout, again.stderr) == (out.stdout, "")  # deterministic evaluation
 
     out = _cli("diag", "--checkpoint", str(tmp_path / "run" / "checkpoint.bin"),
                "--dataset", str(tmp_path / "test"))
-    assert out.returncode == 0, out.stderr
+    assert (out.returncode, out.stderr) == (0, ""), out.stderr
     diag = json.loads(out.stdout)
     assert diag["norm_j"] >= diag["norm_s"]
     assert 0.0 <= diag["orthogonality"] <= 1.0
