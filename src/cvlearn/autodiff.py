@@ -9,7 +9,10 @@ creation and safe to share across threads.
 Data that gets no gradient enters through ``constant``, which rejects
 NaN and Inf, or through ``trusted_constant``, which binds data already
 checked where it was made (a ``Dataset``'s read-only features and
-targets, and rows gathered from them) without reading it a second time.
+targets, rows gathered from them, and a ``Model``'s parameters when
+nothing is differentiated) without reading it a second time. An op over
+constants only records nothing and keeps no parents or VJPs, so such a
+pass builds no graph.
 
 A tensor holds its tape through a weak reference, so tape and nodes form
 no reference cycle and a dropped tape is freed at once rather than at the
@@ -18,9 +21,10 @@ C-contiguous array as a read-only view without copying; the caller must
 not write to such an array while a tape that binds it is in use.
 
 The op set is the real ops the networks share: ``linear`` (``x @ w.T +
-b`` as one node, the only real affine op), ``relu``, ``concat`` (last
-axis), ``mean_center_rows``, ``sum_all`` and ``mean_sq_diff`` (the
-squared error of ``mse`` and the Hilbert penalty). An op of one concept
+b`` as one node, the only real affine op; ``x`` may be a pair of blocks
+of one joined input, read in place), ``relu``, ``concat`` (last axis),
+``mean_center_rows``, ``sum_all`` and ``mean_sq_diff`` (the squared
+error of ``mse`` and the Hilbert penalty). An op of one concept
 sits beside its caller and records through ``record_op``: ``transforms``
 adds the Hilbert matmul, ``losses`` the softmax cross-entropy and the
 penalised objective, and ``models`` cvnn's complex layer and magnitude
@@ -172,27 +176,39 @@ def _find_tape(parents: Sequence[Tensor]) -> Optional[Tape]:
 
 def record_op(op: str, value: np.ndarray, parents: Sequence[Tensor],
               vjps: Sequence[Callable[[np.ndarray], np.ndarray]]) -> Tensor:
-    """Record one op result; constant-only inputs yield an unrecorded constant."""
+    """Record one op result; constant-only inputs yield an unrecorded constant
+    that keeps no parents or VJPs, so a pass off any tape frees each operand
+    as soon as nothing else holds it."""
     tape = _find_tape(parents)
-    out = Tensor(_freeze(value), parents=tuple(parents), vjps=tuple(vjps), op=op)
     if tape is None:
-        return out
-    return tape._add(out)
+        return Tensor(_freeze(value), op=op)
+    return tape._add(Tensor(_freeze(value), parents=tuple(parents), vjps=tuple(vjps), op=op))
 
 
 # ---------------------------------------------------------------------------
 # elementary operations
 
 
-def check_affine(x: Tensor, w: Tensor, b: Tensor) -> None:
-    """ShapeError unless ``x @ w.T + b`` has matching 2-D or stacked operands."""
-    xs, ws, bs = x.shape, w.shape, b.shape
+def check_affine(x, w: Tensor, b: Tensor) -> None:
+    """ShapeError unless ``x @ w.T + b`` has matching 2-D or stacked operands;
+    ``x`` is one tensor or a pair whose widths split ``w``'s input axis."""
+    if isinstance(x, Tensor):
+        xs = x.shape
+    else:  # the shape of the pair's join; () when the pair has none
+        xs = () if len(x) != 2 or x[0].ndim < 2 or x[0].shape[:-1] != x[1].shape[:-1] \
+            else x[0].shape[:-1] + (x[0].shape[-1] + x[1].shape[-1],)
+    ws, bs = w.shape, b.shape
     if len(xs) < 2 or len(ws) != len(xs) or xs[:-2] != ws[:-2] or xs[-1] != ws[-1] \
             or bs != ws[:-1]:
-        raise ShapeError(f"affine operand shapes do not match: x {xs}, w {ws}, b {bs}")
+        given = x.shape if isinstance(x, Tensor) else " + ".join(str(t.shape) for t in x)
+        raise ShapeError(f"affine operand shapes do not match: x {given}, w {ws}, b {bs}")
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def _sum_rows(g: np.ndarray) -> np.ndarray:
+    return np.add.reduce(g, axis=-2)  # ndarray.sum without its Python wrapper
+
+
+def linear(x, w: Tensor, b: Tensor) -> Tensor:
     """Fully connected layer ``x @ w.T + b`` as one tape node, the
     tape's only real affine op: every bias of rvnn, steinmetz and
     analytic enters here, and cvnn's complex layer copies its forms.
@@ -205,18 +221,41 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     rounds as the chain's transposed ``x.T @ g`` does. Stacked operands
     ([E, m, in] inputs, [E, out, in] weights, [E, out] biases) apply
     each member's weights to its own inputs.
+
+    ``x`` may also be a pair ``(xr, xi)`` of [.., m, n] and [.., m, in - n]
+    tensors, the two channel blocks of one joined input, which is then
+    never built. The node reads the two row blocks of the same one copy
+    ``wt`` of ``w.T`` as views: the value is ``xr @ wt[:n]``, plus ``b``,
+    plus ``xi @ wt[n:]``, in that order (cvnn's complex layer's), and the
+    weight gradient is ``g.T @ xr`` and ``g.T @ xi`` written side by side
+    into one array.
     """
     check_affine(x, w, b)
-    xd, wd = x.data, w.data
     # x @ w.T on the transposed view would round differently at some shapes
-    wt = np.ascontiguousarray(wd.swapaxes(-1, -2))
-    value = xd @ wt
-    value += b.data[..., None, :]  # value is the matmul's own fresh array
-    return record_op("linear", value, (x, w, b),
-                     (lambda g: g @ wt.swapaxes(-1, -2),
-                      lambda g: g.swapaxes(-1, -2) @ xd,
-                      # np.add.reduce is ndarray.sum without its Python wrapper
-                      lambda g: np.add.reduce(g, axis=-2)))
+    wt = np.ascontiguousarray(w.data.swapaxes(-1, -2))
+    if isinstance(x, Tensor):
+        xd = x.data
+        value = xd @ wt
+        value += b.data[..., None, :]  # value is the matmul's own fresh array
+        return record_op("linear", value, (x, w, b),
+                         (lambda g: g @ wt.swapaxes(-1, -2),
+                          lambda g: g.swapaxes(-1, -2) @ xd, _sum_rows))
+    (xr, xi), n = x, x[0].shape[-1]
+    xrd, xid = xr.data, xi.data
+    wtr, wti = wt[..., :n, :], wt[..., n:, :]
+    value = xrd @ wtr
+    value += b.data[..., None, :]
+    value += xid @ wti
+
+    def vjp_w(g):
+        gw, gt = np.empty(w.shape), g.swapaxes(-1, -2)
+        np.matmul(gt, xrd, out=gw[..., :n])
+        np.matmul(gt, xid, out=gw[..., n:])
+        return gw
+
+    return record_op("linear", value, (xr, xi, w, b),
+                     (lambda g: g @ wtr.swapaxes(-1, -2),
+                      lambda g: g @ wti.swapaxes(-1, -2), vjp_w, _sum_rows))
 
 
 def relu(x: Tensor) -> Tensor:

@@ -34,6 +34,9 @@ from .errors import ContractError, DataError
 from .rng import Rng
 from .transforms import dft_array
 
+# complex values per block of rows in dft_encode (1 MiB)
+_DFT_BLOCK = 1 << 16
+
 TASKS = ("classification", "complex_regression")
 
 # the paper's channel: FIR taps, square-term coefficient, window length
@@ -312,11 +315,26 @@ def load_cvds(path) -> Dataset:
 
 
 def dft_encode(ds: Dataset) -> Dataset:
-    """Replace real-form features by their per-row spectra; labels pass through."""
+    """Replace real-form features by their per-row spectra; labels pass through.
+
+    The real and imaginary parts are written straight into the two output
+    arrays, one block of rows (about 1 MiB of complex values) at a time,
+    so the peak beyond the outputs is a few MiB at any M. Blocks hold at
+    least two rows, where a one-row product would round differently at
+    prime n, so every bit is that of ``dft_array`` over the whole array.
+    """
     if np.any(ds.features_im != 0.0):
         raise DataError("dft_encode expects a real-form dataset (features_im all zero)")
-    spectra = dft_array(ds.features_re.astype(np.complex128))
-    return replace(ds, features_re=spectra.real, features_im=spectra.imag,
+    x = ds.features_re
+    (m, n), lo = x.shape, 0
+    re, im = np.empty((m, n)), np.empty((m, n))
+    step = max(2, _DFT_BLOCK // n)
+    while lo < m:
+        hi = m if m - lo <= step + 1 else lo + step  # never a one-row block
+        spectra = dft_array(x[lo:hi])
+        re[lo:hi], im[lo:hi] = spectra.real, spectra.imag
+        lo = hi
+    return replace(ds, features_re=re, features_im=im,
                    provenance=f"{ds.provenance}|dft_encode")
 
 

@@ -10,6 +10,7 @@ cross-covariance block zeroed out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -161,10 +162,15 @@ class CovComparison(NamedTuple):
 def covariance_comparison(z_re, z_im) -> CovComparison:
     """L_{2,2} mixed-norm comparison of the latent covariance with and
     without the cross-channel block; norm_j >= norm_s always, with equality
-    when the channels are uncorrelated."""
-    blocks = covariance_blocks(z_re, z_im)
-    norm_j = lpq_norm(blocks.joint(), 2.0, 2.0)
-    norm_s = lpq_norm(blocks.separate(), 2.0, 2.0)
+    when the channels are uncorrelated. Latents so large that a norm
+    overflows raise DataError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = covariance_blocks(z_re, z_im)
+        norm_j = lpq_norm(blocks.joint(), 2.0, 2.0)
+        norm_s = lpq_norm(blocks.separate(), 2.0, 2.0)
+    if not (math.isfinite(norm_j) and math.isfinite(norm_s)):
+        raise DataError(f"latent covariance norm is not finite (norm_j {norm_j}, "
+                        f"norm_s {norm_s}): the latents overflow")
     if norm_s == 0.0:
         raise DataError("degenerate batch: covariance norm is zero")
     return CovComparison(norm_j, norm_s, norm_j / norm_s)

@@ -5,8 +5,9 @@ feature matrices. "steinmetz" runs separate two-layer ReLU subnetworks
 on the real and imaginary channels, mean-centers each latent row, and
 feeds the concatenation to a shared linear head. "analytic" is the same
 forward graph; it differs only in training, where the Hilbert
-consistency penalty is added to the loss. "rvnn" concatenates the
-channels up front; "cvnn" uses complex linear layers (kept as real
+consistency penalty is added to the loss. "rvnn" treats the two
+channels as one real vector, its first layer reading both blocks in
+place; "cvnn" uses complex linear layers (kept as real
 weight pairs, one tape node per part, recorded here like its one-node
 magnitude head) with ReLU applied independently to each part.
 """
@@ -155,8 +156,10 @@ def param_count(model: Model) -> int:
 
 
 def _rvnn(spec: NetworkSpec, p: dict, xr: Tensor, xi: Tensor) -> ForwardResult:
-    """Joint processing of the concatenated channels; latent width 2*latent_dim."""
-    h = ad.relu(ad.linear(ad.concat(xr, xi), p["fc1.w"], p["fc1.b"]))
+    """Joint processing of both channels as one real vector; latent width
+    2*latent_dim. The first layer reads the two channel blocks in place
+    (``linear``'s pair form), so the joined [m, 2*dN] input is never built."""
+    h = ad.relu(ad.linear((xr, xi), p["fc1.w"], p["fc1.b"]))
     latent = ad.relu(ad.linear(h, p["fc2.w"], p["fc2.b"]))
     return ForwardResult(pred=ad.linear(latent, p["fc3.w"], p["fc3.b"]), latent=latent)
 
@@ -235,8 +238,10 @@ def forward(model: Model, x_re, x_im, tape: Optional[Tape] = None) -> ForwardRes
     Inputs enter as constants, given no gradient, so backward stops at
     the first layer. Arrays are checked for NaN/Inf and bound without
     copying; constant Tensors (``ad.trusted_constant`` over a Dataset's
-    checked features) are used as they are. Parameters bind to ``tape``
-    (a fresh one when None).
+    checked features) are used as they are. Parameters bind to ``tape``;
+    with no tape (evaluation) they bind as trusted constants, checked when
+    the Model was built, and the pass builds no graph: each activation is
+    freed once the next op has read it.
     """
     spec = model.spec
     x_re, x_im = (x if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
@@ -249,8 +254,8 @@ def forward(model: Model, x_re, x_im, tape: Optional[Tape] = None) -> ForwardRes
     if x_re.shape[-1] != spec.input_dim:
         raise ShapeError(
             f"input feature width {x_re.shape[-1]} != network input_dim {spec.input_dim}")
-    tape = tape if tape is not None else Tape()
-    p = {name: tape.param(arr, name) for name, arr in model.params.items()}
+    p = {name: ad.trusted_constant(arr) if tape is None else tape.param(arr, name)
+         for name, arr in model.params.items()}
     xr, xi = (x if isinstance(x, Tensor) else ad.constant(x) for x in (x_re, x_im))
     return _BODIES[spec.kind](spec, p, xr, xi)
 

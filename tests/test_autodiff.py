@@ -241,8 +241,9 @@ def test_linear_with_bias_gradients_100_seeds():
 
 def _node_case(name, g):
     """(op over a dict of tape tensors, parameter arrays) for the one-node
-    ops of cvnn's complex layer and magnitude head and of the penalised
-    loss; every input of the node is a parameter."""
+    ops of cvnn's complex layer and magnitude head, of the penalised loss
+    and of ``linear`` over a pair of inputs (rvnn's first layer); every
+    input of the node is a parameter."""
     if name.startswith("complex"):
         lead = (2,) if name.endswith("stacked") else ()
         shapes = {"xr": (3, 4), "xi": (3, 4), "wr": (5, 4), "wi": (5, 4),
@@ -254,6 +255,11 @@ def _node_case(name, g):
             return models._complex_affine(t["xr"], t["xi"], layer, "fc")[part]
 
         return op, {k: g.standard_normal(lead + s) for k, s in shapes.items()}
+    if name.startswith("linear_pair"):
+        lead = (2,) if name.endswith("stacked") else ()
+        shapes = {"xr": (3, 4), "xi": (3, 2), "w": (5, 6), "b": (5,)}
+        return (lambda t: ad.linear((t["xr"], t["xi"]), t["w"], t["b"]),
+                {k: g.standard_normal(lead + s) for k, s in shapes.items()})
     if name == "magnitude":
         return (lambda t: models._magnitude(t["yr"], t["yi"]),
                 {"yr": g.standard_normal((3, 4)), "yi": g.standard_normal((3, 4))})
@@ -262,7 +268,8 @@ def _node_case(name, g):
 
 
 @pytest.mark.parametrize("name", ["complex_re", "complex_im", "complex_re_stacked",
-                                  "complex_im_stacked", "magnitude", "total_loss"])
+                                  "complex_im_stacked", "magnitude", "total_loss",
+                                  "linear_pair", "linear_pair_stacked"])
 def test_node_gradients_100_seeds(name):
     for seed in range(100):
         op, params = _node_case(name, np.random.default_rng(3000 + seed))
@@ -302,6 +309,62 @@ def test_linear_bit_identical_to_transpose_matmul_add_bias(shape, bias):
         assert np.array_equal(out.data[e], ref_value)
         for name in ("x", "w", "b"):
             assert np.array_equal(grads[name][e], ref_grads[name]), name
+
+
+def _linear_pair(xr, xi, w, b, upstream, joined=False):
+    """Value and gradients of ``linear`` over (xr, xi), as a pair or, with
+    ``joined``, over their concatenation as one constant input."""
+    tape = cv.Tape()
+    tw, tb = tape.param(w, "w"), tape.param(b, "b")
+    if joined:
+        out = ad.linear(ad.constant(np.concatenate([xr, xi], axis=-1)), tw, tb)
+    else:
+        out = ad.linear((tape.param(xr, "xr"), tape.param(xi, "xi")), tw, tb)
+    return out.data, tape.backward(weighted_sum(out, upstream))
+
+
+# (m, n_r, n_i, out): rvnn's first layer at the channel (dN = 5) and spectral
+# (784) widths, uneven blocks, and stacked [E, m, n] ensembles of 2 and 5
+@pytest.mark.parametrize("shape", [(32, 5, 5, 64), (32, 784, 784, 64), (3, 4, 2, 5),
+                                   (2, 32, 784, 784, 64), (5, 32, 5, 5, 64)])
+def test_linear_pair_form_bit_identical_to_hand_computed(shape):
+    *lead, m, nr, ni, d_out = shape
+    g = np.random.default_rng(nr * 1000 + ni + d_out + len(lead))
+    xr, xi = g.standard_normal((*lead, m, nr)), g.standard_normal((*lead, m, ni))
+    w = g.standard_normal((*lead, d_out, nr + ni))
+    b = g.standard_normal((*lead, d_out))
+    upstream = g.standard_normal((*lead, m, d_out))
+    value, grads = _linear_pair(xr, xi, w, b, upstream)
+    for e in np.ndindex(*lead):
+        wt, u = np.ascontiguousarray(w[e].T), upstream[e]
+        assert np.array_equal(value[e], xr[e] @ wt[:nr] + b[e] + xi[e] @ wt[nr:])
+        ref = {"xr": u @ wt[:nr].T, "xi": u @ wt[nr:].T,
+               "w": np.concatenate([u.T @ xr[e], u.T @ xi[e]], axis=1),
+               "b": np.add.reduce(u, axis=0)}
+        for name, r in ref.items():
+            assert np.array_equal(grads[name][e], r), name
+        if lead:  # a stacked member rounds as it would alone
+            solo_value, solo_grads = _linear_pair(xr[e], xi[e], w[e], b[e], u)
+            assert np.array_equal(value[e], solo_value)
+            for name, r in solo_grads.items():
+                assert np.array_equal(grads[name][e], r), name
+    # the joined input's one product over n_r + n_i columns rounds differently
+    joined_value, joined_grads = _linear_pair(xr, xi, w, b, upstream, joined=True)
+    assert np.abs(value - joined_value).max() <= 1e-12 * np.abs(joined_value).max()
+    for name in ("w", "b"):
+        scale = np.abs(joined_grads[name]).max()
+        assert np.abs(grads[name] - joined_grads[name]).max() <= 1e-12 * scale, name
+
+
+def test_linear_pair_shape_mismatch():
+    w, b = ad.constant(np.ones((4, 5))), ad.constant(np.ones(4))
+    x2, x3 = ad.constant(np.ones((2, 2))), ad.constant(np.ones((2, 3)))
+    ad.linear((x2, x3), w, b)  # widths 2 + 3 split w's 5 input columns
+    # widths that do not add up, rows or axes that differ, three parts, none
+    for pair in [(x3, x3), (x2, x2), (x2, ad.constant(np.ones((3, 3)))),
+                 (x2, ad.constant(np.ones((1, 2, 3)))), (x2, x3, x2), ()]:
+        with pytest.raises(ShapeError):
+            ad.linear(pair, w, b)
 
 
 # 2-D operands, the recipe batch shapes, and stacked [E, m, n] ensembles; the

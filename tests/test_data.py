@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
@@ -346,6 +347,40 @@ def test_dft_encode_conjugate_symmetry_and_inverse():
     back = tr.dft_array(spec, inverse=True)
     assert np.abs(back.real - rows).max() <= 1e-9
     assert np.abs(back.imag).max() <= 1e-9
+
+
+def _real_form(m: int, n: int, seed: int) -> Dataset:
+    x = np.random.default_rng(seed).standard_normal((m, n))
+    return Dataset(x, np.zeros_like(x), np.zeros(m, dtype=int), "classification")
+
+
+# n: prime (2, 3, 97, 997: the direct sum) and composite (64, 784: the
+# split); m around one block of rows, where the last block could hold one row
+@pytest.mark.parametrize("n", [2, 3, 64, 97, 784, 997])
+def test_dft_encode_bit_identical_to_whole_array_transform(n):
+    block = max(2, cv.data._DFT_BLOCK // n)
+    for m in sorted({1, 2, block - 1, block, block + 1, 2000}):
+        ds = _real_form(m, n, seed=n + m)
+        enc = cv.dft_encode(ds)
+        whole = tr.dft_array(ds.features_re)
+        assert np.array_equal(enc.features_re, whole.real), (n, m)
+        assert np.array_equal(enc.features_im, whole.imag), (n, m)
+
+
+def test_dft_encode_peak_is_its_outputs():
+    # 2000 x 784: the two float64 outputs are 25.1 MB. Spectra are written
+    # into them a block of rows at a time; measured 4.1 MiB above them (the
+    # Dataset's finiteness masks and one block's complex temporaries), where
+    # a whole-array complex input and output and their copies took 25.9 MiB.
+    ds = _real_form(2000, 784, seed=5)
+    cv.dft_encode(ds)  # fills the kernel and twiddle caches
+    tracemalloc.start()
+    try:
+        cv.dft_encode(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * ds.features_re.nbytes + (8 << 20), peak
 
 
 def test_dft_encode_requires_real_form():

@@ -312,6 +312,11 @@ CASES = {
     "diag-checkpoint-overflows": (2, "not all finite", lambda w: [
         "diag", "--checkpoint", _overflowing_checkpoint(w), "--dataset", w / "chan",
         "--out", w / "o2.json"]),
+    # predictions and metrics stay finite; the latent covariance norm does not
+    "diag-latent-covariance-overflows": (2, "latent covariance norm is not finite",
+                                         lambda w: ["diag", "--checkpoint",
+                                                    _overflowing_checkpoint(w, 1e40),
+                                                    "--dataset", w / "chan"]),
     "train-config-is-directory": (2, "Is a directory", lambda w: [
         "train", "--config", w / "chan", "--out", w / "r1"]),
     "train-config-not-utf8": (1, "config is not valid JSON", lambda w: [
