@@ -3,20 +3,19 @@
 Beyond accuracy and MSE, this module measures two structural properties
 of a latent pair: how orthogonal the real and imaginary channels are
 (0 = orthogonal on average), and how much cross-channel covariance the
-batch carries, summarized by comparing a row-wise L_{p,q} mixed norm of
-the full covariance block matrix against the same norm with the
-cross-covariance block zeroed out.
+batch carries, summarized by comparing the Frobenius norm of the full
+latent covariance against the same norm with the cross-covariance block
+zeroed out.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractError, DataError, ShapeError
+from .errors import DataError, ShapeError
 
 
 def accuracy(pred_logits: np.ndarray, labels: np.ndarray) -> float:
@@ -109,68 +108,45 @@ def latent_orthogonality(z_re, z_im) -> float:
     return latent_orthogonality_counted(z_re, z_im).value
 
 
-def lpq_norm(matrix: np.ndarray, p: float, q: float) -> float:
-    """Row-wise mixed norm: (sum_i (sum_j |a_ij|^q)^(p/q))^(1/p).
-
-    p = q = 2 is the Frobenius norm.
-    """
-    if p < 1 or q < 1:
-        raise ContractError(f"lpq_norm requires p, q >= 1, got p={p}, q={q}")
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ShapeError(f"lpq_norm expects a matrix, got shape {matrix.shape}")
-    row_norms = np.sum(np.abs(matrix) ** q, axis=1) ** (1.0 / q)
-    return float(np.sum(row_norms ** p) ** (1.0 / p))
-
-
-@dataclass
-class CovBlocks:
-    """Sample covariance blocks of a latent pair (1/(batch-1) normalized)."""
-    k_rr: np.ndarray
-    k_ii: np.ndarray
-    k_ri: np.ndarray
-
-    def joint(self) -> np.ndarray:
-        return np.block([[self.k_rr, self.k_ri], [self.k_ri.T, self.k_ii]])
-
-    def separate(self) -> np.ndarray:
-        zero = np.zeros_like(self.k_ri)
-        return np.block([[self.k_rr, zero], [zero.T, self.k_ii]])
-
-
-def covariance_blocks(z_re, z_im) -> CovBlocks:
-    z_re, z_im = _latent_arrays(z_re, z_im)
-    b = z_re.shape[0]
-    if b < 2:
-        raise DataError("covariance needs a batch of at least 2 samples")
-    cr = z_re - z_re.mean(axis=0, keepdims=True)
-    ci = z_im - z_im.mean(axis=0, keepdims=True)
-    scale = 1.0 / (b - 1)
-    k_rr = (cr.T @ cr) * scale
-    k_ii = (ci.T @ ci) * scale
-    # exact symmetry for the auto blocks
-    return CovBlocks(k_rr=(k_rr + k_rr.T) / 2.0, k_ii=(k_ii + k_ii.T) / 2.0,
-                     k_ri=(cr.T @ ci) * scale)
-
-
 class CovComparison(NamedTuple):
-    norm_j: float  # mixed norm with the cross block included
+    norm_j: float  # Frobenius norm with the cross block included
     norm_s: float  # same norm with the cross block zeroed
     ratio: float
 
 
 def covariance_comparison(z_re, z_im) -> CovComparison:
-    """L_{2,2} mixed-norm comparison of the latent covariance with and
-    without the cross-channel block; norm_j >= norm_s always, with equality
-    when the channels are uncorrelated. Latents so large that a norm
-    overflows raise DataError."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        blocks = covariance_blocks(z_re, z_im)
-        norm_j = lpq_norm(blocks.joint(), 2.0, 2.0)
-        norm_s = lpq_norm(blocks.separate(), 2.0, 2.0)
-    if not (math.isfinite(norm_j) and math.isfinite(norm_s)):
-        raise DataError(f"latent covariance norm is not finite (norm_j {norm_j}, "
-                        f"norm_s {norm_s}): the latents overflow")
+    """Frobenius norms of the latent sample covariance (1/(batch-1)
+    normalized) with and without its cross-channel block, and their ratio.
+
+    From the blocks K_rr, K_ii and K_ri: norm_s^2 = |K_rr|^2 + |K_ii|^2 and
+    norm_j^2 = norm_s^2 + 2 |K_ri|^2, so norm_j >= norm_s, with equality
+    when the channels are uncorrelated. Both latents are first scaled by
+    the power of two 2^-e that brings every |entry| below 1, which rounds
+    no entry within 2^1022 of the largest; the covariance is homogeneous
+    of degree 2, so the norms scale back exactly by 4^e and the ratio is
+    that of the scaled norms. Norms beyond float range (latents of about
+    1e154) and non-finite latents raise DataError.
+    """
+    z_re, z_im = _latent_arrays(z_re, z_im)
+    b = z_re.shape[0]
+    if b < 2:
+        raise DataError("covariance needs a batch of at least 2 samples")
+    peak = max(np.abs(z_re).max(initial=0.0), np.abs(z_im).max(initial=0.0))
+    if not math.isfinite(peak):
+        raise DataError("latent covariance norm is not finite: the latents are not all finite")
+    e = math.frexp(peak)[1]
+    cr, ci = np.ldexp(z_re, -e), np.ldexp(z_im, -e)
+    cr -= cr.mean(axis=0, keepdims=True)
+    ci -= ci.mean(axis=0, keepdims=True)
+    scale = 1.0 / (b - 1)
+    sq_rr, sq_ii, sq_ri = (float(np.sum(np.square((x.T @ y) * scale)))
+                           for x, y in ((cr, cr), (ci, ci), (cr, ci)))
+    norm_s, norm_j = math.sqrt(sq_rr + sq_ii), math.sqrt(sq_rr + sq_ii + 2.0 * sq_ri)
     if norm_s == 0.0:
         raise DataError("degenerate batch: covariance norm is zero")
-    return CovComparison(norm_j, norm_s, norm_j / norm_s)
+    try:
+        return CovComparison(math.ldexp(norm_j, 2 * e), math.ldexp(norm_s, 2 * e),
+                             norm_j / norm_s)
+    except OverflowError:
+        raise DataError(f"latent covariance norm is not finite (norm_j {norm_j:.6g} x 4^{e} "
+                        f"is beyond float range): the latents overflow") from None

@@ -1,9 +1,12 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from cvlearn import diagnostics as dg
 from cvlearn import transforms as tr
-from cvlearn.errors import ContractError, DataError
+from cvlearn.errors import DataError
 
 from helpers import zero_dc_nyquist
 
@@ -104,53 +107,52 @@ def test_orthogonality_skips_zero_rows():
         dg.latent_orthogonality(np.zeros((2, 2)), b)
 
 
-def test_lpq_norm_examples():
-    assert dg.lpq_norm(np.eye(2), 2, 2) == pytest.approx(np.sqrt(2))
-    assert dg.lpq_norm(np.array([[3.0, 4.0], [0.0, 0.0]]), 2, 2) == pytest.approx(5.0)
-    assert dg.lpq_norm(np.ones((2, 2)), 1, 2) == pytest.approx(2 * np.sqrt(2))
-
-
-def test_lpq_norm_frobenius_reduction():
-    g = np.random.default_rng(5)
-    a = g.standard_normal((6, 9))
-    assert dg.lpq_norm(a, 2, 2) == pytest.approx(np.linalg.norm(a), rel=1e-12)
-
-
-def test_lpq_norm_rejects_p_below_one():
-    with pytest.raises(ContractError):
-        dg.lpq_norm(np.eye(2), 0.5, 2)
-    with pytest.raises(ContractError):
-        dg.lpq_norm(np.eye(2), 2, 0.9)
-
-
-@pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 2), (3, 1.5)])
-def test_lpq_block_zeroing_monotonicity(p, q):
-    g = np.random.default_rng(6)
-    for _ in range(20):
-        a = g.standard_normal((8, 8))
-        masked = a.copy()
-        masked[:4, 4:] = 0.0
-        masked[4:, :4] = 0.0
-        assert dg.lpq_norm(a, p, q) >= dg.lpq_norm(masked, p, q) - 1e-12
-
-
-def test_covariance_blocks_match_numpy_cov():
-    g = np.random.default_rng(7)
-    z_re, z_im = g.standard_normal((50, 4)), g.standard_normal((50, 4))
-    blocks = dg.covariance_blocks(z_re, z_im)
+def _cov_oracle(z_re, z_im) -> tuple[float, float]:
+    """Frobenius norms of np.cov of the joined latents, with the cross
+    block kept and with it zeroed."""
+    ln = z_re.shape[1]
     full = np.cov(np.concatenate([z_re, z_im], axis=1).T)
-    assert np.abs(blocks.k_rr - full[:4, :4]).max() < 1e-12
-    assert np.abs(blocks.k_ii - full[4:, 4:]).max() < 1e-12
-    assert np.abs(blocks.k_ri - full[:4, 4:]).max() < 1e-12
+    separate = full.copy()
+    separate[:ln, ln:] = 0.0
+    separate[ln:, :ln] = 0.0
+    return np.linalg.norm(full), np.linalg.norm(separate)
 
 
-def test_covariance_blocks_symmetric_psd():
-    g = np.random.default_rng(8)
-    blocks = dg.covariance_blocks(g.standard_normal((40, 6)),
-                                  g.standard_normal((40, 6)))
-    for mat in (blocks.k_rr, blocks.k_ii):
-        assert np.array_equal(mat, mat.T)
-        assert np.linalg.eigvalsh(mat).min() >= -1e-9
+@pytest.mark.parametrize("b,ln", [(2, 1), (2, 5), (7, 1), (50, 4), (33, 17), (200, 64)])
+def test_covariance_comparison_matches_numpy_cov(b, ln):
+    g = np.random.default_rng(7 + b * ln)
+    z_re = g.standard_normal((b, ln))
+    z_im = 0.5 * z_re + g.standard_normal((b, ln))   # correlated channels
+    out = dg.covariance_comparison(z_re, z_im)
+    norm_j, norm_s = _cov_oracle(z_re, z_im)
+    assert out.norm_j == pytest.approx(norm_j, rel=1e-13, abs=0)
+    assert out.norm_s == pytest.approx(norm_s, rel=1e-13, abs=0)
+    assert out.ratio == pytest.approx(norm_j / norm_s, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("k", [-600, -30, 7, 450])
+def test_covariance_comparison_power_of_two_scaling_is_exact(k):
+    # latents scaled by 2^k give norms scaled by 4^k and the same ratio, bit
+    # for bit; at 2^-600 the norms underflow to 0.0 and the ratio stays
+    g = np.random.default_rng(12)
+    z_re, z_im = g.standard_normal((40, 6)), g.standard_normal((40, 6))
+    base = dg.covariance_comparison(z_re, z_im)
+    out = dg.covariance_comparison(np.ldexp(z_re, k), np.ldexp(z_im, k))
+    assert out == (math.ldexp(base.norm_j, 2 * k), math.ldexp(base.norm_s, 2 * k), base.ratio)
+
+
+def test_covariance_norm_beyond_float_range_is_a_data_error():
+    g = np.random.default_rng(14)
+    z_re, z_im = g.standard_normal((30, 5)), g.standard_normal((30, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning before the error
+        with pytest.raises(DataError, match="latent covariance norm is not finite"):
+            dg.covariance_comparison(np.ldexp(z_re, 520), np.ldexp(z_im, 520))
+        for bad in (np.inf, np.nan):
+            z = z_re.copy()
+            z[3, 2] = bad
+            with pytest.raises(DataError, match="latent covariance norm is not finite"):
+                dg.covariance_comparison(z, z_im)
 
 
 def test_covariance_comparison_monotone():
@@ -176,7 +178,11 @@ def test_covariance_comparison_independent_ratio_near_one():
 
 
 def test_covariance_comparison_degenerate_batch():
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="at least 2 samples"):
         dg.covariance_comparison(np.ones((1, 4)), np.ones((1, 4)))
-    with pytest.raises(DataError):
-        dg.covariance_comparison(np.ones((5, 4)), np.ones((5, 4)))
+    for z_re, z_im in [(np.ones((5, 4)), np.ones((5, 4))),        # constant
+                       (np.full((5, 4), 3.0), np.zeros((5, 4))),
+                       (np.zeros((5, 4)), np.zeros((5, 4))),      # all zero
+                       (np.zeros((5, 0)), np.zeros((5, 0)))]:     # zero width
+        with pytest.raises(DataError, match="degenerate batch"):
+            dg.covariance_comparison(z_re, z_im)

@@ -288,6 +288,22 @@ def _overflowing_checkpoint(w: Path, scale: float = 1e200) -> Path:
     return path
 
 
+def _huge_latent_checkpoint(w: Path) -> Path:
+    # latents of about 1e160, whose covariance norm is beyond float range,
+    # while fc3's 1e-160 weights keep the predictions finite
+    scales = {"fc1.w": 1e80, "fc1.b": 1e80, "fc2.w": 1e80, "fc2.b": 1e160, "fc3.w": 1e-160}
+    header, blob = (w / "run" / "checkpoint.bin").read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    flat = np.frombuffer(blob, dtype="<f8").copy()
+    start = 0
+    for entry in header["params"]:
+        end = start + int(np.prod(entry["shape"]))
+        flat[start:end] *= scales.get(entry["name"], 1.0)
+        start = end
+    _write_checkpoint(w / "huge-latent.bin", header, flat.tobytes())
+    return w / "huge-latent.bin"
+
+
 def _config(w: Path, name: str, content: bytes) -> Path:
     (w / name).write_bytes(content)
     return w / name
@@ -315,7 +331,7 @@ CASES = {
     # predictions and metrics stay finite; the latent covariance norm does not
     "diag-latent-covariance-overflows": (2, "latent covariance norm is not finite",
                                          lambda w: ["diag", "--checkpoint",
-                                                    _overflowing_checkpoint(w, 1e40),
+                                                    _huge_latent_checkpoint(w),
                                                     "--dataset", w / "chan"]),
     "train-config-is-directory": (2, "Is a directory", lambda w: [
         "train", "--config", w / "chan", "--out", w / "r1"]),
@@ -433,6 +449,18 @@ def test_evaluate_overflowing_parameters_is_a_data_error(work, scale):
         warnings.simplefilter("error")  # no numpy warning before the error
         with pytest.raises(DataError, match="not all finite"):
             cv.evaluate(model, ds)
+
+
+def test_cli_diag_large_latents_have_finite_covariance_norms(work):
+    # a checkpoint scaled by 1e40 gives latents of about 1e80, whose squared
+    # entries would overflow; the covariance is taken on rescaled latents
+    out = cli("diag", "--checkpoint", _overflowing_checkpoint(work, 1e40),
+              "--dataset", work / "chan", cwd=work)
+    assert (out.returncode, out.stderr) == (0, ""), out.stderr
+    payload = json.loads(out.stdout)
+    norms = [payload[key] for key in ("norm_j", "norm_s", "norm_ratio")]
+    assert all(np.isfinite(norms)), norms
+    assert payload["norm_j"] >= payload["norm_s"] > 0
 
 
 @pytest.mark.parametrize("kernel,argv", [
