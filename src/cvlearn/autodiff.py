@@ -22,13 +22,15 @@ not write to such an array while a tape that binds it is in use.
 
 The op set is the real ops the networks share: ``linear`` (``x @ w.T +
 b`` as one node, the only real affine op; ``x`` may be a pair of blocks
-of one joined input, read in place), ``relu``, ``concat`` (last axis),
+of one joined input, read in place), ``concat`` (last axis),
 ``mean_center_rows``, ``sum_all`` and ``mean_sq_diff`` (the squared
-error of ``mse`` and the Hilbert penalty). An op of one concept
-sits beside its caller and records through ``record_op``: ``transforms``
-adds the Hilbert matmul, ``losses`` the softmax cross-entropy and the
-penalised objective, and ``models`` cvnn's complex layer and magnitude
-head. Each acts on the last two axes, so one op body serves a
+error of ``mse`` and the Hilbert penalty). ReLU is no op of its own: an
+affine node applies it in place to its fresh product (``record_op``'s
+``relu``), and backward masks the node's gradient by its output. An op
+of one concept sits beside its caller and records through
+``record_op``: ``transforms`` adds the Hilbert matmul, ``losses`` the
+softmax cross-entropy and the penalised objective, and ``models``
+cvnn's complex layer and magnitude head. Each acts on the last two axes, so one op body serves a
 single network's [m, n] operands and an ensemble's stacked [E, m, n]
 operands alike: every member slice makes the same numpy and BLAS calls
 as the 2-D case and rounds exactly as it would alone.
@@ -61,16 +63,18 @@ def _f64_view(data) -> np.ndarray:
 class Tensor:
     """Read-only float64 array, optionally recorded as a node on a Tape."""
 
-    __slots__ = ("data", "_tape", "node_id", "parents", "vjps", "op")
+    __slots__ = ("data", "_tape", "node_id", "parents", "vjps", "op", "relu")
 
     def __init__(self, data: np.ndarray, node_id: Optional[int] = None,
-                 parents: tuple = (), vjps: tuple = (), op: str = "leaf"):
+                 parents: tuple = (), vjps: tuple = (), op: str = "leaf",
+                 relu: bool = False):
         self.data = data
         self._tape = None
         self.node_id = node_id
         self.parents = parents
         self.vjps = vjps
         self.op = op
+        self.relu = relu  # data is max(result, 0); backward masks by data > 0
 
     @property
     def shape(self) -> tuple:
@@ -115,7 +119,12 @@ class Tape:
 
     def backward(self, loss: Tensor) -> dict[str, np.ndarray]:
         """Reverse accumulation from a scalar loss; returns the gradient of
-        every named parameter (zeros if unreached)."""
+        every named parameter (zeros if unreached).
+
+        A node recorded with ``relu`` first masks its gradient by
+        ``data > 0``, read from its own output: ``max(x, 0) > 0`` exactly
+        when ``x > 0`` (NaN and -0 included), so the mask is the one the
+        pre-activation would give, and the subgradient at 0 is 0."""
         if loss._tape is not self._ref:
             raise ContractError("loss tensor does not belong to this tape")
         if loss.data.shape != ():
@@ -128,6 +137,8 @@ class Tape:
             if g is None:
                 continue
             node = nodes[nid]
+            if node.relu:
+                g = g * (node.data > 0)
             for parent, vjp in zip(node.parents, node.vjps):
                 if parent._tape is not ref:
                     continue  # constant input: no gradient tracked
@@ -175,14 +186,23 @@ def _find_tape(parents: Sequence[Tensor]) -> Optional[Tape]:
 
 
 def record_op(op: str, value: np.ndarray, parents: Sequence[Tensor],
-              vjps: Sequence[Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+              vjps: Sequence[Callable[[np.ndarray], np.ndarray]],
+              relu: bool = False) -> Tensor:
     """Record one op result; constant-only inputs yield an unrecorded constant
     that keeps no parents or VJPs, so a pass off any tape frees each operand
-    as soon as nothing else holds it."""
+    as soon as nothing else holds it.
+
+    With ``relu``, ``value`` (which must be the op's own fresh array) becomes
+    ``max(value, 0)`` in place, so no second activation-sized array is made
+    and no pre-activation is kept; the VJPs then take the gradient of the
+    pre-activation, which ``Tape.backward`` masks from the node's output."""
+    if relu:
+        np.maximum(value, 0.0, out=value)
     tape = _find_tape(parents)
     if tape is None:
         return Tensor(_freeze(value), op=op)
-    return tape._add(Tensor(_freeze(value), parents=tuple(parents), vjps=tuple(vjps), op=op))
+    return tape._add(Tensor(_freeze(value), parents=tuple(parents), vjps=tuple(vjps), op=op,
+                            relu=relu))
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +228,7 @@ def _sum_rows(g: np.ndarray) -> np.ndarray:
     return np.add.reduce(g, axis=-2)  # ndarray.sum without its Python wrapper
 
 
-def linear(x, w: Tensor, b: Tensor) -> Tensor:
+def linear(x, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     """Fully connected layer ``x @ w.T + b`` as one tape node, the
     tape's only real affine op: every bias of rvnn, steinmetz and
     analytic enters here, and cvnn's complex layer copies its forms.
@@ -229,6 +249,11 @@ def linear(x, w: Tensor, b: Tensor) -> Tensor:
     plus ``xi @ wt[n:]``, in that order (cvnn's complex layer's), and the
     weight gradient is ``g.T @ xr`` and ``g.T @ xi`` written side by side
     into one array.
+
+    With ``relu`` the node is a hidden layer, ``max(x @ w.T + b, 0)``: the
+    ReLU runs in place on the product (see ``record_op``), and backward
+    masks the gradient by the node's own output, bit for bit a separate
+    ReLU node's values and gradients.
     """
     check_affine(x, w, b)
     # x @ w.T on the transposed view would round differently at some shapes
@@ -239,7 +264,7 @@ def linear(x, w: Tensor, b: Tensor) -> Tensor:
         value += b.data[..., None, :]  # value is the matmul's own fresh array
         return record_op("linear", value, (x, w, b),
                          (lambda g: g @ wt.swapaxes(-1, -2),
-                          lambda g: g.swapaxes(-1, -2) @ xd, _sum_rows))
+                          lambda g: g.swapaxes(-1, -2) @ xd, _sum_rows), relu)
     (xr, xi), n = x, x[0].shape[-1]
     xrd, xid = xr.data, xi.data
     wtr, wti = wt[..., :n, :], wt[..., n:, :]
@@ -255,15 +280,7 @@ def linear(x, w: Tensor, b: Tensor) -> Tensor:
 
     return record_op("linear", value, (xr, xi, w, b),
                      (lambda g: g @ wtr.swapaxes(-1, -2),
-                      lambda g: g @ wti.swapaxes(-1, -2), vjp_w, _sum_rows))
-
-
-def relu(x: Tensor) -> Tensor:
-    """max(x, 0); the mask of the VJP is built only when backward runs,
-    so a pass that is never differentiated does not pay for it."""
-    xd = x.data
-    # subgradient at 0 is 0
-    return record_op("relu", np.maximum(xd, 0.0), (x,), (lambda g: g * (xd > 0),))
+                      lambda g: g @ wti.swapaxes(-1, -2), vjp_w, _sum_rows), relu)
 
 
 def concat(a: Tensor, b: Tensor) -> Tensor:

@@ -205,9 +205,10 @@ def save_cvds(ds: Dataset, path) -> None:
     with output_dir(path), staged(*(path / n for n in names)) as (
             meta_tmp, re_tmp, im_tmp, labels_tmp):
         meta_tmp.write_text(json.dumps(meta, indent=1), encoding="utf-8")
-        re_tmp.write_bytes(np.ascontiguousarray(ds.features_re, dtype="<f8").tobytes())
-        im_tmp.write_bytes(np.ascontiguousarray(ds.features_im, dtype="<f8").tobytes())
-        labels_tmp.write_bytes(labels.tobytes())
+        # write_bytes takes a contiguous array's buffer as it is, with no copy
+        re_tmp.write_bytes(np.ascontiguousarray(ds.features_re, dtype="<f8"))
+        im_tmp.write_bytes(np.ascontiguousarray(ds.features_im, dtype="<f8"))
+        labels_tmp.write_bytes(labels)
 
 
 @contextlib.contextmanager

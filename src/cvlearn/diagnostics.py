@@ -88,8 +88,15 @@ class OrthogonalityResult(NamedTuple):
 
 
 def latent_orthogonality_counted(z_re, z_im) -> OrthogonalityResult:
-    """Mean |cos| between paired latent rows plus the skipped-row tally."""
-    z_re, z_im = _latent_arrays(z_re, z_im)
+    """Mean |cos| between paired latent rows plus the skipped-row tally.
+
+    Each row of each channel is first scaled by the power of two 2^-e that
+    brings its largest |entry| below 1; a cosine does not change under a
+    positive scale of either row, and a power of two rounds nothing, so
+    tiny and huge latents neither underflow to a zero row nor overflow.
+    """
+    z_re, z_im = (np.ldexp(z, -np.frexp(np.abs(z).max(axis=1, initial=0.0))[1][:, None])
+                  for z in _latent_arrays(z_re, z_im))
     dots = np.abs(np.sum(z_re * z_im, axis=1))
     norms = np.linalg.norm(z_re, axis=1) * np.linalg.norm(z_im, axis=1)
     valid = norms > 0

@@ -10,6 +10,10 @@ channels as one real vector, its first layer reading both blocks in
 place; "cvnn" uses complex linear layers (kept as real
 weight pairs, one tape node per part, recorded here like its one-node
 magnitude head) with ReLU applied independently to each part.
+
+Every hidden layer's ReLU runs in place inside its affine node (the
+``relu`` of ``ad.linear`` and ``_complex_affine``), so a layer is one
+node and one activation-sized array.
 """
 
 from __future__ import annotations
@@ -159,19 +163,23 @@ def _rvnn(spec: NetworkSpec, p: dict, xr: Tensor, xi: Tensor) -> ForwardResult:
     """Joint processing of both channels as one real vector; latent width
     2*latent_dim. The first layer reads the two channel blocks in place
     (``linear``'s pair form), so the joined [m, 2*dN] input is never built."""
-    h = ad.relu(ad.linear((xr, xi), p["fc1.w"], p["fc1.b"]))
-    latent = ad.relu(ad.linear(h, p["fc2.w"], p["fc2.b"]))
+    latent = ad.linear(ad.linear((xr, xi), p["fc1.w"], p["fc1.b"], relu=True),
+                       p["fc2.w"], p["fc2.b"], relu=True)
     return ForwardResult(pred=ad.linear(latent, p["fc3.w"], p["fc3.b"]), latent=latent)
 
 
-def _complex_affine(xr: Tensor, xi: Tensor, p: dict, layer: str) -> tuple[Tensor, Tensor]:
+def _complex_affine(xr: Tensor, xi: Tensor, p: dict, layer: str,
+                    relu: bool = False) -> tuple[Tensor, Tensor]:
     """(yr + i yi) = (wr + i wi)(xr + i xi) + (br + i bi) as one tape node
     per part: ``yr = xr @ wr.T + br - xi @ wi.T``, ``yi = xi @ wr.T + bi + xr @ wi.T``.
+    The real part is recorded first.
 
     ``linear``'s product and gradient forms over one contiguous copy of each
     transposed weight, shared by both parts, the bias added before the second
     product and the sign applied as ``sign * g`` keep values and gradients bit
     for bit those of two ``linear`` nodes joined by a subtraction or an addition.
+    With ``relu``, each part is ``max(y, 0)`` applied in place to its own
+    fresh sum, and backward masks its gradient by that output, as in ``linear``.
     """
     wr, wi, br, bi = (p[f"{layer}.{n}"] for n in ("wr", "wi", "br", "bi"))
     for x, w, b in ((xr, wr, br), (xi, wi, bi), (xi, wr, bi)):  # all four weights agree
@@ -189,7 +197,7 @@ def _complex_affine(xr: Tensor, xi: Tensor, p: dict, layer: str) -> tuple[Tensor
                 lambda g: g.swapaxes(-1, -2) @ x1d,
                 lambda g: (sign * g).swapaxes(-1, -2) @ x2d,
                 lambda g: np.add.reduce(g, axis=-2))
-        return record_op("complex_affine", value, (x1, x2, wr, wi, b), vjps)
+        return record_op("complex_affine", value, (x1, x2, wr, wi, b), vjps, relu)
 
     return part(xr, xi, br, -1.0), part(xi, xr, bi, 1.0)
 
@@ -207,23 +215,22 @@ def _magnitude(yr: Tensor, yi: Tensor) -> Tensor:
 
 def _cvnn(spec: NetworkSpec, p: dict, xr: Tensor, xi: Tensor) -> ForwardResult:
     """Complex layers; the classification head is the per-class magnitude."""
-    yr, yi = _complex_affine(xr, xi, p, "fc1")
-    yr, yi = ad.relu(yr), ad.relu(yi)
-    yr, yi = _complex_affine(yr, yi, p, "fc2")
-    zr, zi = ad.relu(yr), ad.relu(yi)
+    zr, zi = _complex_affine(*_complex_affine(xr, xi, p, "fc1", relu=True), p, "fc2",
+                             relu=True)
     yr, yi = _complex_affine(zr, zi, p, "fc3")
     pred = _magnitude(yr, yi) if spec.task == "classification" else ad.concat(yr, yi)
     return ForwardResult(pred=pred, latent_pair=LatentPair(z_re=zr, z_im=zi))
 
 
 def _steinmetz(spec: NetworkSpec, p: dict, xr: Tensor, xi: Tensor) -> ForwardResult:
-    """Separate subnetworks per channel, mean-centered latents, shared head."""
-    hr = ad.relu(ad.linear(xr, p["realfc1.w"], p["realfc1.b"]))
-    hr = ad.relu(ad.linear(hr, p["realfc2.w"], p["realfc2.b"]))
-    z_re = ad.mean_center_rows(hr)
-    hi = ad.relu(ad.linear(xi, p["imagfc1.w"], p["imagfc1.b"]))
-    hi = ad.relu(ad.linear(hi, p["imagfc2.w"], p["imagfc2.b"]))
-    z_im = ad.mean_center_rows(hi)
+    """Separate subnetworks per channel, mean-centered latents, shared head.
+    No local holds a branch's activations, so a pass off the tape frees
+    each once the next op has read it."""
+    def branch(x: Tensor, part: str) -> Tensor:
+        w1, b1, w2, b2 = (p[f"{part}{name}"] for name in ("fc1.w", "fc1.b", "fc2.w", "fc2.b"))
+        return ad.mean_center_rows(ad.linear(ad.linear(x, w1, b1, relu=True), w2, b2, relu=True))
+
+    z_re, z_im = branch(xr, "real"), branch(xi, "imag")
     pred = ad.linear(ad.concat(z_re, z_im), p["regressor.w"], p["regressor.b"])
     return ForwardResult(pred=pred, latent_pair=LatentPair(z_re=z_re, z_im=z_im))
 
@@ -241,7 +248,9 @@ def forward(model: Model, x_re, x_im, tape: Optional[Tape] = None) -> ForwardRes
     checked features) are used as they are. Parameters bind to ``tape``;
     with no tape (evaluation) they bind as trusted constants, checked when
     the Model was built, and the pass builds no graph: each activation is
-    freed once the next op has read it.
+    freed once the next op has read it. Each hidden layer's ReLU runs in
+    place on its affine node's product, so a layer allocates one
+    activation, on a tape or off.
     """
     spec = model.spec
     x_re, x_im = (x if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
@@ -293,7 +302,7 @@ def save_checkpoint(model: Model, path, seed: int, epoch: int) -> None:
     blob = np.concatenate([p.ravel() for p in model.params.values()], dtype="<f8")
     with open(path, "wb") as f:
         f.write(json.dumps(header).encode("utf-8") + b"\n")
-        f.write(blob.tobytes())
+        f.write(blob)  # the array's own buffer, not a copy of it
 
 
 def _header_spec(header: dict) -> NetworkSpec:

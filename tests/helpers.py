@@ -14,15 +14,46 @@ import cvlearn as cv
 FD_STEP = 1e-5
 
 
+# hidden-layer ReLU nodes of one forward pass: rvnn's two layers; two
+# layers of two parts (cvnn) or of two branches (steinmetz, analytic)
+RELU_NODES = {"rvnn": 2, "cvnn": 4, "steinmetz": 4, "analytic": 4}
+
+
+def relu_preactivations(tape) -> list:
+    """The pre-activation of every node on the tape that applies a ReLU in
+    place, recomputed from the node's parents with plain numpy rather than
+    by the op's own code: ``x @ w.T + b`` over a ``linear`` node's joined
+    input blocks, and ``x1 @ wr.T + b -/+ x2 @ wi.T`` for a
+    ``complex_affine`` part. ``_complex_affine`` records its real part
+    (minus) before its imaginary part (plus), so the parts alternate.
+    Each recomputed value must give the node's output under ``max(., 0)``.
+    """
+    pres, parts = [], 0
+    for n in tape.nodes:
+        if n.op == "linear":
+            *xs, w, b = (p.data for p in n.parents)
+            pre = np.concatenate(xs, axis=-1) @ w.swapaxes(-1, -2) + b[..., None, :]
+        elif n.op == "complex_affine":
+            x1, x2, wr, wi, b = (p.data for p in n.parents)
+            sign = 1.0 if parts % 2 else -1.0
+            parts += 1
+            pre = x1 @ wr.swapaxes(-1, -2) + b[..., None, :] + sign * (x2 @ wi.swapaxes(-1, -2))
+        else:
+            continue
+        if n.relu:
+            assert np.allclose(np.maximum(pre, 0.0), n.data, rtol=1e-9, atol=1e-12)
+            pres.append(pre)
+    return pres
+
+
 def relu_margin(tape) -> float:
-    """Smallest |preactivation| feeding any relu on the tape.
+    """Smallest |pre-activation| of any ReLU on the tape.
 
     Finite differences are meaningless within a step of a relu kink, so
     gradient tests regenerate instances until the margin is comfortable.
     """
-    margins = [float(np.abs(n.parents[0].data).min())
-               for n in tape.nodes if n.op == "relu"]
-    return min(margins) if margins else np.inf
+    return min((float(np.abs(pre).min()) for pre in relu_preactivations(tape)),
+               default=np.inf)
 
 
 def central_diff(loss_fn, params: dict, h: float = FD_STEP) -> dict:
@@ -208,6 +239,7 @@ def build_arch_loss(kind: str, task: str, seed: int, beta: float = 0.0,
         return tape, loss
 
     tape, loss = run(model.params)
+    assert len(relu_preactivations(tape)) == RELU_NODES[kind]
     if relu_margin(tape) < 1e-3:
         return None
     return model.params, (lambda p: float(run(p)[1].data)), tape, loss

@@ -13,20 +13,55 @@ from helpers import (block_relative_error, central_diff, linear_chain_reference,
                      relu_margin, sq_diff_chain_reference, weighted_sum)
 
 
+def _relu_layer(form, tx):
+    """A hidden layer with identity weights and zero biases over tensor
+    ``tx``, so its pre-activation is ``tx``'s data: ``linear``, or one part
+    of ``_complex_affine`` with the other channel a zero constant."""
+    n = tx.shape[-1]
+    eye, zeros = ad.constant(np.eye(n)), ad.constant(np.zeros(n))
+    other = ad.constant(np.zeros(tx.shape))
+    if form == "linear":
+        return ad.linear(tx, eye, zeros, relu=True)
+    layer = {"fc.wr": eye, "fc.wi": eye, "fc.br": zeros, "fc.bi": zeros}
+    if form == "complex_re":
+        return models._complex_affine(tx, other, layer, "fc", relu=True)[0]
+    return models._complex_affine(other, tx, layer, "fc", relu=True)[1]
+
+
+RELU_FORMS = ["linear", "complex_re", "complex_im"]
+
+
 def test_relu_values_and_subgradient_at_zero():
-    tape = cv.Tape()
-    out = ad.relu(tape.param([[-1.0, 0.0, 2.0]], "x"))
-    assert np.array_equal(out.data, [[0.0, 0.0, 2.0]])
-    grads = tape.backward(ad.sum_all(out))
-    assert np.array_equal(grads["x"], [[0.0, 0.0, 1.0]])
+    assert not hasattr(ad, "relu")  # ReLU runs only inside an affine node
+    for form in RELU_FORMS:
+        tape = cv.Tape()
+        out = _relu_layer(form, tape.param([[-1.0, 0.0, 2.0]], "x"))
+        assert out.relu and out.op in ("linear", "complex_affine"), form
+        assert np.array_equal(out.data, [[0.0, 0.0, 2.0]]), form
+        grads = tape.backward(ad.sum_all(out))
+        assert np.array_equal(grads["x"], [[0.0, 0.0, 1.0]]), form
 
 
 def test_relu_all_negative():
+    for form in RELU_FORMS:
+        tape = cv.Tape()
+        out = _relu_layer(form, tape.param([[-3.0, -1.0], [-0.5, -2.0]], "x"))
+        assert np.array_equal(out.data, np.zeros((2, 2))), form
+        grads = tape.backward(ad.sum_all(out))
+        assert np.array_equal(grads["x"], np.zeros((2, 2))), form
+
+
+def test_relu_mask_from_output_is_the_preactivation_mask():
+    # max(x, 0) > 0 exactly when x > 0, for -0, NaN and the infinities too
+    x = np.array([[-0.0], [0.0], [np.nan], [np.inf], [-np.inf], [-2.0], [3.0], [5e-324]])
+    up = np.arange(1.0, 9.0)[:, None]
     tape = cv.Tape()
-    out = ad.relu(tape.param([[-3.0, -1.0], [-0.5, -2.0]], "x"))
-    assert np.array_equal(out.data, np.zeros((2, 2)))
-    grads = tape.backward(ad.sum_all(out))
-    assert np.array_equal(grads["x"], np.zeros((2, 2)))
+    tx = tape.param(x, "x")
+    # a 1 x 1 weight of 1 and a bias of -0 leave every x as it is
+    out = ad.linear(tx, ad.constant([[1.0]]), ad.constant([-0.0]), relu=True)
+    assert np.array_equal(out.data, np.maximum(x, 0.0), equal_nan=True)
+    grads = tape.backward(weighted_sum(out, up))
+    assert np.array_equal(grads["x"], up * (x > 0))
 
 
 def test_mean_center_rows_examples():
@@ -66,7 +101,7 @@ def test_backward_requires_scalar_loss():
     tape = cv.Tape()
     x = tape.param(np.ones((2, 2)), "x")
     with pytest.raises(ContractError):
-        tape.backward(ad.relu(x))
+        tape.backward(ad.mean_center_rows(x))
 
 
 def test_backward_relu_network_matches_finite_differences():
@@ -78,11 +113,11 @@ def test_backward_relu_network_matches_finite_differences():
     def loss_fn(params):
         tape = cv.Tape()
         tw = tape.param(params["w"], "w")
-        return float(ad.sum_all(ad.relu(ad.linear(x, tw, b))).data)
+        return float(ad.sum_all(ad.linear(x, tw, b, relu=True)).data)
 
     tape = cv.Tape()
     tw = tape.param(w, "w")
-    loss = ad.sum_all(ad.relu(ad.linear(x, tw, b)))
+    loss = ad.sum_all(ad.linear(x, tw, b, relu=True))
     if relu_margin(tape) < 1e-3:
         pytest.skip("instance too close to a relu kink")
     grads = tape.backward(loss)
@@ -114,7 +149,7 @@ def test_backward_deterministic_bit_identical():
     def run():
         tape = cv.Tape()
         tx, tw, tb = tape.param(x, "x"), tape.param(w, "w"), tape.param(b, "b")
-        loss = ad.mean_sq_diff(ad.relu(ad.linear(tx, tw, tb)), ad.constant(target))
+        loss = ad.mean_sq_diff(ad.linear(tx, tw, tb, relu=True), ad.constant(target))
         return tape.backward(loss)
 
     g1, g2 = run(), run()
@@ -167,8 +202,11 @@ def _unary_cases(g):
     zeros = ad.constant(np.zeros((3, 4)))
     # a constant under the sqrt, as eps was: c*c + eps, c bounded away from 0
     c = ad.constant(1.0 + np.abs(g.standard_normal((3, 4))))
+    # the three forms of a hidden layer side by side, each with pre-activation x
+    relu = [lambda t, form=form: _relu_layer(form, t) for form in RELU_FORMS]
     return {
-        "relu": (ad.relu, away_from_zero),
+        "relu": (lambda t: ad.concat(ad.concat(relu[0](t), relu[1](t)), relu[2](t)),
+                 away_from_zero),
         "mean_center_rows": (ad.mean_center_rows, x),
         "sqrt": (lambda t: models._magnitude(t, zeros), away_from_zero),
         "add_const": (lambda t: models._magnitude(t, c), x),
@@ -242,8 +280,11 @@ def test_linear_with_bias_gradients_100_seeds():
 def _node_case(name, g):
     """(op over a dict of tape tensors, parameter arrays) for the one-node
     ops of cvnn's complex layer and magnitude head, of the penalised loss
-    and of ``linear`` over a pair of inputs (rvnn's first layer); every
-    input of the node is a parameter."""
+    and of ``linear`` over one input or a pair of inputs (rvnn's first
+    layer), the affine ones also as hidden layers with their ReLU
+    (``_relu``); every input of the node is a parameter."""
+    relu = name.endswith("_relu")
+    name = name.removesuffix("_relu")
     if name.startswith("complex"):
         lead = (2,) if name.endswith("stacked") else ()
         shapes = {"xr": (3, 4), "xi": (3, 4), "wr": (5, 4), "wi": (5, 4),
@@ -252,14 +293,18 @@ def _node_case(name, g):
 
         def op(t):
             layer = {f"fc.{k}": t[k] for k in ("wr", "wi", "br", "bi")}
-            return models._complex_affine(t["xr"], t["xi"], layer, "fc")[part]
+            return models._complex_affine(t["xr"], t["xi"], layer, "fc", relu)[part]
 
         return op, {k: g.standard_normal(lead + s) for k, s in shapes.items()}
     if name.startswith("linear_pair"):
         lead = (2,) if name.endswith("stacked") else ()
         shapes = {"xr": (3, 4), "xi": (3, 2), "w": (5, 6), "b": (5,)}
-        return (lambda t: ad.linear((t["xr"], t["xi"]), t["w"], t["b"]),
+        return (lambda t: ad.linear((t["xr"], t["xi"]), t["w"], t["b"], relu),
                 {k: g.standard_normal(lead + s) for k, s in shapes.items()})
+    if name.startswith("linear"):
+        shapes = {"x": (3, 4), "w": (5, 4), "b": (5,)}
+        return (lambda t: ad.linear(t["x"], t["w"], t["b"], relu),
+                {k: g.standard_normal(s) for k, s in shapes.items()})
     if name == "magnitude":
         return (lambda t: models._magnitude(t["yr"], t["yi"]),
                 {"yr": g.standard_normal((3, 4)), "yi": g.standard_normal((3, 4))})
@@ -282,6 +327,28 @@ def test_node_gradients_100_seeds(name):
         grads = tape.backward(loss)
         fd = central_diff(lambda p: float(run(p)[1].data), params)
         assert block_relative_error(fd, grads) < 1e-5, f"{name} seed {seed}"
+
+
+@pytest.mark.parametrize("name", ["linear", "linear_pair", "linear_pair_stacked",
+                                  "complex_re", "complex_im", "complex_re_stacked",
+                                  "complex_im_stacked"])
+def test_fused_relu_bit_identical_to_separate_relu_node(name):
+    # the node with its ReLU against the node without it followed by the
+    # separate ReLU node it replaced: max(y, 0) forward, and g * (y > 0) on
+    # the way back, here folded into the probe's weights
+    for seed in range(20):
+        fused_op, params = _node_case(name + "_relu", np.random.default_rng(seed))
+        op, _ = _node_case(name, np.random.default_rng(seed))
+        tape, plain_tape = cv.Tape(), cv.Tape()
+        out = fused_op({k: tape.param(v, k) for k, v in params.items()})
+        pre = op({k: plain_tape.param(v, k) for k, v in params.items()})
+        upstream = np.random.default_rng(10_000 + seed).standard_normal(out.shape)
+        grads = tape.backward(weighted_sum(out, upstream))
+        want = plain_tape.backward(weighted_sum(pre, upstream * (pre.data > 0)))
+        assert out.relu and not pre.relu
+        assert np.array_equal(out.data, np.maximum(pre.data, 0.0)), seed
+        for k in params:
+            assert np.array_equal(grads[k], want[k]), (k, seed)
 
 
 # (m, in, out), then the layers of the spectral networks (784 and 1568
@@ -427,7 +494,7 @@ def test_dropped_tape_is_freed_without_cyclic_gc():
     try:
         tape = cv.Tape()
         x = tape.param(np.ones((2, 3)), "x")
-        loss = ad.sum_all(ad.relu(x))
+        loss = ad.sum_all(ad.linear(x, x, ad.constant(np.zeros(2)), relu=True))
         tape.backward(loss)
         ref = weakref.ref(tape)
         del tape

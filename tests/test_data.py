@@ -383,6 +383,27 @@ def test_dft_encode_peak_is_its_outputs():
     assert peak <= 2 * ds.features_re.nbytes + (8 << 20), peak
 
 
+def test_save_cvds_writes_without_copying_its_arrays(tmp_path):
+    # 2000 x 784: each feature block is 12.5 MB. The files are written from
+    # the arrays' own buffers; measured 0.02 MB of bookkeeping, where a
+    # bytes copy of each block before writing it took 12.6 MB. 1 MB is
+    # under a tenth of one block.
+    ds = cv.dft_encode(_real_form(2000, 784, seed=6))
+    cv.save_cvds(ds, tmp_path / "warm")
+    tracemalloc.start()
+    try:
+        cv.save_cvds(ds, tmp_path / "d")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e6, peak
+    # each file is its array's raw little-endian bytes, as before
+    for name, arr in (("features_re.bin", ds.features_re.astype("<f8")),
+                      ("features_im.bin", ds.features_im.astype("<f8")),
+                      ("labels.bin", ds.labels.astype("<u4"))):
+        assert (tmp_path / "d" / name).read_bytes() == arr.tobytes(), name
+
+
 def test_dft_encode_requires_real_form():
     ds = synthetic_classification(3, 4, 2, seed=9)
     with pytest.raises(DataError):

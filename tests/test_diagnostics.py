@@ -107,6 +107,18 @@ def test_orthogonality_skips_zero_rows():
         dg.latent_orthogonality(np.zeros((2, 2)), b)
 
 
+# 2^-540 (about 1e-163) squares below the smallest float, 2^520 above the
+# largest; each row is scaled back by a power of two, so the value is the
+# unscaled one bit for bit, with no warning (tier-1 makes warnings errors)
+@pytest.mark.parametrize("k", [-540, -30, 7, 520])
+def test_orthogonality_of_scaled_latents_is_unscaled_value(k):
+    g = np.random.default_rng(5)
+    a, b = g.standard_normal((30, 5)), g.standard_normal((30, 5))
+    want = dg.latent_orthogonality_counted(a, b)
+    assert dg.latent_orthogonality_counted(np.ldexp(a, k), np.ldexp(b, k)) == want
+    assert dg.latent_orthogonality_counted(np.ldexp(a, k), b) == want
+
+
 def _cov_oracle(z_re, z_im) -> tuple[float, float]:
     """Frobenius norms of np.cov of the joined latents, with the cross
     block kept and with it zeroed."""
