@@ -173,7 +173,8 @@ def trusted_constant(data: np.ndarray) -> Tensor:
     return Tensor(_f64_view(data), op="const")
 
 
-def _find_tape(parents: Sequence[Tensor]) -> Optional[Tape]:
+def find_tape(parents: Sequence[Tensor]) -> Optional[Tape]:
+    """The tape an op over ``parents`` records on, or None off every tape."""
     ref = None
     for p in parents:
         if p._tape is None:
@@ -198,7 +199,7 @@ def record_op(op: str, value: np.ndarray, parents: Sequence[Tensor],
     pre-activation, which ``Tape.backward`` masks from the node's output."""
     if relu:
         np.maximum(value, 0.0, out=value)
-    tape = _find_tape(parents)
+    tape = find_tape(parents)
     if tape is None:
         return Tensor(_freeze(value), op=op)
     return tape._add(Tensor(_freeze(value), parents=tuple(parents), vjps=tuple(vjps), op=op,

@@ -9,6 +9,7 @@ included), 2 on data errors and unreadable or unwritable files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -35,6 +36,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+@functools.cache  # built once per process; parse_args leaves a parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cvlearn",

@@ -324,7 +324,7 @@ def dft_encode(ds: Dataset) -> Dataset:
     least two rows, where a one-row product would round differently at
     prime n, so every bit is that of ``dft_array`` over the whole array.
     """
-    if np.any(ds.features_im != 0.0):
+    if ds.features_im.any():  # no [M, dN] mask; -0.0 is zero and NaN is not
         raise DataError("dft_encode expects a real-form dataset (features_im all zero)")
     x = ds.features_re
     (m, n), lo = x.shape, 0

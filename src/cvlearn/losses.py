@@ -140,9 +140,10 @@ class AdamState:
     """Every buffer Adam touches, allocated once by ``adam_init``.
 
     ``m`` and ``v`` are the flat moment estimates in the declaration order
-    of ``shapes``; ``grad``, ``tmp``, ``denom`` and ``ok`` are per-step
-    scratch. The parameters live in the two flat buffers of ``flats``,
-    which take turns: ``flats[active]`` holds the last accepted values and
+    of ``shapes``; ``grad``, ``denom`` and ``ok`` are per-step scratch.
+    The parameters live in the two flat buffers of ``flats``, which take
+    turns: ``flats[active]`` holds the last accepted values, the idle one
+    is a step's other scratch until the update is written into it, and
     ``views`` holds each buffer's read-only views, cut once. ``refused``
     is set once an update was refused, since ``m`` and ``v`` have moved.
     """
@@ -150,7 +151,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     grad: np.ndarray
-    tmp: np.ndarray
     denom: np.ndarray
     ok: np.ndarray
     flats: tuple[np.ndarray, np.ndarray]
@@ -167,7 +167,7 @@ def adam_init(params: dict[str, np.ndarray]) -> AdamState:
     size = sum(math.prod(shape) for shape in shapes.values())
     flats = (np.empty(size), np.empty(size))
     return AdamState(shapes=shapes, m=np.zeros(size), v=np.zeros(size),
-                     grad=np.empty(size), tmp=np.empty(size), denom=np.empty(size),
+                     grad=np.empty(size), denom=np.empty(size),
                      ok=np.empty(size, dtype=bool), flats=flats,
                      views=tuple(param_views(f.view(), shapes) for f in flats))
 
@@ -205,24 +205,25 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         np.concatenate([params[name] for name in state.shapes], axis=None, out=active)
     b1, b2, eps, lr = config.adam_b1, config.adam_b2, config.adam_eps, config.learning_rate
     t = state.t = state.t + 1
-    g, m, v, tmp, denom = state.grad, state.m, state.v, state.tmp, state.denom
+    g, m, v, denom = state.grad, state.m, state.v, state.denom
     # the per-tensor formulas in their operation order, so every element
-    # rounds as it would in a per-tensor update
+    # rounds as it would in a per-tensor update; the idle buffer, which the
+    # update overwrites anyway, holds the intermediates
     np.concatenate([grads[name] for name in state.shapes], axis=None, out=g)
-    np.multiply(g, 1 - b1, out=tmp)
+    np.multiply(g, 1 - b1, out=idle)
     np.multiply(m, b1, out=m)
-    m += tmp                                    # b1 * m + (1 - b1) * g
-    np.multiply(g, g, out=tmp)
-    tmp *= 1 - b2
+    m += idle                                   # b1 * m + (1 - b1) * g
+    np.multiply(g, g, out=idle)
+    idle *= 1 - b2
     np.multiply(v, b2, out=v)
-    v += tmp                                    # b2 * v + (1 - b2) * g^2
+    v += idle                                   # b2 * v + (1 - b2) * g^2
     np.divide(v, 1 - b2 ** t, out=denom)
     np.sqrt(denom, out=denom)
     denom += eps                                # sqrt(v_hat) + eps
-    np.divide(m, 1 - b1 ** t, out=tmp)
-    tmp *= lr
-    tmp /= denom                                # lr * m_hat / denom
-    np.subtract(active, tmp, out=idle)
+    np.divide(m, 1 - b1 ** t, out=idle)
+    idle *= lr
+    idle /= denom                               # lr * m_hat / denom
+    np.subtract(active, idle, out=idle)
     if not np.isfinite(idle, out=state.ok).all():
         state.refused = True
         raise DivergenceError(t, params=state.views[1 - state.active])

@@ -13,7 +13,9 @@ magnitude head) with ReLU applied independently to each part.
 
 Every hidden layer's ReLU runs in place inside its affine node (the
 ``relu`` of ``ad.linear`` and ``_complex_affine``), so a layer is one
-node and one activation-sized array.
+node and one activation-sized array. Off the tape, cvnn's complex layer
+frees each input part after its last product, so it holds at most four
+activation-sized arrays.
 """
 
 from __future__ import annotations
@@ -168,11 +170,11 @@ def _rvnn(spec: NetworkSpec, p: dict, xr: Tensor, xi: Tensor) -> ForwardResult:
     return ForwardResult(pred=ad.linear(latent, p["fc3.w"], p["fc3.b"]), latent=latent)
 
 
-def _complex_affine(xr: Tensor, xi: Tensor, p: dict, layer: str,
-                    relu: bool = False) -> tuple[Tensor, Tensor]:
+def _complex_affine(xs: list, p: dict, layer: str, relu: bool = False) -> list[Tensor]:
     """(yr + i yi) = (wr + i wi)(xr + i xi) + (br + i bi) as one tape node
     per part: ``yr = xr @ wr.T + br - xi @ wi.T``, ``yi = xi @ wr.T + bi + xr @ wi.T``.
-    The real part is recorded first.
+    Takes ``[xr, xi]`` in a list that it empties and returns ``[yr, yi]``;
+    the real part is recorded first.
 
     ``linear``'s product and gradient forms over one contiguous copy of each
     transposed weight, shared by both parts, the bias added before the second
@@ -180,18 +182,34 @@ def _complex_affine(xr: Tensor, xi: Tensor, p: dict, layer: str,
     for bit those of two ``linear`` nodes joined by a subtraction or an addition.
     With ``relu``, each part is ``max(y, 0)`` applied in place to its own
     fresh sum, and backward masks its gradient by that output, as in ``linear``.
+
+    The products run as ``xr @ wr.T``, ``xr @ wi.T``, ``xi @ wi.T``,
+    ``xi @ wr.T``. Off a tape nothing else holds an input once ``xs`` is
+    emptied, so each is freed after its second product: at most four
+    [m, out] arrays are live.
     """
     wr, wi, br, bi = (p[f"{layer}.{n}"] for n in ("wr", "wi", "br", "bi"))
-    for x, w, b in ((xr, wr, br), (xi, wi, bi), (xi, wr, bi)):  # all four weights agree
-        ad.check_affine(x, w, b)
+    for i, w, b in ((0, wr, br), (1, wi, bi), (1, wr, bi)):  # all four weights agree
+        ad.check_affine(xs[i], w, b)
     wtr, wti = (np.ascontiguousarray(w.data.swapaxes(-1, -2)) for w in (wr, wi))
+    ins = tuple(xs) if ad.find_tape((*xs, wr, wi, br, bi)) is not None else ()
+    ar, ai = (x.data for x in xs)
+    xs.clear()
+    yr = ar @ wtr
+    yr += br.data[..., None, :]
+    q = ar @ wti
+    del ar
+    np.subtract(yr, ai @ wti, out=yr)  # negation is exact
+    yi = ai @ wtr
+    del ai
+    yi += bi.data[..., None, :]
+    np.add(yi, q, out=yi)
+    if not ins:
+        return [record_op("complex_affine", y, (), (), relu) for y in (yr, yi)]
 
-    def part(x1: Tensor, x2: Tensor, b: Tensor, sign: float) -> Tensor:
-        # x1 @ wr.T + b + sign * (x2 @ wi.T); negation is exact
+    def node(value: np.ndarray, x1: Tensor, x2: Tensor, b: Tensor, sign: float) -> Tensor:
+        # value is x1 @ wr.T + b + sign * (x2 @ wi.T)
         x1d, x2d = x1.data, x2.data
-        value = x1d @ wtr
-        value += b.data[..., None, :]
-        (np.add if sign > 0 else np.subtract)(value, x2d @ wti, out=value)
         vjps = (lambda g: g @ wtr.swapaxes(-1, -2),
                 lambda g: (sign * g) @ wti.swapaxes(-1, -2),
                 lambda g: g.swapaxes(-1, -2) @ x1d,
@@ -199,7 +217,8 @@ def _complex_affine(xr: Tensor, xi: Tensor, p: dict, layer: str,
                 lambda g: np.add.reduce(g, axis=-2))
         return record_op("complex_affine", value, (x1, x2, wr, wi, b), vjps, relu)
 
-    return part(xr, xi, br, -1.0), part(xi, xr, bi, 1.0)
+    xr, xi = ins
+    return [node(yr, xr, xi, br, -1.0), node(yi, xi, xr, bi, 1.0)]
 
 
 def _magnitude(yr: Tensor, yi: Tensor) -> Tensor:
@@ -214,10 +233,12 @@ def _magnitude(yr: Tensor, yi: Tensor) -> Tensor:
 
 
 def _cvnn(spec: NetworkSpec, p: dict, xr: Tensor, xi: Tensor) -> ForwardResult:
-    """Complex layers; the classification head is the per-class magnitude."""
-    zr, zi = _complex_affine(*_complex_affine(xr, xi, p, "fc1", relu=True), p, "fc2",
+    """Complex layers; the classification head is the per-class magnitude.
+    Layer 1's outputs pass to layer 2 in the list it empties, so a pass off
+    the tape frees each after its last product."""
+    zr, zi = _complex_affine(_complex_affine([xr, xi], p, "fc1", relu=True), p, "fc2",
                              relu=True)
-    yr, yi = _complex_affine(zr, zi, p, "fc3")
+    yr, yi = _complex_affine([zr, zi], p, "fc3")
     pred = _magnitude(yr, yi) if spec.task == "classification" else ad.concat(yr, yi)
     return ForwardResult(pred=pred, latent_pair=LatentPair(z_re=zr, z_im=zi))
 
@@ -299,10 +320,10 @@ def save_checkpoint(model: Model, path, seed: int, epoch: int) -> None:
                    for n, p in model.params.items()],
         "dtype": "f64", "endianness": "little",
     }
-    blob = np.concatenate([p.ravel() for p in model.params.values()], dtype="<f8")
     with open(path, "wb") as f:
         f.write(json.dumps(header).encode("utf-8") + b"\n")
-        f.write(blob)  # the array's own buffer, not a copy of it
+        for p in model.params.values():  # each array's own buffer, not a copy of it
+            f.write(np.ascontiguousarray(p, dtype="<f8"))
 
 
 def _header_spec(header: dict) -> NetworkSpec:

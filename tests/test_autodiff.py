@@ -24,8 +24,8 @@ def _relu_layer(form, tx):
         return ad.linear(tx, eye, zeros, relu=True)
     layer = {"fc.wr": eye, "fc.wi": eye, "fc.br": zeros, "fc.bi": zeros}
     if form == "complex_re":
-        return models._complex_affine(tx, other, layer, "fc", relu=True)[0]
-    return models._complex_affine(other, tx, layer, "fc", relu=True)[1]
+        return models._complex_affine([tx, other], layer, "fc", relu=True)[0]
+    return models._complex_affine([other, tx], layer, "fc", relu=True)[1]
 
 
 RELU_FORMS = ["linear", "complex_re", "complex_im"]
@@ -293,7 +293,7 @@ def _node_case(name, g):
 
         def op(t):
             layer = {f"fc.{k}": t[k] for k in ("wr", "wi", "br", "bi")}
-            return models._complex_affine(t["xr"], t["xi"], layer, "fc", relu)[part]
+            return models._complex_affine([t["xr"], t["xi"]], layer, "fc", relu)[part]
 
         return op, {k: g.standard_normal(lead + s) for k, s in shapes.items()}
     if name.startswith("linear_pair"):

@@ -383,6 +383,24 @@ def test_dft_encode_peak_is_its_outputs():
     assert peak <= 2 * ds.features_re.nbytes + (8 << 20), peak
 
 
+def test_dft_encode_checks_for_real_form_without_a_full_size_mask():
+    # 2000 x 784: a features_im != 0 mask is 1.57 MB. The imaginary channel
+    # is read in place, and a refused input allocates no output: measured
+    # 9 kB, the error's own. One nonzero entry, the last, is found.
+    x = np.random.default_rng(7).standard_normal((2000, 784))
+    im = np.zeros_like(x)
+    im[-1, -1] = 1.0
+    ds = Dataset(x, im, np.zeros(2000, dtype=int), "classification")
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="real-form"):
+            cv.dft_encode(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e5, peak
+
+
 def test_save_cvds_writes_without_copying_its_arrays(tmp_path):
     # 2000 x 784: each feature block is 12.5 MB. The files are written from
     # the arrays' own buffers; measured 0.02 MB of bookkeeping, where a

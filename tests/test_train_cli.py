@@ -1,6 +1,7 @@
 import gc
 import json
 import pickle
+import shutil
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -126,19 +127,22 @@ def test_rvnn_evaluate_of_spectral_set_allocates_no_joined_input():
 # tracemalloc peaks of a no-graph evaluate at lN 64, pinned at about +15% of
 # the measured (rvnn's 784-wide set is pinned above). On 10k channel rows an
 # [m, 64] activation is 5.12 MB: measured 15.50 MB for rvnn (fc1's and fc2's
-# outputs, 5.12 + 10.24 MB), 25.67 MB for cvnn (two parts of two layers and
-# one product's temporary), 20.71 MB for steinmetz and analytic (two latents
-# and their [m, 128] join). On 2000 x 784 rows the [m, 64] activation is
-# 1.02 MB and the 784-wide weight copies 0.4 MB each: measured 5.19 MB for
-# cvnn, 4.34 MB for steinmetz and analytic. Each margin is below one [m, 64]
-# activation (rvnn 2.3, cvnn 3.83, steinmetz 3.09 of 5.12 MB on the channel
-# set; cvnn 0.81, steinmetz 0.66 of 1.02 MB on 784), so an activation kept
-# past its use does not fit. With a separate ReLU node the rvnn, steinmetz
-# and analytic peaks were 25.6, 31.0 and 31.0 MB, and 6.39 MB on 784.
+# outputs, 5.12 + 10.24 MB), 20.55 MB for cvnn (a complex layer's two inputs,
+# its real part and the one cross product the imaginary part still needs:
+# each input is freed after its last product), 20.71 MB for steinmetz and
+# analytic (two latents and their [m, 128] join). On 2000 x 784 rows the
+# [m, 64] activation is 1.02 MB and the 784-wide weight copies 0.4 MB each:
+# measured 4.17 MB for cvnn, 4.34 MB for steinmetz and analytic. Each margin
+# is below one [m, 64] activation (rvnn 2.3, cvnn 3.05, steinmetz 3.09 of
+# 5.12 MB on the channel set; cvnn 0.63, steinmetz 0.66 of 1.02 MB on 784),
+# so an activation kept past its use does not fit. With a separate ReLU
+# node the rvnn, steinmetz and analytic peaks were 25.6, 31.0 and 31.0 MB,
+# and 6.39 MB on 784; with layer 1's outputs kept through layer 2, cvnn's
+# were 25.67 and 5.19 MB.
 @pytest.mark.parametrize("rows,kind,pin_mb", [
-    ("channel", "rvnn", 17.8), ("channel", "cvnn", 29.5),
+    ("channel", "rvnn", 17.8), ("channel", "cvnn", 23.6),
     ("channel", "steinmetz", 23.8), ("channel", "analytic", 23.8),
-    ("spectral", "cvnn", 6.0), ("spectral", "steinmetz", 5.0),
+    ("spectral", "cvnn", 4.8), ("spectral", "steinmetz", 5.0),
     ("spectral", "analytic", 5.0)])
 def test_evaluate_memory_peak(rows, kind, pin_mb):
     if rows == "channel":
@@ -150,27 +154,45 @@ def test_evaluate_memory_peak(rows, kind, pin_mb):
     assert _evaluate_peak(cv.init_params(spec, 1), ds) <= pin_mb * 1e6
 
 
-# measured peaks 1.13, 1.21, 1.34 and 1.40 MB, pinned at about +15%
-@pytest.mark.parametrize("kind,pin_mb", [("rvnn", 1.30), ("cvnn", 1.39),
-                                         ("steinmetz", 1.54), ("analytic", 1.61)])
-def test_short_channel_training_run_memory_peak(kind, pin_mb):
-    # 2 epochs of a 200-row channel set at the recipe shapes (lN 64, batch
-    # 32). The peak is Adam's state (moments, gradient and two parameter
-    # buffers: 0.5 MB at rvnn's 9.3k parameters), the initial parameters,
-    # and one step's tape and gradients (about 0.24 MB). The margin is
-    # about two parameter-sized buffers; a tape kept past its step, or a
-    # third buffer per parameter, does not fit in it.
-    ds = cv.gen_channel_dataset(cv.ChannelSpec(), 200, seed=1)
-    spec = cv.NetworkSpec(kind, ds.dn, 64, ds.k, "complex_regression")
-    cfg = cv.TrainConfig(learning_rate=1e-3, beta=1e-3 if kind == "analytic" else 0.0,
+def _training_peak(spec, ds) -> int:
+    """tracemalloc peak of a warmed 2-epoch ``train_model`` at batch 32."""
+    cfg = cv.TrainConfig(learning_rate=1e-3, beta=1e-3 if spec.kind == "analytic" else 0.0,
                          epochs=2, batch_size=32, seed=1)
     train_model(spec, ds, cfg)  # warm-up
     tracemalloc.start()
     try:
         train_model(spec, ds, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# The peak is Adam's state (moments, gradient, denominator and the two
+# parameter buffers, the idle one its scratch), the initial parameters, and
+# one step's tape and gradients. Each margin is under one parameter-sized
+# buffer, so a tape kept past its step, or a third buffer per parameter,
+# does not fit. With a separate scratch buffer in Adam the channel peaks
+# were 1.059/1.084/1.209/1.267 MB and the spectral 11.62/11.68/11.79/11.84 MB.
+# 2 epochs of a 200-row channel set at the recipe shapes (lN 64, batch 32):
+# 9.3k parameters, 75 kB a buffer; measured 0.984, 1.026, 1.134 and 1.192 MB.
+@pytest.mark.parametrize("kind,pin_mb", [("rvnn", 1.03), ("cvnn", 1.08),
+                                         ("steinmetz", 1.18), ("analytic", 1.24)])
+def test_short_channel_training_run_memory_peak(kind, pin_mb):
+    ds = cv.gen_channel_dataset(cv.ChannelSpec(), 200, seed=1)
+    peak = _training_peak(cv.NetworkSpec(kind, ds.dn, 64, ds.k, "complex_regression"), ds)
+    assert peak <= pin_mb * 1e6, peak
+
+
+# 2 epochs of 200 dft_encoded 784-wide rows, 10 classes (lN 64, batch 32):
+# about 110k parameters, 0.88 MB a buffer; measured 10.74, 10.80, 10.91 and
+# 10.96 MB, pinned 0.59-0.61 MB above.
+@pytest.mark.parametrize("kind,pin_mb", [("rvnn", 11.35), ("cvnn", 11.40),
+                                         ("steinmetz", 11.50), ("analytic", 11.55)])
+def test_short_spectral_training_run_memory_peak(kind, pin_mb):
+    x = np.random.default_rng(3).standard_normal((200, 784))
+    ds = cv.dft_encode(cv.Dataset(x, np.zeros_like(x), np.arange(200) % 10,
+                                  "classification"))
+    peak = _training_peak(cv.NetworkSpec(kind, 784, 64, 10, "classification"), ds)
     assert peak <= pin_mb * 1e6, peak
 
 
@@ -397,6 +419,31 @@ def test_cli_gen_train_eval_diag_roundtrip(tmp_path):
     diag = json.loads(out.stdout)
     assert diag["norm_j"] >= diag["norm_s"]
     assert 0.0 <= diag["orthogonality"] <= 1.0
+
+
+def test_cli_main_reuses_its_parser_across_commands(tmp_path, capsys):
+    # main builds its parser once per process: a usage error, gen, eval and
+    # a second usage error in one process each give the exit code, stdout
+    # and stderr of the same command in a fresh process
+    assert cv.cli._build_parser() is cv.cli._build_parser()
+    data = tmp_path / "data"
+    gen = ["gen", "--task", "channel", "--m", "32", "--seed", "3", "--out", str(data)]
+    ckpt = tmp_path / "ckpt.bin"
+    runs = [["gen", "--task", "channel"], gen,
+            ["eval", "--checkpoint", str(ckpt), "--dataset", str(data)],
+            ["eval", "--checkpoint", str(ckpt)]]
+    for argv in runs:
+        fresh = _cli(*argv)
+        if argv is gen:
+            ds = cv.load_cvds(data)
+            spec = cv.NetworkSpec("cvnn", ds.dn, 8, ds.k, "complex_regression")
+            cv.save_checkpoint(cv.init_params(spec, 1), ckpt, seed=1, epoch=0)
+            shutil.rmtree(data)
+        code = cv.cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("task", ["classification", "complex_regression"])
