@@ -213,7 +213,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     np.multiply(g, 1 - b1, out=idle)
     np.multiply(m, b1, out=m)
     m += idle                                   # b1 * m + (1 - b1) * g
-    np.multiply(g, g, out=idle)
+    np.square(g, out=idle)
     idle *= 1 - b2
     np.multiply(v, b2, out=v)
     v += idle                                   # b2 * v + (1 - b2) * g^2

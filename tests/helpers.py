@@ -210,6 +210,41 @@ def adam_reference(params: dict, grads: dict, state: tuple, config) -> tuple[dic
     return new, (m, v, t)
 
 
+def _splitmix_reference(z: np.ndarray) -> np.ndarray:
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def rng_reference(seed: int, start: int, kind: str, size, low=0.0, high=1.0) -> np.ndarray:
+    """What ``Rng(seed)`` returns for ``kind`` ("u64", "uniform", "normal"
+    or "permutation") after ``start`` draws, by whole-array formulas: every
+    counter of the draw at once, then each operation over the whole array,
+    with no blocks and no in-place steps. ``size`` is an int, or a tuple
+    for uniform and normal."""
+    n = int(np.prod(size))
+
+    def u64(first: int, count: int) -> np.ndarray:
+        idx = np.arange(first + 1, first + count + 1, dtype=np.uint64)
+        return _splitmix_reference(np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+                                   + idx * np.uint64(0x9E3779B97F4A7C15))
+
+    if kind == "u64":
+        return u64(start, n)
+    if kind == "permutation":
+        return np.argsort(u64(start, n), kind="stable")
+    if kind == "uniform":
+        u = (u64(start, n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return (low + (high - low) * u).reshape(size)
+    m = (n + 1) // 2
+    raw = u64(start, 2 * m)
+    u1 = ((raw[:m] >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
+    u2 = (raw[m:] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n].reshape(size)
+
+
 def build_arch_loss(kind: str, task: str, seed: int, beta: float = 0.0,
                     dn: int = 6, ln: int = 4, k: int = 3, batch: int = 2):
     """A small architecture instance and its loss closure for grad checks.
