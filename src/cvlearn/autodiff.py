@@ -22,7 +22,7 @@ not write to such an array while a tape that binds it is in use.
 
 The op set is the real ops the networks share: ``linear`` (``x @ w.T +
 b`` as one node, the only real affine op; ``x`` may be a pair of blocks
-of one joined input, read in place), ``concat`` (last axis),
+of one joined input, read in place, so no op joins or splits arrays),
 ``mean_center_rows``, ``sum_all`` and ``mean_sq_diff`` (the squared
 error of ``mse`` and the Hilbert penalty). ReLU is no op of its own: an
 affine node applies it in place to its fresh product (``record_op``'s
@@ -282,15 +282,6 @@ def linear(x, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     return record_op("linear", value, (xr, xi, w, b),
                      (lambda g: g @ wtr.swapaxes(-1, -2),
                       lambda g: g @ wti.swapaxes(-1, -2), vjp_w, _sum_rows), relu)
-
-
-def concat(a: Tensor, b: Tensor) -> Tensor:
-    """Join along the last axis."""
-    if a.ndim < 2 or a.shape[:-1] != b.shape[:-1]:
-        raise ShapeError(f"concat shapes incompatible: {a.shape} and {b.shape}")
-    na = a.shape[-1]
-    return record_op("concat", np.concatenate([a.data, b.data], axis=-1), (a, b),
-                     (lambda g: g[..., :na], lambda g: g[..., na:]))
 
 
 def mean_center_rows(x: Tensor) -> Tensor:

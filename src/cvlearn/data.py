@@ -50,9 +50,9 @@ class Dataset:
     """In-memory complex-feature dataset, checked once where it is made.
 
     labels is an int64 [M] array of class ids for classification, or a
-    complex128 [M, k] target matrix for complex regression. For
-    classification, num_classes fixes k even when a split happens not to
-    contain every class; it defaults to max(label) + 1.
+    float64 [M, 2k] complex regression target matrix, each row k real
+    parts then k imaginary parts. For classification, num_classes fixes k
+    even when a split lacks some class; it defaults to max(label) + 1.
 
     Construction converts and validates every field (numeric dtypes,
     shapes, class ids and count, finiteness, a string provenance), each
@@ -73,8 +73,8 @@ class Dataset:
         def put(name, value):
             object.__setattr__(self, name, value)
 
-        put("features_re", _numeric(self.features_re, "features_re", "biuf", np.float64))
-        put("features_im", _numeric(self.features_im, "features_im", "biuf", np.float64))
+        put("features_re", _numeric(self.features_re, "features_re", np.float64))
+        put("features_im", _numeric(self.features_im, "features_im", np.float64))
         if self.task not in TASKS:
             raise DataError(f"unknown task: {self.task!r}")
         if not isinstance(self.provenance, str):
@@ -86,7 +86,7 @@ class Dataset:
         if self.dn < 1:
             raise DataError("features_re and features_im must have at least one column")
         if self.task == "classification":
-            given = _numeric(self.labels, "labels", "biuf", None)
+            given = _numeric(self.labels, "labels", None)
             with np.errstate(invalid="ignore"):
                 ids = np.ascontiguousarray(given, dtype=np.int64)
             if not np.array_equal(ids, given):
@@ -103,9 +103,10 @@ class Dataset:
                 raise DataError(f"num_classes {k!r} must be an integer above class id {top}")
             put("num_classes", top + 1 if k is None else int(k))
         else:
-            put("labels", _numeric(self.labels, "labels", "biufc", np.complex128))
-            if self.labels.ndim != 2 or self.labels.shape[0] != self.m or self.k < 1:
-                raise DataError(f"labels shape {self.labels.shape} != (M, k) with k >= 1")
+            put("labels", _numeric(self.labels, "labels", np.float64))
+            shape = self.labels.shape
+            if len(shape) != 2 or shape[0] != self.m or shape[1] % 2 or self.k < 1:
+                raise DataError(f"labels shape {shape} != (M, 2k) with k >= 1")
             put("num_classes", None)
 
     @property
@@ -120,7 +121,7 @@ class Dataset:
     def k(self) -> int:
         if self.task == "classification":
             return self.num_classes
-        return self.labels.shape[1]
+        return self.labels.shape[1] // 2
 
     def take(self, m: int) -> "Dataset":
         """First m samples, copied, so they do not keep the full arrays alive."""
@@ -132,15 +133,15 @@ class Dataset:
                        provenance=f"{self.provenance}|take({m})")
 
 
-def _numeric(value, name: str, kinds: str, dtype) -> np.ndarray:
+def _numeric(value, name: str, dtype) -> np.ndarray:
     """``value`` as a read-only C-contiguous ``dtype`` array (a view when it
-    is one); DataError naming ``name`` unless it is finite, of a kind in ``kinds``."""
+    is one); DataError naming ``name`` unless it holds finite real numbers."""
     try:
         arr = np.asarray(value)
     except ValueError:  # ragged nesting
         raise DataError(f"{name} must be a rectangular array") from None
-    if arr.dtype.kind not in kinds:
-        raise DataError(f"{name} must hold numbers, got dtype {arr.dtype}")
+    if arr.dtype.kind not in "biuf":
+        raise DataError(f"{name} must hold real numbers, got dtype {arr.dtype}")
     if not np.isfinite(arr).all():
         raise DataError(f"{name} contains non-finite values")
     out = np.ascontiguousarray(arr, dtype=dtype).view()
@@ -177,13 +178,6 @@ def json_field(obj, key: str, kind: type, what: str, where: str = ""):
     return value
 
 
-def stacked_targets(ds: Dataset) -> np.ndarray:
-    """Regression targets as [M, 2k]: k real parts then k imaginary parts."""
-    if ds.task != "complex_regression":
-        raise ContractError("stacked_targets requires a complex_regression dataset")
-    return np.concatenate([ds.labels.real, ds.labels.imag], axis=1)
-
-
 # ---------------------------------------------------------------------------
 # CVDS directory format
 
@@ -192,12 +186,9 @@ def save_cvds(ds: Dataset, path) -> None:
     """Write ``ds`` as a CVDS directory, all four files or none: a failed
     save leaves the files already there as they were, and removes the
     directory again when it made it and nothing else was put there."""
-    if ds.task == "classification":
-        if int(ds.labels.max(initial=0)) >= 2 ** 32:
-            raise DataError("class ids exceed uint32 range")
-        labels = np.ascontiguousarray(ds.labels, dtype="<u4")
-    else:
-        labels = np.ascontiguousarray(stacked_targets(ds), dtype="<f8")
+    if ds.task == "classification" and int(ds.labels.max(initial=0)) >= 2 ** 32:
+        raise DataError("class ids exceed uint32 range")
+    labels = np.ascontiguousarray(ds.labels, "<u4" if ds.task == "classification" else "<f8")
     path = Path(path)
     meta = {"M": ds.m, "dN": ds.dn, "k": ds.k, "task": ds.task,
             "dtype": "f64", "endianness": "little", "provenance": ds.provenance}
@@ -303,10 +294,7 @@ def load_cvds(path) -> Dataset:
     if task == "classification":
         labels = blob("labels.bin", "<u4", (m,))
     else:
-        flat = blob("labels.bin", "<f8", (m, 2 * k))
-        # an infinity gives NaN here, which the Dataset check reports
-        with np.errstate(invalid="ignore"):
-            labels = flat[:, :k] + 1j * flat[:, k:]
+        labels = blob("labels.bin", "<f8", (m, 2 * k))
     return Dataset(re, im, labels, task, provenance=meta.get("provenance", ""),
                    num_classes=k if task == "classification" else None)
 
@@ -353,10 +341,11 @@ def add_complex_noise(ds: Dataset, eta: float, seed: int) -> Dataset:
     rng = Rng(seed)
     shape = ds.features_re.shape
     half = math.sqrt(0.5)
-    # an overflow to inf is reported by the Dataset check, as one error
-    with np.errstate(over="ignore"):
-        re = ds.features_re + eta * half * rng.substream("noise/re").normal(shape)
-        im = ds.features_im + eta * half * rng.substream("noise/im").normal(shape)
+    re, im = (rng.substream(f"noise/{part}").normal(shape) for part in ("re", "im"))
+    with np.errstate(over="ignore"):  # an overflow to inf: the Dataset check reports it
+        for noise, features in ((re, ds.features_re), (im, ds.features_im)):
+            noise *= eta * half  # in place, so only the two outputs are made
+            noise += features
     return replace(ds, features_re=re, features_im=im,
                    provenance=f"{ds.provenance}|noise(eta={eta},seed={seed})")
 
@@ -420,5 +409,5 @@ def gen_channel_dataset(spec: ChannelSpec, m: int, seed: int) -> Dataset:
     windows = x[idx]
     provenance = (f"channel(rho={spec.rho:.6g},snr_db={spec.snr_db:.6g},"
                   f"m={m},seed={seed})")
-    return Dataset(windows.real, windows.imag, y[:, None], "complex_regression",
-                   provenance=provenance)
+    return Dataset(windows.real, windows.imag, np.stack([y.real, y.imag], axis=1),
+                   "complex_regression", provenance=provenance)

@@ -1,15 +1,17 @@
 """The four architectures: RVNN, CVNN, and the dual-subnetwork pair.
 
 All are small fully connected networks over paired real/imaginary
-feature matrices. "steinmetz" runs separate two-layer ReLU subnetworks
-on the real and imaginary channels, mean-centers each latent row, and
-feeds the concatenation to a shared linear head. "analytic" is the same
-forward graph; it differs only in training, where the Hilbert
-consistency penalty is added to the loss. "rvnn" treats the two
-channels as one real vector, its first layer reading both blocks in
-place; "cvnn" uses complex linear layers (kept as real
-weight pairs, one tape node per part, recorded here like its one-node
-magnitude head) with ReLU applied independently to each part.
+feature matrices; a complex output is one [.., 2k] array, the k real
+parts then the k imaginary parts. "steinmetz" runs separate two-layer
+ReLU subnetworks on the real and imaginary channels, mean-centers each
+latent row, and feeds both latents, read in place, to a shared linear
+head. "analytic" is the same forward graph; it differs only in
+training, where the Hilbert consistency penalty is added to the loss.
+"rvnn" treats the two channels as one real vector, its first layer
+reading both blocks in place; "cvnn" uses complex linear layers (kept
+as real weight pairs, one tape node per hidden part and one for the
+[yr | yi] head, recorded here like its one-node magnitude head) with
+ReLU applied independently to each part.
 
 Every hidden layer's ReLU runs in place inside its affine node (the
 ``relu`` of ``ad.linear`` and ``_complex_affine``), so a layer is one
@@ -170,11 +172,14 @@ def _rvnn(spec: NetworkSpec, p: dict, xr: Tensor, xi: Tensor) -> ForwardResult:
     return ForwardResult(pred=ad.linear(latent, p["fc3.w"], p["fc3.b"]), latent=latent)
 
 
-def _complex_affine(xs: list, p: dict, layer: str, relu: bool = False) -> list[Tensor]:
-    """(yr + i yi) = (wr + i wi)(xr + i xi) + (br + i bi) as one tape node
-    per part: ``yr = xr @ wr.T + br - xi @ wi.T``, ``yi = xi @ wr.T + bi + xr @ wi.T``.
-    Takes ``[xr, xi]`` in a list that it empties and returns ``[yr, yi]``;
-    the real part is recorded first.
+def _complex_affine(xs: list, p: dict, layer: str, relu: bool = False):
+    """(yr + i yi) = (wr + i wi)(xr + i xi) + (br + i bi), with
+    ``yr = xr @ wr.T + br - xi @ wi.T`` and ``yi = xi @ wr.T + bi + xr @ wi.T``.
+    Takes ``[xr, xi]`` in a list that it empties. A hidden layer (``relu``)
+    returns ``[yr, yi]``, one tape node per part, the real part first; the
+    head returns one node, ``yr`` and ``yi`` written into the halves of its
+    [.., m, 2 out] value, whose inputs' gradients sum the two parts', the
+    imaginary part's first, as backward summed two part nodes'.
 
     ``linear``'s product and gradient forms over one contiguous copy of each
     transposed weight, shared by both parts, the bias added before the second
@@ -195,51 +200,68 @@ def _complex_affine(xs: list, p: dict, layer: str, relu: bool = False) -> list[T
     ins = tuple(xs) if ad.find_tape((*xs, wr, wi, br, bi)) is not None else ()
     ar, ai = (x.data for x in xs)
     xs.clear()
-    yr = ar @ wtr
+    n = wtr.shape[-1]
+    head = None if relu else np.empty(ar.shape[:-1] + (2 * n,))
+    yr = np.matmul(ar, wtr, out=None if relu else head[..., :n])
     yr += br.data[..., None, :]
     q = ar @ wti
     del ar
     np.subtract(yr, ai @ wti, out=yr)  # negation is exact
-    yi = ai @ wtr
+    yi = np.matmul(ai, wtr, out=None if relu else head[..., n:])
     del ai
     yi += bi.data[..., None, :]
     np.add(yi, q, out=yi)
     if not ins:
-        return [record_op("complex_affine", y, (), (), relu) for y in (yr, yi)]
+        if relu:
+            return [record_op("complex_affine", y, (), (), True) for y in (yr, yi)]
+        return record_op("complex_affine", head, (), ())
 
-    def node(value: np.ndarray, x1: Tensor, x2: Tensor, b: Tensor, sign: float) -> Tensor:
-        # value is x1 @ wr.T + b + sign * (x2 @ wi.T)
+    def part(x1: Tensor, x2: Tensor, sign: float) -> tuple:
+        # VJPs of x1 @ wr.T + b + sign * (x2 @ wi.T) to (x1, x2, wr, wi, b)
         x1d, x2d = x1.data, x2.data
-        vjps = (lambda g: g @ wtr.swapaxes(-1, -2),
+        return (lambda g: g @ wtr.swapaxes(-1, -2),
                 lambda g: (sign * g) @ wti.swapaxes(-1, -2),
                 lambda g: g.swapaxes(-1, -2) @ x1d,
                 lambda g: (sign * g).swapaxes(-1, -2) @ x2d,
                 lambda g: np.add.reduce(g, axis=-2))
-        return record_op("complex_affine", value, (x1, x2, wr, wi, b), vjps, relu)
 
     xr, xi = ins
-    return [node(yr, xr, xi, br, -1.0), node(yi, xi, xr, bi, 1.0)]
+    re, im = part(xr, xi, -1.0), part(xi, xr, 1.0)
+    if relu:
+        return [record_op("complex_affine", yr, (xr, xi, wr, wi, br), re, True),
+                record_op("complex_affine", yi, (xi, xr, wr, wi, bi), im, True)]
+
+    def both(r, i):  # an input's gradient from each part, the imaginary part's first
+        return lambda g: i(g[..., n:]) + r(g[..., :n])
+
+    vjps = (both(re[0], im[1]), both(re[1], im[0]), both(re[2], im[2]), both(re[3], im[3]),
+            lambda g: re[4](g[..., :n]), lambda g: im[4](g[..., n:]))
+    return record_op("complex_affine", head, (xr, xi, wr, wi, br, bi), vjps)
 
 
-def _magnitude(yr: Tensor, yi: Tensor) -> Tensor:
-    """Per-class magnitude ``sqrt(yr*yr + yi*yi + eps)`` as one tape node;
-    eps keeps it differentiable at zero. Each part's gradient is ``t + t``
-    with ``t = g * (0.5 / value) * y``, the square's two operand paths
-    summed, bit for bit what the multiply, add and sqrt chain accumulated
+def _magnitude(y: Tensor) -> Tensor:
+    """Per-class magnitude ``sqrt(yr*yr + yi*yi + eps)`` of the complex
+    pair ``y = [yr | yi]`` as one tape node; eps keeps it differentiable
+    at zero. Each part's gradient is ``t + t`` with
+    ``t = g * (0.5 / value) * y``, the square's two operand paths summed,
+    bit for bit what the multiply, add and sqrt chain accumulated
     (doubling is exact, so ``t * 2.0`` is ``t + t``)."""
-    value = np.sqrt(yr.data * yr.data + yi.data * yi.data + MAGNITUDE_EPS)
-    return record_op("magnitude", value, (yr, yi),
-                     [lambda g, y=y: g * (0.5 / value) * y * 2.0 for y in (yr.data, yi.data)])
+    n = y.shape[-1] // 2
+    yr, yi = y.data[..., :n], y.data[..., n:]
+    value = np.sqrt(yr * yr + yi * yi + MAGNITUDE_EPS)
+    return record_op("magnitude", value, (y,),
+                     (lambda g: np.tile(g * (0.5 / value), 2) * y.data * 2.0,))
 
 
 def _cvnn(spec: NetworkSpec, p: dict, xr: Tensor, xi: Tensor) -> ForwardResult:
-    """Complex layers; the classification head is the per-class magnitude.
-    Layer 1's outputs pass to layer 2 in the list it empties, so a pass off
-    the tape frees each after its last product."""
+    """Complex layers; the regression output is the head's ``[yr | yi]``
+    and the classification head its per-class magnitude. Layer 1's outputs
+    pass to layer 2 in the list it empties, so a pass off the tape frees
+    each after its last product."""
     zr, zi = _complex_affine(_complex_affine([xr, xi], p, "fc1", relu=True), p, "fc2",
                              relu=True)
-    yr, yi = _complex_affine([zr, zi], p, "fc3")
-    pred = _magnitude(yr, yi) if spec.task == "classification" else ad.concat(yr, yi)
+    y = _complex_affine([zr, zi], p, "fc3")
+    pred = _magnitude(y) if spec.task == "classification" else y
     return ForwardResult(pred=pred, latent_pair=LatentPair(z_re=zr, z_im=zi))
 
 
@@ -252,7 +274,7 @@ def _steinmetz(spec: NetworkSpec, p: dict, xr: Tensor, xi: Tensor) -> ForwardRes
         return ad.mean_center_rows(ad.linear(ad.linear(x, w1, b1, relu=True), w2, b2, relu=True))
 
     z_re, z_im = branch(xr, "real"), branch(xi, "imag")
-    pred = ad.linear(ad.concat(z_re, z_im), p["regressor.w"], p["regressor.b"])
+    pred = ad.linear((z_re, z_im), p["regressor.w"], p["regressor.b"])
     return ForwardResult(pred=pred, latent_pair=LatentPair(z_re=z_re, z_im=z_im))
 
 

@@ -24,8 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape
-from .data import (Dataset, add_complex_noise, load_cvds, output_dir, stacked_targets,
-                   staged)
+from .data import Dataset, add_complex_noise, load_cvds, output_dir, staged
 from .diagnostics import accuracy, mag_phase_mse, mse_metric
 from .errors import ContractError, DataError, DivergenceError, ValidationError
 from .losses import (TrainConfig, adam_init, adam_step, cross_entropy, finite,
@@ -54,9 +53,8 @@ def forward_metrics(model: Model, ds: Dataset) -> tuple[dict, ForwardResult]:
         if ds.task == "classification":
             metrics = {"accuracy": accuracy(pred, ds.labels)}
         else:
-            targets = stacked_targets(ds)
-            mp = mag_phase_mse(pred, targets)
-            metrics = {"mse": mse_metric(pred, targets),
+            mp = mag_phase_mse(pred, ds.labels)
+            metrics = {"mse": mse_metric(pred, ds.labels),
                        "mag_mse": mp.mag_mse, "phase_mse": mp.phase_mse,
                        "degenerate_phases": mp.degenerate_phases}
     if not (np.isfinite(pred).all() and all(map(math.isfinite, metrics.values()))):
@@ -149,8 +147,7 @@ def train_models(spec: NetworkSpec, train_sets: Sequence[Dataset],
     use_penalty = spec.kind == "analytic" and cfg.beta > 0
     x_re = _rows([ds.features_re for ds in train_sets])
     x_im = _rows([ds.features_im for ds in train_sets])
-    y = _rows([ds.labels if ds.task == "classification" else stacked_targets(ds)
-               for ds in train_sets])
+    y = _rows([ds.labels for ds in train_sets])
     offsets = np.arange(n)[:, None] * m     # member e's rows start at e * m
     histories: list[list[dict]] = [[] for _ in cfgs]
     # overflow only matters once it reaches the loss or the parameters,

@@ -23,25 +23,33 @@ def relu_preactivations(tape) -> list:
     """The pre-activation of every node on the tape that applies a ReLU in
     place, recomputed from the node's parents with plain numpy rather than
     by the op's own code: ``x @ w.T + b`` over a ``linear`` node's joined
-    input blocks, and ``x1 @ wr.T + b -/+ x2 @ wi.T`` for a
-    ``complex_affine`` part. ``_complex_affine`` records its real part
-    (minus) before its imaginary part (plus), so the parts alternate.
-    Each recomputed value must give the node's output under ``max(., 0)``.
+    input blocks, ``x1 @ wr.T + b -/+ x2 @ wi.T`` for a hidden
+    ``complex_affine`` part, and both parts side by side for cvnn's head,
+    the ``complex_affine`` node with six parents and no ReLU. A hidden
+    layer records its real part (minus) before its imaginary part (plus),
+    so the parts alternate. Each recomputed value must give the node's
+    output, under ``max(., 0)`` where the node applies a ReLU.
     """
+    def part(x1, x2, wr, wi, b, sign):
+        return x1 @ wr.swapaxes(-1, -2) + b[..., None, :] + sign * (x2 @ wi.swapaxes(-1, -2))
+
     pres, parts = [], 0
     for n in tape.nodes:
         if n.op == "linear":
             *xs, w, b = (p.data for p in n.parents)
             pre = np.concatenate(xs, axis=-1) @ w.swapaxes(-1, -2) + b[..., None, :]
+        elif n.op == "complex_affine" and len(n.parents) == 6:
+            xr, xi, wr, wi, br, bi = (p.data for p in n.parents)
+            pre = np.concatenate([part(xr, xi, wr, wi, br, -1.0),
+                                  part(xi, xr, wr, wi, bi, 1.0)], axis=-1)
         elif n.op == "complex_affine":
-            x1, x2, wr, wi, b = (p.data for p in n.parents)
-            sign = 1.0 if parts % 2 else -1.0
+            pre = part(*(p.data for p in n.parents), 1.0 if parts % 2 else -1.0)
             parts += 1
-            pre = x1 @ wr.swapaxes(-1, -2) + b[..., None, :] + sign * (x2 @ wi.swapaxes(-1, -2))
         else:
             continue
+        assert np.allclose(np.maximum(pre, 0.0) if n.relu else pre, n.data,
+                           rtol=1e-9, atol=1e-12)
         if n.relu:
-            assert np.allclose(np.maximum(pre, 0.0), n.data, rtol=1e-9, atol=1e-12)
             pres.append(pre)
     return pres
 
@@ -310,8 +318,9 @@ def synthetic_classification(m: int, dn: int, k: int, seed: int,
 
 
 def random_regression(m: int, dn: int, k: int, seed: int) -> cv.Dataset:
+    """Gaussian features and [M, 2k] targets: k real parts, k imaginary parts."""
     g = np.random.default_rng(seed)
-    targets = g.standard_normal((m, k)) + 1j * g.standard_normal((m, k))
+    targets = np.concatenate([g.standard_normal((m, k)), g.standard_normal((m, k))], axis=1)
     return cv.Dataset(g.standard_normal((m, dn)), g.standard_normal((m, dn)),
                       targets, "complex_regression",
                       provenance=f"random-regression(seed={seed})")

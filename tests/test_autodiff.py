@@ -80,16 +80,6 @@ def test_mean_center_rows_zero_sum_invariant():
         assert np.abs(out.data.sum(axis=1)).max() <= 1e-12 * max(1, np.abs(x).max())
 
 
-def test_concat_and_split():
-    # concat joins the last axis; its backward splits the gradient there
-    tape = cv.Tape()
-    out = ad.concat(tape.param([[1.0, 2.0]], "a"), tape.param([[3.0, 4.0]], "b"))
-    assert np.array_equal(out.data, [[1.0, 2.0, 3.0, 4.0]])
-    grads = tape.backward(weighted_sum(out, [[5.0, 6.0, 7.0, 8.0]]))
-    assert np.array_equal(grads["a"], [[5.0, 6.0]])
-    assert np.array_equal(grads["b"], [[7.0, 8.0]])
-
-
 def test_backward_of_sum_is_ones():
     tape = cv.Tape()
     x = tape.param(np.random.default_rng(2).standard_normal((3, 5)), "x")
@@ -184,13 +174,21 @@ def test_mixed_tapes_rejected():
     a = cv.Tape().param(np.ones((2, 2)), "a")
     b = cv.Tape().param(np.ones((2, 2)), "b")
     with pytest.raises(ContractError):
-        ad.concat(a, b)
+        ad.mean_sq_diff(a, b)
 
 
 def test_tensors_are_frozen():
     x = cv.Tape().param(np.ones(3), "x")
     with pytest.raises(ValueError):
         x.data[0] = 2.0
+
+
+def _pair(a, b):
+    """The complex pair ``[a | b]`` as one tensor, read in place by a
+    ``linear`` node with identity weights and zero biases: every entry
+    is a product by 1 plus products by 0, so the values are exact."""
+    n = a.shape[-1] + b.shape[-1]
+    return ad.linear((a, b), ad.constant(np.eye(n)), ad.constant(np.zeros(n)))
 
 
 def _unary_cases(g):
@@ -202,20 +200,26 @@ def _unary_cases(g):
     zeros = ad.constant(np.zeros((3, 4)))
     # a constant under the sqrt, as eps was: c*c + eps, c bounded away from 0
     c = ad.constant(1.0 + np.abs(g.standard_normal((3, 4))))
-    # the three forms of a hidden layer side by side, each with pre-activation x
-    relu = [lambda t, form=form: _relu_layer(form, t) for form in RELU_FORMS]
     return {
-        "relu": (lambda t: ad.concat(ad.concat(relu[0](t), relu[1](t)), relu[2](t)),
+        # the three forms of a hidden layer, each with pre-activation x
+        "relu": (lambda t: tuple(_relu_layer(form, t) for form in RELU_FORMS),
                  away_from_zero),
         "mean_center_rows": (ad.mean_center_rows, x),
-        "sqrt": (lambda t: models._magnitude(t, zeros), away_from_zero),
-        "add_const": (lambda t: models._magnitude(t, c), x),
+        "sqrt": (lambda t: models._magnitude(_pair(t, zeros)), away_from_zero),
+        "add_const": (lambda t: models._magnitude(_pair(t, c)), x),
     }
 
 
 def _project(out, seed):
-    """Random linear functional of the op output; keeps gradients nonzero."""
-    return weighted_sum(out, np.random.default_rng(90_000 + seed).standard_normal(out.shape))
+    """Random linear functional of the op output; keeps gradients nonzero.
+    A tuple of outputs is weighted by consecutive column blocks of one
+    draw, as if they stood side by side."""
+    g = np.random.default_rng(90_000 + seed)
+    if not isinstance(out, tuple):
+        return weighted_sum(out, g.standard_normal(out.shape))
+    ends = np.cumsum([o.shape[-1] for o in out])
+    w = g.standard_normal(out[0].shape[:-1] + (ends[-1],))
+    return weighted_sum(out, tuple(np.split(w, ends[:-1], axis=-1)))
 
 
 @pytest.mark.parametrize("name", ["relu", "mean_center_rows", "sqrt", "add_const"])
@@ -235,12 +239,12 @@ def test_unary_op_gradients_100_seeds(name):
         assert block_relative_error(fd, grads) < 1e-5, f"{name} seed {seed}"
 
 
-@pytest.mark.parametrize("name", ["concat", "linear", "mean_sq_diff", "mul"])
+@pytest.mark.parametrize("name", ["linear", "mean_sq_diff", "mul"])
 def test_binary_op_gradients_100_seeds(name):
     # "mul" keeps the id of the op that spelled the magnitude head's squares
     # y*y; with both parts on the tape it checks their summed operand paths
     # "linear" checks x and w under a constant bias; the next test adds b's gradient
-    ops = {"concat": ad.concat, "mean_sq_diff": ad.mean_sq_diff, "mul": models._magnitude,
+    ops = {"mean_sq_diff": ad.mean_sq_diff, "mul": lambda a, b: models._magnitude(_pair(a, b)),
            "linear": lambda x, w: ad.linear(x, w, ad.constant(np.ones(5)))}
     b_shapes = {"linear": (5, 4)}
     for seed in range(100):
@@ -277,23 +281,42 @@ def test_linear_with_bias_gradients_100_seeds():
         assert block_relative_error(fd, grads) < 1e-5, f"linear+bias seed {seed}"
 
 
+def _half(y, part):
+    """The real (``part`` 0) or imaginary (1) half of a complex pair
+    ``[yr | yi]`` as a tape node; backward gives the other half zeros."""
+    n = y.shape[-1] // 2
+    cols = slice(part * n, (part + 1) * n)
+
+    def vjp(g):
+        out = np.zeros(y.shape)
+        out[..., cols] = g
+        return out
+
+    return ad.record_op("half", np.ascontiguousarray(y.data[..., cols]), (y,), (vjp,))
+
+
 def _node_case(name, g):
     """(op over a dict of tape tensors, parameter arrays) for the one-node
     ops of cvnn's complex layer and magnitude head, of the penalised loss
     and of ``linear`` over one input or a pair of inputs (rvnn's first
-    layer), the affine ones also as hidden layers with their ReLU
-    (``_relu``); every input of the node is a parameter."""
+    layer). ``complex_head`` is cvnn's head node ``[yr | yi]`` and
+    ``complex_re``/``complex_im`` one half of it; with ``_relu`` they are
+    one part of a hidden complex layer, and the ``linear`` ones hidden
+    layers too. Every input of the node is a parameter."""
     relu = name.endswith("_relu")
     name = name.removesuffix("_relu")
     if name.startswith("complex"):
         lead = (2,) if name.endswith("stacked") else ()
         shapes = {"xr": (3, 4), "xi": (3, 4), "wr": (5, 4), "wi": (5, 4),
                   "br": (5,), "bi": (5,)}
-        part = 0 if name.startswith("complex_re") else 1
+        part = {"re": 0, "im": 1}.get(name.split("_")[1])
 
         def op(t):
             layer = {f"fc.{k}": t[k] for k in ("wr", "wi", "br", "bi")}
-            return models._complex_affine([t["xr"], t["xi"]], layer, "fc", relu)[part]
+            y = models._complex_affine([t["xr"], t["xi"]], layer, "fc", relu)
+            if relu:
+                return y[part]
+            return y if part is None else _half(y, part)
 
         return op, {k: g.standard_normal(lead + s) for k, s in shapes.items()}
     if name.startswith("linear_pair"):
@@ -306,14 +329,15 @@ def _node_case(name, g):
         return (lambda t: ad.linear(t["x"], t["w"], t["b"], relu),
                 {k: g.standard_normal(s) for k, s in shapes.items()})
     if name == "magnitude":
-        return (lambda t: models._magnitude(t["yr"], t["yi"]),
-                {"yr": g.standard_normal((3, 4)), "yi": g.standard_normal((3, 4))})
+        parts = g.standard_normal((3, 4)), g.standard_normal((3, 4))
+        return (lambda t: models._magnitude(t["y"]), {"y": np.concatenate(parts, axis=-1)})
     return (lambda t: cv.total_loss(t["task"], t["penalty"], 0.37),
             {"task": g.standard_normal(()), "penalty": g.standard_normal(())})
 
 
 @pytest.mark.parametrize("name", ["complex_re", "complex_im", "complex_re_stacked",
-                                  "complex_im_stacked", "magnitude", "total_loss",
+                                  "complex_im_stacked", "complex_head",
+                                  "complex_head_stacked", "magnitude", "total_loss",
                                   "linear_pair", "linear_pair_stacked"])
 def test_node_gradients_100_seeds(name):
     for seed in range(100):

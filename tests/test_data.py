@@ -9,7 +9,7 @@ import pytest
 
 import cvlearn as cv
 from cvlearn import transforms as tr
-from cvlearn.data import NL_COEFF, SEQ_LEN, TAPS, ChannelSpec, Dataset, stacked_targets
+from cvlearn.data import NL_COEFF, SEQ_LEN, TAPS, ChannelSpec, Dataset
 from cvlearn.errors import ContractError, DataError
 from cvlearn.rng import Rng
 
@@ -32,6 +32,16 @@ def test_cvds_roundtrip_regression_bitwise(tmp_path):
     back = cv.load_cvds(tmp_path / "d")
     assert np.array_equal(back.features_re, ds.features_re)
     assert np.array_equal(back.labels, ds.labels)
+
+
+def test_cvds_regression_round_trip_keeps_every_target_byte(tmp_path):
+    # targets load as the [M, 2k] blob holds them, so a -0.0 part stays -0.0
+    cv.save_cvds(random_regression(3, 2, 2, seed=4), tmp_path / "a")
+    flat = np.fromfile(tmp_path / "a" / "labels.bin", "<f8").reshape(3, 4)
+    flat[0, 3] = flat[1, 0] = -0.0  # an imaginary and a real part
+    (tmp_path / "a" / "labels.bin").write_bytes(flat.tobytes())
+    cv.save_cvds(cv.load_cvds(tmp_path / "a"), tmp_path / "b")
+    assert (tmp_path / "b" / "labels.bin").read_bytes() == flat.tobytes()
 
 
 def test_cvds_truncated_blob_rejected(tmp_path):
@@ -176,12 +186,16 @@ def test_dataset_validation():
         ("features_re", (np.ones((2, 0)), np.ones((2, 0)), np.ones((2, 1)),
                          "complex_regression")),
         ("labels", (two, two, np.ones((2, 0)), "complex_regression")),
+        # regression targets are k real parts then k imaginary parts
+        ("labels", (two, two, np.array([[1j], [2.0]]), "complex_regression")),
+        ("labels", (two, two, np.ones((2, 3)), "complex_regression")),
+        ("labels", (two, two, np.ones(2), "complex_regression")),
     ]
     bad += [("num_classes", (two, two, [0, 1], "classification", "", k))
             for k in (2.5, True, 0, -1, 1, "3")]
     bad += [("provenance", (two, two, labels, task, p))
             for task, labels in (("classification", [0, 1]),
-                                 ("complex_regression", [[1j], [2.0]]))
+                                 ("complex_regression", [[1.0, 0.0], [2.0, 0.0]]))
             for p in ({"a": [1]}, None, 3, b"p", ["p"])]
     for needle, args in bad:
         with warnings.catch_warnings():
@@ -278,7 +292,7 @@ def test_failed_save_to_a_new_path_leaves_no_directory(tmp_path, monkeypatch):
 def test_dataset_is_frozen_and_read_only(task):
     re = np.ones((3, 4))
     labels = np.zeros(3, dtype=np.int64) if task == "classification" \
-        else np.ones((3, 2), dtype=np.complex128)
+        else np.ones((3, 2))
     ds = Dataset(re, np.zeros((3, 4)), labels, task)
     for name in ("features_re", "features_im", "labels"):
         with pytest.raises(ValueError):
@@ -306,14 +320,6 @@ def test_replace_shares_the_arrays_it_does_not_override():
     sub = ds.take(2)
     for name in ("features_re", "features_im", "labels"):
         assert not np.shares_memory(getattr(sub, name), getattr(ds, name)), name
-
-
-def test_stacked_targets_layout():
-    ds = random_regression(3, 4, 2, seed=7)
-    t = stacked_targets(ds)
-    assert t.shape == (3, 4)
-    assert np.array_equal(t[:, :2], ds.labels.real)
-    assert np.array_equal(t[:, 2:], ds.labels.imag)
 
 
 def test_dft_encode_constant_rows():
@@ -459,9 +465,9 @@ def test_noise_different_seeds_mean_zero_difference():
 
 def test_add_complex_noise_peak():
     # 2000 x 784: each output channel is 12.5 MB. Rng.normal draws into its
-    # output a block at a time; measured 37.63 MB (the real output, then
-    # the imaginary channel's draw and its scaled copy), where whole-array
-    # draws took 75.27 MB.
+    # output a block at a time, and the noise is scaled and the features
+    # added in place, so the peak is the two outputs: measured 26.66 MB.
+    # Scaling into a copy took 37.63 MB, and whole-array draws 75.27 MB.
     x = np.random.default_rng(1).standard_normal((2000, 784))
     ds = Dataset(x, 0.5 * x, np.zeros(2000, dtype=int), "classification")
     cv.add_complex_noise(ds, 0.5, seed=3)
@@ -471,7 +477,7 @@ def test_add_complex_noise_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 39.5e6, peak
+    assert peak <= 28e6, peak
 
 
 def test_noise_deterministic_per_seed():
@@ -513,7 +519,7 @@ def test_channel_snr_hits_target():
     x = np.sqrt(1 - spec.rho ** 2) * a + 1j * spec.rho * b
     filt = np.convolve(x, np.asarray(TAPS))[:total]
     clean = (filt + NL_COEFF * filt ** 2)[SEQ_LEN - 1:]
-    noise = ds.labels[:, 0] - clean
+    noise = ds.labels[:, 0] + 1j * ds.labels[:, 1] - clean
     snr_db = 10 * np.log10(np.mean(np.abs(clean) ** 2) / np.mean(np.abs(noise) ** 2))
     assert abs(snr_db - spec.snr_db) < 0.1
 

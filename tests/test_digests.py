@@ -9,9 +9,11 @@ table in CHANGES.md.
 
 Floating-point results depend on numpy's kernels and on the BLAS kernel
 picked at run time, so the digests are keyed by numpy's major.minor
-version and the bundled OpenBLAS's runtime core; on any other key the
-tests skip. At these shapes the digests do not depend on the BLAS thread
-count (checked at 1 and 2 threads).
+version, the bundled OpenBLAS's runtime core and the SIMD target numpy
+dispatches its float64 ``log``, ``sin`` and ``cos`` to (the Box-Muller
+draws behind every initialization and dataset go through them); on any
+other key the tests skip. At these shapes the digests do not depend on
+the BLAS thread count (checked at 1 and 2 threads).
 """
 
 import contextlib
@@ -19,6 +21,9 @@ import ctypes
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +33,15 @@ import cvlearn as cv
 import cvlearn.cli  # noqa: F401  (binds cv.cli)
 from cvlearn.models import KINDS
 from cvlearn.recipes import run_channel_id
+from cvlearn.rng import Rng
 from cvlearn.train import train_models
 
-# (numpy major.minor, OpenBLAS runtime core) -> result name -> sha256
+# (numpy major.minor, OpenBLAS runtime core, float64 log/sin/cos SIMD
+# target) -> result name -> sha256
 DIGESTS = {
-    ("2.4", "SkylakeX"): {
+    ("2.4", "SkylakeX", "X86_V4"): {
         "run_channel_id":
-            "dd2e1dfa289459bc4c38e67ba46eb708a50d4868c7f852a8a41a7cc13e37426a",
+            "e7e89667c97cc838276503caaa72c35c3a8743bf6dd060c04aebe03d15057b85",
         "train_models/rvnn/E1":
             "4c85bcdeb333e49b393b892040886188c4768bee2c170a1961a196d3df1e52f8",
         "train_models/rvnn/E3":
@@ -44,15 +51,15 @@ DIGESTS = {
         "train_models/cvnn/E3":
             "5523328f1e6418da7023884d48efa647f1a504b8a8285eeaa9443852adee9696",
         "train_models/steinmetz/E1":
-            "008ef7aae7e61ced05c5fd12b6cab0396fdd86cba552f04a6986aca4df3fb9b2",
+            "7aa49001425909ee0909e194b82e947e7479586029f4dd1ef5d9c7a4b1dd54b3",
         "train_models/steinmetz/E3":
-            "571eb8f57a64035ba0e9c718c485eaeababb163665b06615b0af46c1a2dfd811",
+            "45ac87d728576f6f8b5bc3dc01127c59472980fe4e5bc86a5bce3340c787b910",
         "train_models/analytic/E1":
-            "18756db85eee474efb95c150651114cc5d0d8af2da1928d2f0d2e1dd3960e735",
+            "2850327e25336b6ce09131c9834a9c01090d2e76aa66f2d1cb4987930c9e929d",
         "train_models/analytic/E3":
-            "73197b0a1a17414073760f1fabea17081b6883cd09ddd5a695bb3f1c20318a10",
+            "1692cedc4bf43437151b59601eb181ce94b7a4245002f19ed29c978141f002c7",
         "cli_train/checkpoint.bin":
-            "238383679bddcdc567bd68614ed281889c309e487e66a5e2b49908b62a016270",
+            "e5e03e035789bfb127c41c69807b50b07674208cd7dfe6b23b518f9e1a8b708b",
         "cli_train/report":
             "0b8311a40ece26971d3113519cd2df84ee4a7af230660dc44c135b15954bd95b",
     },
@@ -71,14 +78,42 @@ def _openblas_core() -> str:
     return corename().decode()
 
 
-KEY = (".".join(np.__version__.split(".")[:2]), _openblas_core())
+def _simd_target() -> str:
+    """The SIMD target numpy dispatches float64 ``log``, ``sin`` and ``cos``
+    to (several, space-separated, if they differ), or "" before numpy 2."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return ""
+    info = opt_func_info(func_name="^(log|sin|cos)$", signature="float64")
+    return " ".join(sorted({sig["current"] for func in info.values() for sig in func.values()}))
+
+
+KEY = (".".join(np.__version__.split(".")[:2]), _openblas_core(), _simd_target())
 
 
 @pytest.fixture(scope="module")
 def pins() -> dict:
     if KEY not in DIGESTS:
-        pytest.skip(f"no digests recorded for numpy {KEY[0]} with OpenBLAS core {KEY[1]!r}")
+        pytest.skip(f"no digests recorded for numpy {KEY[0]} with OpenBLAS core {KEY[1]!r} "
+                    f"and SIMD target {KEY[2]!r}")
     return DIGESTS[KEY]
+
+
+def test_key_names_the_simd_target_numpy_dispatches_to():
+    # with AVX-512 switched off, numpy's log, sin and cos take other
+    # kernels and Rng's normals change bits, so the key must change too
+    # and the digest tests skip rather than fail
+    if KEY[2] != "X86_V4":
+        pytest.skip(f"needs the X86_V4 target, not {KEY[2]!r}")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    code = ("import hashlib, test_digests as t; from cvlearn.rng import Rng; "
+            "print(t.KEY[2], hashlib.sha256(Rng(2024).normal(1001).tobytes()).hexdigest())")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, cwd=Path(__file__).parent, check=True).stdout.split()
+    assert out[0] != KEY[2] and out[0] not in {k[2] for k in DIGESTS}
+    assert out[1] != hashlib.sha256(Rng(2024).normal(1001).tobytes()).hexdigest()
 
 
 def _sha(*parts) -> str:

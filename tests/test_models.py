@@ -164,14 +164,14 @@ def test_complex_layer_single_neuron():
     tape = cv.Tape()
     p = {"fc1.wr": tape.param(w.real, "wr"), "fc1.wi": tape.param(w.imag, "wi"),
          "fc1.br": tape.param(b.real, "br"), "fc1.bi": tape.param(b.imag, "bi")}
-    yr, yi = models._complex_affine([ad.constant(x.real), ad.constant(x.imag)], p, "fc1")
+    head = models._complex_affine([ad.constant(x.real), ad.constant(x.imag)], p, "fc1")
     y = x @ w.T + b  # numpy's complex arithmetic
-    assert np.array_equal(yr.data, y.real) and np.array_equal(yi.data, y.imag)
-    assert float(yr.data[0, 0]) == 0.0 and float(yi.data[0, 0]) == 1.0
+    assert np.array_equal(head.data, np.concatenate([y.real, y.imag], axis=1))
+    assert head.data.tolist() == [[0.0, 1.0]]
     rr, ri = models._complex_affine([ad.constant(x.real), ad.constant(x.imag)], p,
                                     "fc1", relu=True)
     assert float(rr.data[0, 0]) == 0.0 and float(ri.data[0, 0]) == 1.0
-    mag = models._magnitude(rr, ri)
+    mag = models._magnitude(ad.constant(np.concatenate([rr.data, ri.data], axis=1)))
     z = np.maximum(y.real, 0) + 1j * np.maximum(y.imag, 0)
     assert np.array_equal(mag.data, np.sqrt(np.abs(z) ** 2 + models.MAGNITUDE_EPS))
     assert abs(float(mag.data[0, 0]) - 1.0) < 1e-9
@@ -202,19 +202,37 @@ def test_complex_affine_bit_identical_to_linear_sub_add_chain(shape):
     arrays = {k: g.standard_normal(s) for k, s in arrays.items()}
     up_r, up_i = g.standard_normal((*lead, m, d_out)), g.standard_normal((*lead, m, d_out))
 
+    def layer_of(t):
+        return {f"fc.{k}": t[k] for k in ("wr", "wi", "br", "bi")}
+
+    # the head: one node, [yr | yi], the same off the tape and on it
     tape = cv.Tape()
     t = {k: tape.param(v, k) for k, v in arrays.items()}
-    layer = {f"fc.{k}": t[k] for k in ("wr", "wi", "br", "bi")}
-    yr, yi = models._complex_affine([t["xr"], t["xi"]], layer, "fc")
-    assert [n.op for n in tape.nodes[len(t):]] == ["complex_affine"] * 2
-    grads = tape.backward(weighted_sum((yr, yi), (up_r, up_i)))
+    head = models._complex_affine([t["xr"], t["xi"]], layer_of(t), "fc")
+    assert [n.op for n in tape.nodes[len(t):]] == ["complex_affine"]
+    assert head.shape == (*lead, m, 2 * d_out)
+    grads = tape.backward(weighted_sum(head, np.concatenate([up_r, up_i], axis=-1)))
+    c = {k: ad.constant(v) for k, v in arrays.items()}
+    off = models._complex_affine([c["xr"], c["xi"]], layer_of(c), "fc")
+    assert off.parents == () and np.array_equal(off.data, head.data)
+    # a hidden layer: one node per part, each with its ReLU
+    tape_h = cv.Tape()
+    t = {k: tape_h.param(v, k) for k, v in arrays.items()}
+    yr, yi = models._complex_affine([t["xr"], t["xi"]], layer_of(t), "fc", relu=True)
+    assert [n.op for n in tape_h.nodes[len(t):]] == ["complex_affine"] * 2
+    hidden = tape_h.backward(weighted_sum((yr, yi), (up_r, up_i)))
     # each stacked member against the 2-D chain on its own slices
     for e in np.ndindex(*lead):
-        (ref_r, ref_i), ref_grads = complex_affine_chain_reference(
-            *(arrays[k][e] for k in ("xr", "xi", "wr", "wi", "br", "bi")), up_r[e], up_i[e])
-        assert np.array_equal(yr.data[e], ref_r) and np.array_equal(yi.data[e], ref_i)
+        operands = [arrays[k][e] for k in ("xr", "xi", "wr", "wi", "br", "bi")]
+        (ref_r, ref_i), ref_grads = complex_affine_chain_reference(*operands, up_r[e], up_i[e])
+        assert np.array_equal(head.data[e], np.concatenate([ref_r, ref_i], axis=-1))
+        assert np.array_equal(yr.data[e], np.maximum(ref_r, 0.0))
+        assert np.array_equal(yi.data[e], np.maximum(ref_i, 0.0))
+        _, masked = complex_affine_chain_reference(*operands, up_r[e] * (ref_r > 0),
+                                                   up_i[e] * (ref_i > 0))
         for name in arrays:
             assert np.array_equal(grads[name][e], ref_grads[name]), name
+            assert np.array_equal(hidden[name][e], masked[name]), name
 
 
 def _cvnn_chain_reference(p: dict, xr, xi, task: str) -> tuple:
@@ -269,15 +287,16 @@ def test_magnitude_bit_identical_to_mul_add_sqrt_chain(shape):
     g = np.random.default_rng(sum(shape))
     yr, yi, upstream = (g.standard_normal(shape) for _ in range(3))
     yr[..., 0, 0] = yi[..., 0, 0] = 0.0  # at zero, where eps keeps the gradient finite
+    # the magnitude node reads the two halves of the pair [yr | yi] in place
     tape = cv.Tape()
-    tr, ti = tape.param(yr, "yr"), tape.param(yi, "yi")
-    mag = models._magnitude(tr, ti)
-    assert len(tape.nodes) == 3
+    mag = models._magnitude(tape.param(np.concatenate([yr, yi], axis=-1), "y"))
+    assert len(tape.nodes) == 2
     grads = tape.backward(weighted_sum(mag, upstream))
     ref_value, ref_grads = magnitude_chain_reference(yr, yi, upstream)
     assert np.array_equal(mag.data, ref_value)
-    for name in ("yr", "yi"):
-        assert np.array_equal(grads[name], ref_grads[name]), name
+    n = shape[-1]
+    assert np.array_equal(grads["y"][..., :n], ref_grads["yr"])
+    assert np.array_equal(grads["y"][..., n:], ref_grads["yi"])
 
 
 def test_cvnn_degenerate_reduces_to_real_mlp_bitwise():
@@ -304,8 +323,8 @@ def test_cvnn_degenerate_reduces_to_real_mlp_bitwise():
 
 # tape nodes per training step (parameters, ops, and the summed loss)
 NODES_PER_STEP = {
-    "complex_regression": {"rvnn": 11, "cvnn": 21, "steinmetz": 20, "analytic": 23},
-    "classification": {"rvnn": 11, "cvnn": 21, "steinmetz": 20, "analytic": 23},
+    "complex_regression": {"rvnn": 11, "cvnn": 19, "steinmetz": 19, "analytic": 22},
+    "classification": {"rvnn": 11, "cvnn": 20, "steinmetz": 19, "analytic": 22},
 }
 
 
@@ -342,6 +361,26 @@ def test_gradients_match_finite_differences(kind):
         grads = tape.backward(loss)
         fd = central_diff(loss_fn, params)
         assert block_relative_error(fd, grads) < 1e-5
+        checked += 1
+        if checked >= 3:
+            break
+    assert checked >= 1
+
+
+@pytest.mark.parametrize("task", ["classification", "complex_regression"])
+def test_cvnn_joined_head_gradients_match_finite_differences(task):
+    # the head writes [yr | yi] as one node: the regression loss reads it
+    # as it is, the classification loss through the magnitude node
+    checked = 0
+    for seed in range(12):
+        built = build_arch_loss("cvnn", task, seed)
+        if built is None:
+            continue
+        params, loss_fn, tape, loss = built
+        head = [n for n in tape.nodes if n.op == "complex_affine" and len(n.parents) == 6]
+        assert len(head) == 1 and head[0].shape == (2, 6)  # batch 2, k = 3
+        fd = central_diff(loss_fn, params)
+        assert block_relative_error(fd, tape.backward(loss)) < 1e-5
         checked += 1
         if checked >= 3:
             break

@@ -129,21 +129,23 @@ def test_rvnn_evaluate_of_spectral_set_allocates_no_joined_input():
 # [m, 64] activation is 5.12 MB: measured 15.50 MB for rvnn (fc1's and fc2's
 # outputs, 5.12 + 10.24 MB), 20.55 MB for cvnn (a complex layer's two inputs,
 # its real part and the one cross product the imaginary part still needs:
-# each input is freed after its last product), 20.71 MB for steinmetz and
-# analytic (two latents and their [m, 128] join). On 2000 x 784 rows the
-# [m, 64] activation is 1.02 MB and the 784-wide weight copies 0.4 MB each:
-# measured 4.17 MB for cvnn, 4.34 MB for steinmetz and analytic. Each margin
-# is below one [m, 64] activation (rvnn 2.3, cvnn 3.05, steinmetz 3.09 of
-# 5.12 MB on the channel set; cvnn 0.63, steinmetz 0.66 of 1.02 MB on 784),
-# so an activation kept past its use does not fit. With a separate ReLU
-# node the rvnn, steinmetz and analytic peaks were 25.6, 31.0 and 31.0 MB,
-# and 6.39 MB on 784; with layer 1's outputs kept through layer 2, cvnn's
-# were 25.67 and 5.19 MB.
+# each input is freed after its last product), 15.51 MB for steinmetz and
+# analytic (the real latent and two of the imaginary branch's activations;
+# the head reads both latents in place). On 2000 x 784 rows the [m, 64] activation is
+# 1.02 MB and the 784-wide weight copies 0.4 MB each: measured 4.17 MB for
+# cvnn, 3.18 MB for steinmetz and analytic. Each margin is below one
+# [m, 64] activation (rvnn 2.3, cvnn 3.05, steinmetz 2.29 of 5.12 MB on the
+# channel set; cvnn 0.63, steinmetz 0.52 of 1.02 MB on 784), so an
+# activation kept past its use does not fit. With a separate ReLU node the
+# rvnn, steinmetz and analytic peaks were 25.6, 31.0 and 31.0 MB, and
+# 6.39 MB on 784; with layer 1's outputs kept through layer 2, cvnn's were
+# 25.67 and 5.19 MB; with the latents joined into an [m, 128] copy for the
+# head, steinmetz's and analytic's were 20.71 and 4.34 MB.
 @pytest.mark.parametrize("rows,kind,pin_mb", [
     ("channel", "rvnn", 17.8), ("channel", "cvnn", 23.6),
-    ("channel", "steinmetz", 23.8), ("channel", "analytic", 23.8),
-    ("spectral", "cvnn", 4.8), ("spectral", "steinmetz", 5.0),
-    ("spectral", "analytic", 5.0)])
+    ("channel", "steinmetz", 17.8), ("channel", "analytic", 17.8),
+    ("spectral", "cvnn", 4.8), ("spectral", "steinmetz", 3.7),
+    ("spectral", "analytic", 3.7)])
 def test_evaluate_memory_peak(rows, kind, pin_mb):
     if rows == "channel":
         ds = cv.gen_channel_dataset(cv.ChannelSpec(), 10000, seed=1)
@@ -174,9 +176,11 @@ def _training_peak(spec, ds) -> int:
 # does not fit. With a separate scratch buffer in Adam the channel peaks
 # were 1.059/1.084/1.209/1.267 MB and the spectral 11.62/11.68/11.79/11.84 MB.
 # 2 epochs of a 200-row channel set at the recipe shapes (lN 64, batch 32):
-# 9.3k parameters, 75 kB a buffer; measured 0.984, 1.026, 1.134 and 1.192 MB.
+# 9.3k parameters, 75 kB a buffer; measured 0.981, 1.022, 1.076 and 1.156 MB
+# (0.984, 1.026, 1.134 and 1.192 MB while each step joined its targets, and
+# steinmetz's and analytic's heads their latents, into fresh arrays).
 @pytest.mark.parametrize("kind,pin_mb", [("rvnn", 1.03), ("cvnn", 1.08),
-                                         ("steinmetz", 1.18), ("analytic", 1.24)])
+                                         ("steinmetz", 1.12), ("analytic", 1.20)])
 def test_short_channel_training_run_memory_peak(kind, pin_mb):
     ds = cv.gen_channel_dataset(cv.ChannelSpec(), 200, seed=1)
     peak = _training_peak(cv.NetworkSpec(kind, ds.dn, 64, ds.k, "complex_regression"), ds)
@@ -184,8 +188,9 @@ def test_short_channel_training_run_memory_peak(kind, pin_mb):
 
 
 # 2 epochs of 200 dft_encoded 784-wide rows, 10 classes (lN 64, batch 32):
-# about 110k parameters, 0.88 MB a buffer; measured 10.74, 10.80, 10.91 and
-# 10.96 MB, pinned 0.59-0.61 MB above.
+# about 110k parameters, 0.88 MB a buffer; measured 10.74, 10.80, 10.84 and
+# 10.91 MB, pinned 0.60-0.66 MB above (steinmetz and analytic measured 10.91
+# and 10.96 MB while their heads joined the latents).
 @pytest.mark.parametrize("kind,pin_mb", [("rvnn", 11.35), ("cvnn", 11.40),
                                          ("steinmetz", 11.50), ("analytic", 11.55)])
 def test_short_spectral_training_run_memory_peak(kind, pin_mb):
