@@ -93,13 +93,11 @@ def _cmd_gen(args) -> None:
         except MemoryError:
             raise ValidationError(f"--m {args.m}: a dataset of that many rows "
                                   f"does not fit in memory") from None
+    elif not args.input:
+        raise ValidationError(f"gen --task {args.task} requires --in")
     elif args.task == "noise":
-        if not args.input:
-            raise ValidationError("gen --task noise requires --in")
         ds = add_complex_noise(load_cvds(args.input), args.eta, args.seed)
     else:
-        if not args.input:
-            raise ValidationError("gen --task dft-encode requires --in")
         ds = dft_encode(load_cvds(args.input))
     save_cvds(ds, args.out)
     print(json.dumps({"out": str(args.out), "M": ds.m, "dN": ds.dn,
@@ -117,16 +115,8 @@ def _cmd_train(args) -> None:
 
 
 def _load_eval_pair(args):
-    model, header = load_checkpoint(args.checkpoint)
-    ds = load_cvds(args.dataset)
-    if ds.task != model.spec.task:
-        raise DataError(f"checkpoint task {model.spec.task!r} does not match "
-                        f"dataset task {ds.task!r}")
-    if ds.dn != model.spec.input_dim or ds.k != model.spec.output_dim:
-        raise DataError(
-            f"checkpoint dims (dN={model.spec.input_dim}, k={model.spec.output_dim}) "
-            f"do not match dataset (dN={ds.dn}, k={ds.k})")
-    return model, header, ds
+    model, _ = load_checkpoint(args.checkpoint)
+    return model, load_cvds(args.dataset)
 
 
 def _emit(payload: dict, out_path) -> None:
@@ -139,12 +129,12 @@ def _emit(payload: dict, out_path) -> None:
 
 
 def _cmd_eval(args) -> None:
-    model, _, ds = _load_eval_pair(args)
+    model, ds = _load_eval_pair(args)
     _emit(evaluate(model, ds), args.out)
 
 
 def _cmd_diag(args) -> None:
-    model, _, ds = _load_eval_pair(args)
+    model, ds = _load_eval_pair(args)
     payload, result = forward_metrics(model, ds)
     z_re, z_im = latent_channels(result)
     comparison = covariance_comparison(z_re, z_im)

@@ -69,6 +69,18 @@ class NetworkSpec:
             return self.output_dim
         return 2 * self.output_dim
 
+    def check_fits(self, ds, what: str) -> None:
+        """Raise DataError, naming ``what`` and both sides, unless the dataset
+        fits this network: the same task and feature width dN, and k equal to
+        output_dim, or for classification at most output_dim (a split may
+        lack the last classes; a Dataset's class ids are below its k)."""
+        k_fits = (ds.k <= self.output_dim if ds.task == "classification"
+                  else ds.k == self.output_dim)
+        if (ds.task, ds.dn) != (self.task, self.input_dim) or not k_fits:
+            raise DataError(f"{what} (task {ds.task}, dN={ds.dn}, k={ds.k}) does not fit "
+                            f"the network (task {self.task}, dN={self.input_dim}, "
+                            f"k={self.output_dim})")
+
 
 @dataclass
 class Model:

@@ -43,9 +43,10 @@ def evaluate(model: Model, ds: Dataset) -> dict:
 
 def forward_metrics(model: Model, ds: Dataset) -> tuple[dict, ForwardResult]:
     """One forward pass over a dataset: the task metrics, and the result
-    whose latents the diagnostics read. Finite parameters can still
-    overflow on the way: predictions or metrics that are not all finite
-    raise DataError."""
+    whose latents the diagnostics read. A dataset that does not fit the
+    network raises DataError, and so do predictions or metrics that are
+    not all finite, as finite parameters can still overflow on the way."""
+    model.spec.check_fits(ds, "dataset")
     with np.errstate(over="ignore", invalid="ignore"):
         result = forward(model, ad.trusted_constant(ds.features_re),
                          ad.trusted_constant(ds.features_im))
@@ -94,15 +95,10 @@ def _check_members(spec: NetworkSpec, train_sets: Sequence[Dataset],
                 raise ContractError(f"ensemble member {i} differs in config field {key}")
     for what, sets in (("train", train_sets), ("test", test_sets or ())):
         for i, ds in enumerate(sets):
-            # a classification set may lack the spec's last classes, but not add any
-            k_fits = (ds.k <= spec.output_dim if ds.task == "classification"
-                      else ds.k == spec.output_dim)
-            if (ds.task, ds.dn) != (spec.task, spec.input_dim) or not k_fits or (
-                    what == "train" and ds.m != train_sets[0].m):
-                raise ContractError(
-                    f"ensemble member {i}: {what} set (task {ds.task}, M={ds.m}, "
-                    f"dN={ds.dn}, k={ds.k}) does not fit the network spec (or, for a "
-                    "train set, member 0's M)")
+            spec.check_fits(ds, f"ensemble member {i}: {what} set")
+            if what == "train" and ds.m != train_sets[0].m:
+                raise ContractError(f"ensemble member {i}: train set has M={ds.m}, "
+                                    f"member 0's has M={train_sets[0].m}")
 
 
 def _rows(arrays: list) -> np.ndarray:
@@ -259,10 +255,6 @@ def _load_run_datasets(cfg: dict) -> tuple[Dataset, Optional[Dataset]]:
         if cfg["noise_test"] and test_ds is not None:
             test_ds = add_complex_noise(test_ds, cfg["noise_eta"],
                                         noise_root.substream("noise/test").seed)
-    if test_ds is not None and (test_ds.task, test_ds.dn, test_ds.k) != (
-            train_ds.task, train_ds.dn, train_ds.k):
-        raise DataError("test dataset task, feature width or output width "
-                        "does not match train dataset")
     return train_ds, test_ds
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import cvlearn as cv
 from cvlearn.diagnostics import latent_orthogonality
-from cvlearn.errors import ContractError, DivergenceError
+from cvlearn.errors import ContractError, DataError, DivergenceError
 from cvlearn.models import forward, latent_channels
 from cvlearn.recipes import run_channel_id
 from cvlearn.rng import Rng
@@ -76,7 +76,7 @@ def test_members_must_share_spec_m_and_config():
     spec, sets = _members("rvnn", "classification")
     cfgs = [_cfg(s) for s in SEEDS]
     other_width = synthetic_classification(100, 6, 3, seed=4)
-    with pytest.raises(ContractError, match="member 1"):
+    with pytest.raises(DataError, match="member 1"):
         train_models(spec, [sets[0], other_width, sets[2]], cfgs)
     with pytest.raises(ContractError, match="M=96"):
         train_models(spec, [sets[0], sets[1], sets[2].take(96)], cfgs)
@@ -101,12 +101,12 @@ def test_every_set_is_checked_before_the_first_step(monkeypatch):
     for test in (synthetic_classification(20, 5, 2, seed=2),   # feature width 5
                  synthetic_classification(20, 3, 5, seed=2),   # 5 classes, 2 outputs
                  random_regression(20, 3, 2, seed=2)):         # another task
-        with pytest.raises(ContractError, match="member 0: test set"):
+        with pytest.raises(DataError, match="member 0: test set"):
             train_models(spec, [train], [cfg], [test])
-    with pytest.raises(ContractError, match="member 0: train set"):
+    with pytest.raises(DataError, match="member 0: train set"):
         train_models(spec, [synthetic_classification(20, 3, 5, seed=2)], [cfg])
     regression = cv.NetworkSpec("rvnn", 3, 4, 2, "complex_regression")
-    with pytest.raises(ContractError, match="member 0: test set"):
+    with pytest.raises(DataError, match="member 0: test set"):
         train_models(regression, [random_regression(20, 3, 2, seed=1)], [cfg],
                      [random_regression(20, 3, 1, seed=2)])
 

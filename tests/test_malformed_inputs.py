@@ -304,6 +304,18 @@ def _huge_latent_checkpoint(w: Path) -> Path:
     return w / "huge-latent.bin"
 
 
+def _classification_set(w: Path) -> Path:
+    # as wide as the channel set, but of the other task
+    cv.save_cvds(synthetic_classification(4, 5, 2, seed=3), w / "cls")
+    return w / "cls"
+
+
+def _misfit_config(w: Path) -> Path:
+    config = {**json.loads((w / "good.json").read_text()),
+              "test_dataset": str(_classification_set(w))}
+    return _config(w, "misfit.json", json.dumps(config).encode())
+
+
 def _config(w: Path, name: str, content: bytes) -> Path:
     (w / name).write_bytes(content)
     return w / name
@@ -333,6 +345,13 @@ CASES = {
                                          lambda w: ["diag", "--checkpoint",
                                                     _huge_latent_checkpoint(w),
                                                     "--dataset", w / "chan"]),
+    "eval-dataset-does-not-fit": (2, "dataset (task classification, dN=5, k=2) does not fit",
+                                  lambda w: ["eval", "--checkpoint", w / "run" / "checkpoint.bin",
+                                             "--dataset", _classification_set(w)]),
+    # refused before the first step; the --out directory the run made is gone
+    "train-test-set-does-not-fit": (2, "ensemble member 0: test set (task classification",
+                                    lambda w: ["train", "--config", _misfit_config(w),
+                                               "--out", w / "r5"]),
     "train-config-is-directory": (2, "Is a directory", lambda w: [
         "train", "--config", w / "chan", "--out", w / "r1"]),
     "train-config-not-utf8": (1, "config is not valid JSON", lambda w: [
@@ -374,6 +393,15 @@ CASES = {
     # past numpy's size limit
     "gen-m-past-array-limit": (1, "--m", lambda w: [
         "gen", "--task", "channel", "--m", 10 ** 20, "--out", w / "n7"]),
+    "gen-noise-without-in": (1, "gen --task noise requires --in", lambda w: [
+        "gen", "--task", "noise", "--eta", "0.5", "--out", w / "n12"]),
+    "gen-dft-encode-without-in": (1, "gen --task dft-encode requires --in", lambda w: [
+        "gen", "--task", "dft-encode", "--out", w / "n13"]),
+    # the channel set's rows are 5 wide
+    "hilbert-odd-width-freq": (1, "even row length, got 5", lambda w: [
+        "hilbert", "--in", w / "chan", "--out", w / "h1", "--method", "freq"]),
+    "hilbert-odd-width-cotangent": (1, "even row length, got 5", lambda w: [
+        "hilbert", "--in", w / "chan", "--out", w / "h2", "--method", "cotangent"]),
     "experiment-seeds-0": (1, "n_seeds", lambda w: [
         "experiment", "--recipe", "channel-id", "--seeds", "0", "--out", w / "e1"]),
     "experiment-seeds-negative": (1, "n_seeds", lambda w: [
@@ -394,12 +422,17 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_bad_input_one_line_no_traceback(work, case):
     code, needle, argv = CASES[case]
-    out = cli(*argv(work), cwd=work)
+    args = argv(work)
+    out_path = work / args[args.index("--out") + 1] if "--out" in args else None
+    existed = out_path is not None and out_path.exists()
+    out = cli(*args, cwd=work)
     assert out.returncode == code, out.stderr
     assert "Traceback" not in out.stderr
     assert len(out.stderr.splitlines()) == 1, out.stderr
     assert out.stderr.startswith("data error: " if code == 2 else "error: "), out.stderr
     assert needle in out.stderr, out.stderr
+    if out_path is not None:
+        assert out_path.exists() == existed  # the refused command made no output
 
 
 def test_cli_help_exits_0(work):

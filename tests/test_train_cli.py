@@ -4,6 +4,7 @@ import pickle
 import shutil
 import tracemalloc
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -382,6 +383,40 @@ def test_test_dataset_mismatch_rejected(tmp_path):
               "learning_rate": 0.1, "epochs": 1, "seed": 1}
     with pytest.raises(DataError):
         run_training(config, tmp_path / "run")
+
+
+def test_evaluate_refuses_a_dataset_that_does_not_fit():
+    model = cv.init_params(_smoke_spec("rvnn"), 1)    # 3 outputs, dN = 8
+    ten_classes = replace(synthetic_classification(20, 8, 3, seed=1), num_classes=10)
+    with pytest.raises(DataError, match="k=10"):
+        evaluate(model, ten_classes)
+    with pytest.raises(DataError, match="task complex_regression"):
+        evaluate(model, random_regression(20, 8, 3, seed=1))
+
+
+def _lacking_last_class(ds):
+    keep = ds.labels < ds.k - 1
+    return cv.Dataset(ds.features_re[keep], ds.features_im[keep], ds.labels[keep],
+                      "classification")
+
+
+def test_cli_train_eval_diag_accept_a_split_lacking_the_last_class(tmp_path, capsys):
+    test = _lacking_last_class(synthetic_classification(40, 8, 3, seed=122))
+    assert test.k == 2
+    cv.save_cvds(synthetic_classification(40, 8, 3, seed=121), tmp_path / "train")
+    cv.save_cvds(test, tmp_path / "test")
+    config = {"arch": "rvnn", "latent_dim": 8, "train_dataset": str(tmp_path / "train"),
+              "test_dataset": str(tmp_path / "test"), "learning_rate": 0.01, "epochs": 1}
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert cv.cli.main(["train", "--config", str(tmp_path / "cfg.json"),
+                        "--out", str(tmp_path / "run")]) == 0
+    final = json.loads((tmp_path / "run" / "report.json").read_text())["final"]["test"]
+    args = ["--checkpoint", str(tmp_path / "run" / "checkpoint.bin"),
+            "--dataset", str(tmp_path / "test")]
+    for command in ("eval", "diag"):
+        capsys.readouterr()
+        assert cv.cli.main([command, *args]) == 0, command
+        assert json.loads(capsys.readouterr().out)["accuracy"] == final["accuracy"]
 
 
 # ---------------------------------------------------------------------------
