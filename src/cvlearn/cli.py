@@ -151,12 +151,8 @@ def _cmd_diag(args) -> None:
 
 def _cmd_hilbert(args) -> None:
     ds = load_cvds(args.input)
-    if ds.dn % 2 != 0:
-        raise ContractError(f"Hilbert transform needs an even row length, got {ds.dn}")
-    if args.method == "freq":
-        rows = transforms.hilbert_rows_array(ds.features_re)
-    else:
-        rows = np.stack([transforms.dht_cotangent(r) for r in ds.features_re])
+    rows = (transforms.hilbert_rows_array if args.method == "freq"
+            else transforms.dht_cotangent)(ds.features_re)
     if args.analytic:
         out = replace(ds, features_im=rows,
                       provenance=f"{ds.provenance}|analytic({args.method})")

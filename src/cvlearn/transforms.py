@@ -2,11 +2,13 @@
 
 The spectral path multiplies DFT bins by -i (positive frequencies) or +i
 (negative frequencies) while passing the DC and Nyquist bins through
-unchanged; it is the canonical transform. The training penalty applies
-it as one matmul against its dense n x n matrix, built once per n by the
-spectral path itself (``hilbert_rows``). The cotangent-kernel path is a
-direct time-domain evaluation kept as a cross-check; the two agree on
-signals with zero DC and Nyquist content.
+unchanged; it is the canonical transform, ``hilbert_rows_array`` (also
+bound as ``hilbert_freq``). The training penalty's tape op
+(``hilbert_rows``) applies it as one matmul against its dense n x n
+matrix, built once per n by the spectral path. The cotangent kernel, one
+matrix-vector product per row, is a direct time-domain cross-check; the
+two agree on signals with zero DC and Nyquist content. Each array
+transform maps the last axis, whatever the leading shape.
 
 ``dft_array`` evaluates a length n in one of two ways:
 
@@ -111,6 +113,8 @@ def dft_array(z: np.ndarray, inverse: bool = False) -> np.ndarray:
     largest output bin.
     """
     z = np.asarray(z, dtype=np.complex128)
+    if z.ndim == 0:
+        raise ContractError("dft_array needs a signal axis, got a 0-d input")
     n = z.shape[-1]
     if n < 2 or (n1 := _split(n)) == 1:
         return dft_direct_array(z, inverse)
@@ -124,19 +128,21 @@ def dft_array(z: np.ndarray, inverse: bool = False) -> np.ndarray:
 def dft_direct_array(z: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Direct O(n^2) summation along the last axis; oracle for the split path."""
     z = np.asarray(z, dtype=np.complex128)
+    if z.ndim == 0:
+        raise ContractError("dft_direct_array needs a signal axis, got a 0-d input")
     n = z.shape[-1]
     sign = 1 if inverse else -1
     out = z @ _dft_kernel(n, sign).T
     return out / n if inverse else out
 
 
-def _check_hilbert_input(z: np.ndarray, op: str) -> np.ndarray:
+def _check_hilbert_input(z: np.ndarray) -> np.ndarray:
     z = np.ascontiguousarray(z, dtype=np.float64)
     n = z.shape[-1]
     if n % 2 != 0 or n < 2:
-        raise ContractError(f"{op} requires an even signal length >= 2, got {n}")
+        raise ContractError(f"Hilbert transform needs an even row length, got {n}")
     if not np.isfinite(z).all():
-        raise DataError(f"{op}: non-finite input")
+        raise DataError("Hilbert transform: non-finite input")
     return z
 
 
@@ -151,23 +157,18 @@ def _hilbert_core(z: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out.real)
 
 
-def hilbert_freq(z: np.ndarray) -> np.ndarray:
-    """Spectral discrete Hilbert transform of a real 1-D signal (even length)."""
-    z = _check_hilbert_input(z, "hilbert_freq")
-    if z.ndim != 1:
-        raise ContractError("hilbert_freq takes a 1-D signal; see hilbert_rows_array")
-    return _hilbert_core(z, _multiplier(z.shape[-1]))
-
-
 def hilbert_rows_array(z: np.ndarray) -> np.ndarray:
-    """Row-wise spectral Hilbert transform of a [batch, n] real array."""
-    z = _check_hilbert_input(z, "hilbert_rows_array")
+    """Spectral Hilbert transform of each row of a real [..., n] array, n even."""
+    z = _check_hilbert_input(z)
     return _hilbert_core(z, _multiplier(z.shape[-1]))
+
+
+hilbert_freq = hilbert_rows_array
 
 
 def hilbert_adjoint_rows_array(g: np.ndarray) -> np.ndarray:
     """Transpose of the row-wise transform (conjugated multiplier)."""
-    g = _check_hilbert_input(g, "hilbert_adjoint_rows_array")
+    g = _check_hilbert_input(g)
     return _hilbert_core(g, np.conj(_multiplier(g.shape[-1])))
 
 
@@ -181,16 +182,14 @@ def _cotangent_kernel(n: int) -> np.ndarray:
 
 
 def dht_cotangent(x: np.ndarray) -> np.ndarray:
-    """Time-domain Hilbert transform via the cotangent kernel.
+    """Time-domain Hilbert transform of each row of a real [..., n] array.
 
     H{x}[n] = (2/N) sum_u x[u] cot((n-u) pi / N) over u of parity opposite
-    to n. Agrees with hilbert_freq on zero-DC, zero-Nyquist signals; kept
-    as an independent verification path.
+    to n: one matrix-vector product per row. Agrees with hilbert_freq on
+    zero-DC, zero-Nyquist signals; kept as an independent verification path.
     """
-    x = _check_hilbert_input(x, "dht_cotangent")
-    if x.ndim != 1:
-        raise ContractError("dht_cotangent takes a 1-D signal")
-    return _cotangent_kernel(x.shape[-1]) @ x
+    x = _check_hilbert_input(x)
+    return np.matmul(_cotangent_kernel(x.shape[-1]), x[..., None])[..., 0]
 
 
 def analytic_signal(x: np.ndarray) -> np.ndarray:

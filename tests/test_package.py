@@ -1,10 +1,12 @@
 """Package-level guards: the public names resolve, no runtime check
 relies on ``assert``, which ``python -O`` strips, no module keeps an
-import it does not use, no function, class or method goes unused, and
-every file is written through ``data.staged`` into a directory made by
+import it does not use or imports a package beyond the standard library
+and numpy, no function, class or method goes unused, and every file is
+written through ``data.staged`` into a directory made by
 ``data.output_dir``."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -62,6 +64,42 @@ def test_unused_import_check_flags_a_planted_import():
     source = (PACKAGE / "rng.py").read_text(encoding="utf-8")
     assert _unused_imports(source) == []
     assert _unused_imports("import os\n" + source) == ["os (line 1)"]
+
+
+_ALLOWED_IMPORTS = sys.stdlib_module_names | {"numpy", "cvlearn"}
+
+
+def _foreign_imports(source: str) -> list[str]:
+    """Top-level packages imported anywhere in ``source`` that are neither
+    the standard library, numpy nor cvlearn (relative imports are
+    cvlearn). numpy is the package's only dependency, so any other import
+    would fail on an install that has just that."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name.split(".")[0] not in _ALLOWED_IMPORTS]
+    return found
+
+
+def test_modules_import_only_the_standard_library_and_numpy():
+    found = {name: _foreign_imports(src) for name, src in _package_sources().items()}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_foreign_import_check_flags_planted_imports():
+    source = (PACKAGE / "rng.py").read_text(encoding="utf-8")
+    assert _foreign_imports(source) == []
+    planted = ("import scipy\nfrom scipy.signal import hilbert\n" + source
+               + "\n\ndef planted():\n    import torch.nn as nn\n    return nn\n")
+    lines = planted.count("\n")
+    assert _foreign_imports(planted) == [
+        "scipy (line 1)", "scipy.signal (line 2)", f"torch.nn (line {lines - 1})"]
 
 
 def _name_reads(tree: ast.AST) -> Counter:

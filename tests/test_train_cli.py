@@ -680,6 +680,19 @@ def test_cli_hilbert_analytic_pair(tmp_path):
     assert np.abs(cot.features_re - sig.features_im).max() < 1e-9
 
 
+def test_cli_hilbert_cotangent_is_the_per_row_transform(tmp_path):
+    rows = np.random.default_rng(24).standard_normal((7, 100))
+    ds = cv.Dataset(rows, np.zeros_like(rows), np.zeros(7, dtype=np.int64),
+                    "classification")
+    cv.save_cvds(ds, tmp_path / "in")
+    expected = np.stack([cv.dht_cotangent(row) for row in rows])
+    for flag, field in (([], "features_re"), (["--analytic"], "features_im")):
+        out = _cli("hilbert", "--in", str(tmp_path / "in"), "--out",
+                   str(tmp_path / field), "--method", "cotangent", *flag)
+        assert out.returncode == 0, out.stderr
+        assert np.array_equal(getattr(cv.load_cvds(tmp_path / field), field), expected)
+
+
 def test_cli_experiment_channel_small(tmp_path):
     out = _cli("experiment", "--recipe", "channel-id", "--seed", "1",
                "--seeds", "1", "--epochs", "2", "--out", str(tmp_path / "exp"))

@@ -281,6 +281,29 @@ def test_hilbert_rows_matches_per_row():
         assert np.abs(batched[i] - tr.hilbert_freq(rows[i])).max() < 1e-12
 
 
+def test_hilbert_freq_is_hilbert_rows_array():
+    assert tr.hilbert_freq is tr.hilbert_rows_array
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 3)])
+@pytest.mark.parametrize("n", [2, 8, 64, 100, 784])
+@pytest.mark.parametrize("transform", ["hilbert_freq", "dht_cotangent", "analytic_signal"])
+def test_hilbert_transforms_take_any_leading_shape(transform, n, shape):
+    # a batch gives the bits of its rows transformed one at a time
+    f = getattr(tr, transform)
+    x = np.random.default_rng(n).standard_normal(shape + (n,))
+    per_row = np.stack([f(row) for row in x.reshape(-1, n)]).reshape(x.shape)
+    assert np.array_equal(f(x), per_row)
+
+
+@pytest.mark.parametrize("transform", [
+    "dft_array", "dft_direct_array", "hilbert_freq", "hilbert_adjoint_rows_array",
+    "dht_cotangent", "analytic_signal"])
+def test_transforms_refuse_a_0d_input(transform):
+    with pytest.raises(ContractError):
+        getattr(tr, transform)(np.float64(1.0))
+
+
 def test_hilbert_rows_tape_gradient_is_adjoint():
     # build the explicit matrix of the transform and of its adjoint
     n = 8
