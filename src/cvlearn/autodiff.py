@@ -23,17 +23,17 @@ not write to such an array while a tape that binds it is in use.
 The op set is the real ops the networks share: ``linear`` (``x @ w.T +
 b`` as one node, the only real affine op; ``x`` may be a pair of blocks
 of one joined input, read in place, so no op joins or splits arrays),
-``mean_center_rows``, ``sum_all`` and ``mean_sq_diff`` (the squared
-error of ``mse`` and the Hilbert penalty). ReLU is no op of its own: an
-affine node applies it in place to its fresh product (``record_op``'s
-``relu``), and backward masks the node's gradient by its output. An op
-of one concept sits beside its caller and records through
-``record_op``: ``transforms`` adds the Hilbert matmul, ``losses`` the
-softmax cross-entropy and the penalised objective, and ``models``
-cvnn's complex layer and magnitude head. Each acts on the last two axes, so one op body serves a
-single network's [m, n] operands and an ensemble's stacked [E, m, n]
-operands alike: every member slice makes the same numpy and BLAS calls
-as the 2-D case and rounds exactly as it would alone.
+``mean_center_rows`` and ``mean_sq_diff`` (the squared error of ``mse``
+and the Hilbert penalty). ReLU is no op of its own: an affine node
+applies it in place to its fresh product (``record_op``'s ``relu``), and
+backward masks the node's gradient by its output. An op of one concept
+sits beside its caller and records through ``record_op``:
+``transforms`` adds the Hilbert matmul, ``losses`` the softmax
+cross-entropy and the penalised objective, and ``models`` cvnn's complex
+layer and magnitude head. Each acts on the last two axes, so one op body
+serves a single network's [m, n] operands and an ensemble's stacked
+[E, m, n] operands alike: every member slice makes the same numpy and
+BLAS calls as the 2-D case and rounds exactly as it would alone.
 """
 
 from __future__ import annotations
@@ -118,8 +118,8 @@ class Tape:
         return t
 
     def backward(self, loss: Tensor) -> dict[str, np.ndarray]:
-        """Reverse accumulation from a scalar loss; returns the gradient of
-        every named parameter (zeros if unreached).
+        """Gradient of the sum of ``loss``'s entries (0-d, or 1-D with one
+        per stacked member) to every named parameter (zeros if unreached).
 
         A node recorded with ``relu`` first masks its gradient by
         ``data > 0``, read from its own output: ``max(x, 0) > 0`` exactly
@@ -127,11 +127,11 @@ class Tape:
         pre-activation would give, and the subgradient at 0 is 0."""
         if loss._tape is not self._ref:
             raise ContractError("loss tensor does not belong to this tape")
-        if loss.data.shape != ():
-            raise ContractError("backward requires a scalar loss node")
+        if loss.ndim > 1:
+            raise ContractError(f"backward needs a 0-d or 1-D loss, got shape {loss.shape}")
         ref, nodes = self._ref, self.nodes
         grads: list[Optional[np.ndarray]] = [None] * len(nodes)
-        grads[loss.node_id] = np.ones(())
+        grads[loss.node_id] = np.ones(loss.shape)
         for nid in range(loss.node_id, -1, -1):
             g = grads[nid]
             if g is None:
@@ -295,11 +295,6 @@ def mean_center_rows(x: Tensor) -> Tensor:
 
     # the centering map is symmetric, so the vjp is the map itself
     return record_op("mean_center_rows", center(x.data), (x,), (center,))
-
-
-def sum_all(x: Tensor) -> Tensor:
-    return record_op("sum_all", np.asarray(np.add.reduce(x.data, axis=None)), (x,),
-                     (lambda g: np.full(x.shape, float(g)),))
 
 
 def mean_sq_diff(a: Tensor, b: Tensor) -> Tensor:

@@ -56,13 +56,12 @@ def _compare(runs: list[tuple[int, Dataset, Dataset]], lr: float, beta: float,
     if not runs:
         raise ValidationError("n_seeds must be >= 1")
     train_ds = runs[0][1]
+    cfgs = [TrainConfig(learning_rate=lr, beta=beta, epochs=epochs,
+                        batch_size=BATCH_SIZE, seed=seed) for seed, _, _ in runs]
     per_seed: dict[str, list[dict]] = {}
     for arch in KINDS:
         spec = NetworkSpec(kind=arch, input_dim=train_ds.dn, latent_dim=64,
                            output_dim=train_ds.k, task=train_ds.task)
-        cfgs = [TrainConfig(learning_rate=lr, beta=beta if arch == "analytic" else 0.0,
-                            epochs=epochs, batch_size=BATCH_SIZE, seed=seed)
-                for seed, _, _ in runs]
         trained = train_models(spec, [ds for _, ds, _ in runs], cfgs)
         per_seed[arch] = []
         for (model, _), (_, _, test_ds) in zip(trained, runs):

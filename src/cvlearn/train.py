@@ -112,19 +112,19 @@ def train_models(spec: NetworkSpec, train_sets: Sequence[Dataset],
                  ) -> list[tuple[Model, list[dict]]]:
     """Train E runs of one architecture as one stacked ensemble.
 
-    Members share ``spec``, the train-set size M and every TrainConfig
-    field but ``seed``; each keeps its own train set, initialization and
-    ``shuffle/epoch{e}`` substreams. Parameters carry a leading [E] axis,
-    each step gathers [E, b, dN] batches, and the loss is the sum of the
-    members' own losses, so each member's updates and per-epoch records
-    equal its solo run bit for bit. A lone member trains without the
-    leading axis, on the plain arrays, which numpy handles with less
-    overhead per call. Returns (model, per-epoch records) per member, in
-    order; each model views the Adam buffer of the last accepted update,
-    which nothing writes once training ends. A non-finite loss or update raises DivergenceError naming the
-    step, epoch and the member's seed: the first member with a non-finite
-    loss, or with a non-finite entry in its own rows of the update Adam
-    refused (the update is elementwise, so those are its solo values).
+    Members share ``spec``, the train-set size M and every TrainConfig field
+    but ``seed``; each keeps its own train set, initialization and
+    ``shuffle/epoch{e}`` substreams. ``beta`` weights analytic's penalty and
+    no other kind's. Parameters carry a leading [E] axis, each step gathers
+    [E, b, dN] batches, and backward takes the members' [E] losses as they
+    are, so each member's updates and per-epoch records equal its solo run
+    bit for bit. A lone member trains on the plain arrays, without the
+    leading axis, which numpy handles with less overhead per call. Returns
+    (model, per-epoch records) per member, in order; each model views the
+    Adam buffer of the last accepted update, which nothing writes once
+    training ends. A non-finite loss or update raises DivergenceError naming
+    the step, epoch and seed of the first member whose loss, or whose own
+    rows of Adam's refused (elementwise) update, are not finite.
     """
     _check_members(spec, train_sets, cfgs, test_sets)
     cfg, n, m = cfgs[0], len(cfgs), train_sets[0].m
@@ -175,7 +175,7 @@ def train_models(spec: NetworkSpec, train_sets: Sequence[Dataset],
                 if not all(finite):
                     raise DivergenceError(state.t + 1, "loss", epoch,
                                           cfgs[finite.index(False)].seed)
-                grads = tape.backward(ad.sum_all(loss))
+                grads = tape.backward(loss)
                 try:
                     stack.params, state = adam_step(stack.params, grads, state, cfg)
                 except DivergenceError as e:

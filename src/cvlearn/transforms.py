@@ -140,7 +140,7 @@ def _check_hilbert_input(z: np.ndarray) -> np.ndarray:
     z = np.ascontiguousarray(z, dtype=np.float64)
     n = z.shape[-1]
     if n % 2 != 0 or n < 2:
-        raise ContractError(f"Hilbert transform needs an even row length, got {n}")
+        raise ContractError(f"Hilbert transform needs an even row length of at least 2, got {n}")
     if not np.isfinite(z).all():
         raise DataError("Hilbert transform: non-finite input")
     return z

@@ -38,7 +38,7 @@ def test_relu_values_and_subgradient_at_zero():
         out = _relu_layer(form, tape.param([[-1.0, 0.0, 2.0]], "x"))
         assert out.relu and out.op in ("linear", "complex_affine"), form
         assert np.array_equal(out.data, [[0.0, 0.0, 2.0]]), form
-        grads = tape.backward(ad.sum_all(out))
+        grads = tape.backward(weighted_sum(out, np.ones(out.shape)))
         assert np.array_equal(grads["x"], [[0.0, 0.0, 1.0]]), form
 
 
@@ -47,7 +47,7 @@ def test_relu_all_negative():
         tape = cv.Tape()
         out = _relu_layer(form, tape.param([[-3.0, -1.0], [-0.5, -2.0]], "x"))
         assert np.array_equal(out.data, np.zeros((2, 2))), form
-        grads = tape.backward(ad.sum_all(out))
+        grads = tape.backward(weighted_sum(out, np.ones(out.shape)))
         assert np.array_equal(grads["x"], np.zeros((2, 2))), form
 
 
@@ -80,11 +80,17 @@ def test_mean_center_rows_zero_sum_invariant():
         assert np.abs(out.data.sum(axis=1)).max() <= 1e-12 * max(1, np.abs(x).max())
 
 
-def test_backward_of_sum_is_ones():
+def test_backward_of_member_losses_is_backward_of_their_sum():
+    # a stacked [3] loss vector is differentiated as it stands: its seed of
+    # ones is the upstream gradient a sum over its entries would pass down
+    g = np.random.default_rng(2)
     tape = cv.Tape()
-    x = tape.param(np.random.default_rng(2).standard_normal((3, 5)), "x")
-    grads = tape.backward(ad.sum_all(x))
-    assert np.array_equal(grads["x"], np.ones((3, 5)))
+    a = tape.param(g.standard_normal((3, 4, 5)), "a")
+    v = ad.mean_sq_diff(a, ad.constant(g.standard_normal((3, 4, 5))))
+    assert v.shape == (3,)
+    per_member = tape.backward(v)
+    summed = tape.backward(weighted_sum(v, np.ones(3)))
+    assert np.array_equal(per_member["a"], summed["a"])
 
 
 def test_backward_requires_scalar_loss():
@@ -103,11 +109,12 @@ def test_backward_relu_network_matches_finite_differences():
     def loss_fn(params):
         tape = cv.Tape()
         tw = tape.param(params["w"], "w")
-        return float(ad.sum_all(ad.linear(x, tw, b, relu=True)).data)
+        return float(np.add.reduce(ad.linear(x, tw, b, relu=True).data, axis=None))
 
     tape = cv.Tape()
     tw = tape.param(w, "w")
-    loss = ad.sum_all(ad.linear(x, tw, b, relu=True))
+    out = ad.linear(x, tw, b, relu=True)
+    loss = weighted_sum(out, np.ones(out.shape))
     if relu_margin(tape) < 1e-3:
         pytest.skip("instance too close to a relu kink")
     grads = tape.backward(loss)
@@ -151,7 +158,7 @@ def test_unreached_parameter_gets_zero_gradient():
     tape = cv.Tape()
     used = tape.param(np.ones((2, 2)), "used")
     tape.param(np.ones(3), "unused")
-    grads = tape.backward(ad.sum_all(used))
+    grads = tape.backward(weighted_sum(used, np.ones(used.shape)))
     assert np.array_equal(grads["unused"], np.zeros(3))
     assert np.array_equal(grads["used"], np.ones((2, 2)))
 
@@ -518,7 +525,8 @@ def test_dropped_tape_is_freed_without_cyclic_gc():
     try:
         tape = cv.Tape()
         x = tape.param(np.ones((2, 3)), "x")
-        loss = ad.sum_all(ad.linear(x, x, ad.constant(np.zeros(2)), relu=True))
+        out = ad.linear(x, x, ad.constant(np.zeros(2)), relu=True)
+        loss = weighted_sum(out, np.ones(out.shape))
         tape.backward(loss)
         ref = weakref.ref(tape)
         del tape

@@ -310,6 +310,11 @@ def _classification_set(w: Path) -> Path:
     return w / "cls"
 
 
+def _one_row_set(w: Path) -> Path:
+    cv.save_cvds(cv.gen_channel_dataset(cv.ChannelSpec(), 1, seed=4), w / "one-row")
+    return w / "one-row"
+
+
 def _misfit_config(w: Path) -> Path:
     config = {**json.loads((w / "good.json").read_text()),
               "test_dataset": str(_classification_set(w))}
@@ -345,6 +350,10 @@ CASES = {
                                          lambda w: ["diag", "--checkpoint",
                                                     _huge_latent_checkpoint(w),
                                                     "--dataset", w / "chan"]),
+    # one row has no covariance, so diag writes no --out file
+    "diag-one-row-dataset": (2, "at least 2 samples", lambda w: [
+        "diag", "--checkpoint", w / "run" / "checkpoint.bin", "--dataset", _one_row_set(w),
+        "--out", w / "o3.json"]),
     "eval-dataset-does-not-fit": (2, "dataset (task classification, dN=5, k=2) does not fit",
                                   lambda w: ["eval", "--checkpoint", w / "run" / "checkpoint.bin",
                                              "--dataset", _classification_set(w)]),
@@ -398,9 +407,9 @@ CASES = {
     "gen-dft-encode-without-in": (1, "gen --task dft-encode requires --in", lambda w: [
         "gen", "--task", "dft-encode", "--out", w / "n13"]),
     # the channel set's rows are 5 wide
-    "hilbert-odd-width-freq": (1, "even row length, got 5", lambda w: [
+    "hilbert-odd-width-freq": (1, "even row length of at least 2, got 5", lambda w: [
         "hilbert", "--in", w / "chan", "--out", w / "h1", "--method", "freq"]),
-    "hilbert-odd-width-cotangent": (1, "even row length, got 5", lambda w: [
+    "hilbert-odd-width-cotangent": (1, "even row length of at least 2, got 5", lambda w: [
         "hilbert", "--in", w / "chan", "--out", w / "h2", "--method", "cotangent"]),
     "experiment-seeds-0": (1, "n_seeds", lambda w: [
         "experiment", "--recipe", "channel-id", "--seeds", "0", "--out", w / "e1"]),

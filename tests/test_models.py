@@ -321,10 +321,10 @@ def test_cvnn_degenerate_reduces_to_real_mlp_bitwise():
     assert np.all(pred.data[:, 3:] == 0)
 
 
-# tape nodes per training step (parameters, ops, and the summed loss)
+# tape nodes per training step (parameters and ops)
 NODES_PER_STEP = {
-    "complex_regression": {"rvnn": 11, "cvnn": 19, "steinmetz": 19, "analytic": 22},
-    "classification": {"rvnn": 11, "cvnn": 20, "steinmetz": 19, "analytic": 22},
+    "complex_regression": {"rvnn": 10, "cvnn": 18, "steinmetz": 18, "analytic": 21},
+    "classification": {"rvnn": 10, "cvnn": 19, "steinmetz": 18, "analytic": 21},
 }
 
 

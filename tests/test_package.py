@@ -1,8 +1,9 @@
 """Package-level guards: the public names resolve, no runtime check
 relies on ``assert``, which ``python -O`` strips, no module keeps an
 import it does not use or imports a package beyond the standard library
-and numpy, no function, class or method goes unused, and every file is
-written through ``data.staged`` into a directory made by
+and numpy, no function, class or method goes unused, every public
+``autodiff`` name is reached from another package module, and every file
+is written through ``data.staged`` into a directory made by
 ``data.output_dir``."""
 
 import ast
@@ -179,6 +180,49 @@ def test_unused_definition_check_flags_planted_defs():
         "    def planted_method(self):\n        return self.planted_method\n")
     assert _unused_definitions(sources, _bench_sources()) == [
         "rng.py:planted", "rng.py:Planted", "rng.py:Planted.planted_method"]
+
+
+def _unreached_tape_names(sources: dict[str, str]) -> list[str]:
+    """Public functions and classes of ``autodiff.py`` in ``sources`` that
+    no other package module reaches, as ``<alias>.<name>`` of an imported
+    ``autodiff`` module or through ``from .autodiff import <name>``. A
+    tape op that only the tests call is one the package does not need."""
+    public = [stmt.name for stmt in ast.parse(sources["autodiff.py"]).body
+              if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+              and not stmt.name.startswith("_")]
+    reached = set()
+    for module, source in sources.items():
+        if module == "autodiff.py":
+            continue
+        tree = ast.parse(source)
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "autodiff":
+                reached |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                aliases |= {alias.asname or alias.name for alias in node.names
+                            if alias.name == "autodiff"}
+        reached |= {node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases}
+    return [name for name in public if name not in reached]
+
+
+def test_every_tape_name_is_reached_from_the_package():
+    assert _unreached_tape_names(_package_sources()) == []
+
+
+def test_unreached_tape_name_check_flags_planted_ops():
+    sources = _package_sources()
+    sources["autodiff.py"] += (
+        "\n\ndef planted_op(x):\n    return x\n"
+        "\n\nclass PlantedTape:\n    pass\n"
+        "\n\ndef _private_helper(x):\n    return x\n")
+    assert _unreached_tape_names(sources) == ["planted_op", "PlantedTape"]
+    # a read elsewhere in the package reaches a name, whichever way it is imported
+    sources["rng.py"] += "\n\nfrom . import autodiff as tape_ops\nOP = tape_ops.planted_op\n"
+    sources["data.py"] += "\n\nfrom .autodiff import PlantedTape  # noqa: F401\n"
+    assert _unreached_tape_names(sources) == []
 
 
 _WRITES = ("write_text", "write_bytes")

@@ -202,6 +202,13 @@ def test_hilbert_odd_length_rejected():
         tr.dht_cotangent(np.ones(9))
 
 
+@pytest.mark.parametrize("transform", ["hilbert_freq", "dht_cotangent"])
+def test_hilbert_zero_width_names_the_minimum(transform):
+    # 0 is even: the message names the other half of the rule too
+    with pytest.raises(ContractError, match="even row length of at least 2, got 0"):
+        getattr(tr, transform)(np.zeros((3, 0)))
+
+
 def test_hilbert_non_finite_rejected():
     bad = np.ones(8)
     bad[3] = np.nan
@@ -274,19 +281,12 @@ def test_hilbert_length_two_is_identity():
     assert np.array_equal(tr.hilbert_freq(z), z)
 
 
-def test_hilbert_rows_matches_per_row():
-    rows = np.random.default_rng(8).standard_normal((5, 16))
-    batched = tr.hilbert_rows_array(rows)
-    for i in range(5):
-        assert np.abs(batched[i] - tr.hilbert_freq(rows[i])).max() < 1e-12
-
-
 def test_hilbert_freq_is_hilbert_rows_array():
     assert tr.hilbert_freq is tr.hilbert_rows_array
 
 
 @pytest.mark.parametrize("shape", [(5,), (2, 3)])
-@pytest.mark.parametrize("n", [2, 8, 64, 100, 784])
+@pytest.mark.parametrize("n", [2, 8, 16, 64, 100, 784])
 @pytest.mark.parametrize("transform", ["hilbert_freq", "dht_cotangent", "analytic_signal"])
 def test_hilbert_transforms_take_any_leading_shape(transform, n, shape):
     # a batch gives the bits of its rows transformed one at a time
@@ -352,4 +352,5 @@ def test_hilbert_rows_makes_no_transform_call_once_cached(monkeypatch):
     monkeypatch.setattr(tr, "hilbert_adjoint_rows_array", forbidden)
     tape = cv.Tape()
     x = tape.param(np.random.default_rng(11).standard_normal((3, 16)), "x")
-    tape.backward(cv.autodiff.sum_all(tr.hilbert_rows(x)))
+    out = tr.hilbert_rows(x)
+    tape.backward(weighted_sum(out, np.ones(out.shape)))
