@@ -151,6 +151,8 @@ def _cmd_diag(args) -> None:
 
 def _cmd_hilbert(args) -> None:
     ds = load_cvds(args.input)
+    if ds.features_im.any():  # the transform reads features_re only
+        raise DataError("hilbert expects a real-form dataset (features_im all zero)")
     rows = (transforms.hilbert_rows_array if args.method == "freq"
             else transforms.dht_cotangent)(ds.features_re)
     if args.analytic:

@@ -195,8 +195,9 @@ def _complex_affine(xs: list, p: dict, layer: str, relu: bool = False):
 
     ``linear``'s product and gradient forms over one contiguous copy of each
     transposed weight, shared by both parts, the bias added before the second
-    product and the sign applied as ``sign * g`` keep values and gradients bit
-    for bit those of two ``linear`` nodes joined by a subtraction or an addition.
+    product and the cross term's gradient taken as ``-g`` or ``g`` itself keep
+    values and gradients bit for bit those of two ``linear`` nodes joined by a
+    subtraction or an addition.
     With ``relu``, each part is ``max(y, 0)`` applied in place to its own
     fresh sum, and backward masks its gradient by that output, as in ``linear``.
 
@@ -228,17 +229,17 @@ def _complex_affine(xs: list, p: dict, layer: str, relu: bool = False):
             return [record_op("complex_affine", y, (), (), True) for y in (yr, yi)]
         return record_op("complex_affine", head, (), ())
 
-    def part(x1: Tensor, x2: Tensor, sign: float) -> tuple:
-        # VJPs of x1 @ wr.T + b + sign * (x2 @ wi.T) to (x1, x2, wr, wi, b)
+    def part(x1: Tensor, x2: Tensor, cross) -> tuple:
+        # VJPs of x1 @ wr.T + b + cross(x2 @ wi.T) to (x1, x2, wr, wi, b)
         x1d, x2d = x1.data, x2.data
         return (lambda g: g @ wtr.swapaxes(-1, -2),
-                lambda g: (sign * g) @ wti.swapaxes(-1, -2),
+                lambda g: cross(g) @ wti.swapaxes(-1, -2),
                 lambda g: g.swapaxes(-1, -2) @ x1d,
-                lambda g: (sign * g).swapaxes(-1, -2) @ x2d,
+                lambda g: cross(g).swapaxes(-1, -2) @ x2d,
                 lambda g: np.add.reduce(g, axis=-2))
 
     xr, xi = ins
-    re, im = part(xr, xi, -1.0), part(xi, xr, 1.0)
+    re, im = part(xr, xi, np.negative), part(xi, xr, lambda g: g)
     if relu:
         return [record_op("complex_affine", yr, (xr, xi, wr, wi, br), re, True),
                 record_op("complex_affine", yi, (xi, xr, wr, wi, bi), im, True)]

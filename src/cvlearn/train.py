@@ -118,10 +118,9 @@ def train_models(spec: NetworkSpec, train_sets: Sequence[Dataset],
     no other kind's. Parameters carry a leading [E] axis, each step gathers
     [E, b, dN] batches, and backward takes the members' [E] losses as they
     are, so each member's updates and per-epoch records equal its solo run
-    bit for bit. A lone member trains on the plain arrays, without the
-    leading axis, which numpy handles with less overhead per call. Returns
-    (model, per-epoch records) per member, in order; each model views the
-    Adam buffer of the last accepted update, which nothing writes once
+    bit for bit; ``train_model`` is the E = 1 case, member axis included.
+    Returns (model, per-epoch records) per member, in order; each model views
+    the Adam buffer of the last accepted update, which nothing writes once
     training ends. A non-finite loss or update raises DivergenceError naming
     the step, epoch and seed of the first member whose loss, or whose own
     rows of Adam's refused (elementwise) update, are not finite.
@@ -129,14 +128,10 @@ def train_models(spec: NetworkSpec, train_sets: Sequence[Dataset],
     _check_members(spec, train_sets, cfgs, test_sets)
     cfg, n, m = cfgs[0], len(cfgs), train_sets[0].m
     members = [init_params(spec, c.seed).params for c in cfgs]
-    shapes = {name: p.shape for name, p in members[0].items()}
-    lead = (n,) if n > 1 else ()
-    stack = Model(spec, {name: np.stack([p[name] for p in members]).reshape(lead + shape)
-                         for name, shape in shapes.items()})
+    stack = Model(spec, {name: np.stack([p[name] for p in members]) for name in members[0]})
 
     def member(e: int) -> Model:
-        return Model(spec, {name: p.reshape((n,) + shapes[name])[e]
-                            for name, p in stack.params.items()})
+        return Model(spec, {name: p[e] for name, p in stack.params.items()})
 
     state = adam_init(stack.params)
     roots = [Rng(c.seed) for c in cfgs]
@@ -150,15 +145,14 @@ def train_models(spec: NetworkSpec, train_sets: Sequence[Dataset],
     # where it is caught and reported as a DivergenceError
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(1, cfg.epochs + 1):
-            perms = (offsets + np.stack(
-                [r.substream(f"shuffle/epoch{epoch}").permutation(m) for r in roots]
-            )).reshape(lead + (m,))
+            perms = offsets + np.stack(
+                [r.substream(f"shuffle/epoch{epoch}").permutation(m) for r in roots])
             # per-member sums as Python floats: cheaper than numpy at this
             # size, and the same IEEE double arithmetic
             loss_sums, penalty_sums = [0.0] * n, [0.0] * n
             for start in range(0, m, cfg.batch_size):
-                idx = perms[..., start:start + cfg.batch_size]
-                b = idx.shape[-1]
+                idx = perms[:, start:start + cfg.batch_size]
+                b = idx.shape[1]
                 tape = Tape()
                 # rows of checked Datasets: bound without a second finite check
                 result = forward(stack, ad.trusted_constant(x_re[idx]),
@@ -168,9 +162,9 @@ def train_models(spec: NetworkSpec, train_sets: Sequence[Dataset],
                 if use_penalty:
                     penalty = hilbert_penalty(result.latent_pair)
                     penalty_sums = [s + v * b for s, v in
-                                    zip(penalty_sums, penalty.data.reshape(n).tolist())]
+                                    zip(penalty_sums, penalty.data.tolist())]
                     loss = total_loss(loss, penalty, cfg.beta)
-                losses = loss.data.reshape(n).tolist()
+                losses = loss.data.tolist()
                 finite = [math.isfinite(v) for v in losses]
                 if not all(finite):
                     raise DivergenceError(state.t + 1, "loss", epoch,

@@ -52,6 +52,27 @@ def test_members_equal_solo_runs_bit_for_bit(kind, task):
             assert np.array_equal(model.params[name], p), name
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_solo_run_trains_as_a_stack_of_one(monkeypatch, kind):
+    # a lone member takes the ensemble's path: [1, b, dN] batches through
+    # [1, ...] parameters, and its model drops only the member axis
+    ds = cv.gen_channel_dataset(cv.ChannelSpec(), 40, seed=1)
+    spec = cv.NetworkSpec(kind, ds.dn, 8, ds.k, ds.task)
+    declared = {name: p.shape for name, p in cv.init_params(spec, 4).params.items()}
+    seen = []
+
+    def spy(model, x_re, x_im, *args, **kwargs):
+        seen.append((x_re.data.shape, x_im.data.shape,
+                     {name: p.shape for name, p in model.params.items()}))
+        return forward(model, x_re, x_im, *args, **kwargs)
+
+    monkeypatch.setattr(cv.train, "forward", spy)
+    model, _ = train_model(spec, ds, _cfg(4, epochs=2))
+    stacked = {name: (1,) + shape for name, shape in declared.items()}
+    assert seen == [((1, b, ds.dn), (1, b, ds.dn), stacked) for b in (32, 8) * 2]
+    assert {name: p.shape for name, p in model.params.items()} == declared
+
+
 def test_run_channel_id_equals_per_seed_solo_runs():
     result = run_channel_id(base_seed=3, n_seeds=3, epochs=2, m=96, test_m=64)
     chan = cv.ChannelSpec()

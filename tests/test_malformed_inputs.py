@@ -310,6 +310,18 @@ def _classification_set(w: Path) -> Path:
     return w / "cls"
 
 
+def _real_form_set(w: Path) -> Path:
+    """Rows 5 wide, features_im all zero."""
+    cv.save_cvds(cv.Dataset(np.ones((4, 5)), np.zeros((4, 5)), np.array([0, 1, 0, 1]),
+                            "classification"), w / "real5")
+    return w / "real5"
+
+
+def _complex_set(w: Path) -> Path:
+    cv.save_cvds(synthetic_classification(4, 8, 2, seed=5), w / "complex8")
+    return w / "complex8"
+
+
 def _one_row_set(w: Path) -> Path:
     cv.save_cvds(cv.gen_channel_dataset(cv.ChannelSpec(), 1, seed=4), w / "one-row")
     return w / "one-row"
@@ -406,11 +418,16 @@ CASES = {
         "gen", "--task", "noise", "--eta", "0.5", "--out", w / "n12"]),
     "gen-dft-encode-without-in": (1, "gen --task dft-encode requires --in", lambda w: [
         "gen", "--task", "dft-encode", "--out", w / "n13"]),
-    # the channel set's rows are 5 wide
     "hilbert-odd-width-freq": (1, "even row length of at least 2, got 5", lambda w: [
-        "hilbert", "--in", w / "chan", "--out", w / "h1", "--method", "freq"]),
+        "hilbert", "--in", _real_form_set(w), "--out", w / "h1", "--method", "freq"]),
     "hilbert-odd-width-cotangent": (1, "even row length of at least 2, got 5", lambda w: [
-        "hilbert", "--in", w / "chan", "--out", w / "h2", "--method", "cotangent"]),
+        "hilbert", "--in", _real_form_set(w), "--out", w / "h2", "--method", "cotangent"]),
+    # the transform would drop features_im; rows 8 wide, so the width is not at fault
+    "hilbert-complex-input-freq": (2, "hilbert expects a real-form dataset", lambda w: [
+        "hilbert", "--in", _complex_set(w), "--out", w / "h3", "--method", "freq"]),
+    "hilbert-complex-input-analytic": (2, "hilbert expects a real-form dataset", lambda w: [
+        "hilbert", "--in", _complex_set(w), "--out", w / "h4", "--method", "cotangent",
+        "--analytic"]),
     "experiment-seeds-0": (1, "n_seeds", lambda w: [
         "experiment", "--recipe", "channel-id", "--seeds", "0", "--out", w / "e1"]),
     "experiment-seeds-negative": (1, "n_seeds", lambda w: [

@@ -1,10 +1,10 @@
 """Package-level guards: the public names resolve, no runtime check
 relies on ``assert``, which ``python -O`` strips, no module keeps an
 import it does not use or imports a package beyond the standard library
-and numpy, no function, class or method goes unused, every public
-``autodiff`` name is reached from another package module, and every file
-is written through ``data.staged`` into a directory made by
-``data.output_dir``."""
+and numpy, no module reads an environment variable, no function, class
+or method goes unused, every public ``autodiff`` name is reached from
+another package module, and every file is written through
+``data.staged`` into a directory made by ``data.output_dir``."""
 
 import ast
 import sys
@@ -101,6 +101,40 @@ def test_foreign_import_check_flags_planted_imports():
     lines = planted.count("\n")
     assert _foreign_imports(planted) == [
         "scipy (line 1)", "scipy.signal (line 2)", f"torch.nn (line {lines - 1})"]
+
+
+_ENVIRONMENT = {"environ", "environb", "getenv", "putenv"}
+
+
+def _environment_reads(source: str) -> list[str]:
+    """Uses of ``os``'s environment access in ``source``: an attribute of
+    that name on any object (``os.environ``, an alias's ``getenv``), or an
+    import of one from ``os``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT:
+            found.append(f"{node.attr} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"{alias.name} (line {node.lineno})" for alias in node.names
+                      if alias.name in _ENVIRONMENT]
+    return found
+
+
+def test_modules_read_no_environment_variables():
+    # the README: "cvlearn reads no environment variables"
+    found = {name: _environment_reads(src) for name, src in _package_sources().items()}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def test_environment_check_flags_planted_reads():
+    source = (PACKAGE / "rng.py").read_text(encoding="utf-8")
+    assert _environment_reads(source) == []
+    planted = ("from os import getenv, path\nimport os as system\n" + source
+               + "\n\ndef planted():\n    return os.environ, system.putenv, os.environb\n")
+    lines = planted.count("\n")
+    assert _environment_reads(planted) == [
+        "getenv (line 1)", f"environ (line {lines})", f"putenv (line {lines})",
+        f"environb (line {lines})"]
 
 
 def _name_reads(tree: ast.AST) -> Counter:
