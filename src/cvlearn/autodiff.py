@@ -21,8 +21,8 @@ C-contiguous array as a read-only view without copying; the caller must
 not write to such an array while a tape that binds it is in use.
 
 The op set is the real ops the networks share: ``linear`` (``x @ w.T +
-b`` as one node, the only real affine op; ``x`` may be a pair of blocks
-of one joined input, read in place, so no op joins or splits arrays),
+b``, the only real affine op, as one node over the one or two column
+blocks of ``x``, a lone tensor being one; no op joins or splits arrays),
 ``mean_center_rows`` and ``mean_sq_diff`` (the squared error of ``mse``
 and the Hilbert penalty). ReLU is no op of its own: an affine node
 applies it in place to its fresh product (``record_op``'s ``relu``), and
@@ -210,23 +210,18 @@ def record_op(op: str, value: np.ndarray, parents: Sequence[Tensor],
 # elementary operations
 
 
-def check_affine(x, w: Tensor, b: Tensor) -> None:
-    """ShapeError unless ``x @ w.T + b`` has matching 2-D or stacked operands;
-    ``x`` is one tensor or a pair whose widths split ``w``'s input axis."""
-    if isinstance(x, Tensor):
-        xs = x.shape
-    else:  # the shape of the pair's join; () when the pair has none
-        xs = () if len(x) != 2 or x[0].ndim < 2 or x[0].shape[:-1] != x[1].shape[:-1] \
-            else x[0].shape[:-1] + (x[0].shape[-1] + x[1].shape[-1],)
-    ws, bs = w.shape, b.shape
-    if len(xs) < 2 or len(ws) != len(xs) or xs[:-2] != ws[:-2] or xs[-1] != ws[-1] \
+def check_affine(xs: Sequence[Tensor], w: Tensor, b: Tensor) -> None:
+    """ShapeError unless ``x @ w.T + b`` has matching 2-D or stacked operands,
+    ``x`` being the join of the one or two column blocks ``xs``: one leading
+    shape, and widths that sum to ``w``'s input axis."""
+    join, ws, bs = (xs[0].shape if 0 < len(xs) < 3 else ()), w.shape, b.shape
+    for x in xs[1:]:  # the shape of the blocks' join; () when they have none
+        join = (*join[:-1], join[-1] + x.shape[-1]) \
+            if len(join) > 1 and x.shape[:-1] == join[:-1] else ()
+    if len(join) < 2 or len(ws) != len(join) or join[:-2] != ws[:-2] or join[-1] != ws[-1] \
             or bs != ws[:-1]:
-        given = x.shape if isinstance(x, Tensor) else " + ".join(str(t.shape) for t in x)
+        given = " + ".join(str(x.shape) for x in xs)
         raise ShapeError(f"affine operand shapes do not match: x {given}, w {ws}, b {bs}")
-
-
-def _sum_rows(g: np.ndarray) -> np.ndarray:
-    return np.add.reduce(g, axis=-2)  # ndarray.sum without its Python wrapper
 
 
 def linear(x, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
@@ -234,54 +229,50 @@ def linear(x, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     tape's only real affine op: every bias of rvnn, steinmetz and
     analytic enters here, and cvnn's complex layer copies its forms.
 
-    Values and gradients match the unfused chain of a matmul by the
-    transposed weight and a row-broadcast bias add bit for bit. The
-    forward pass multiplies by a contiguous copy of ``w.T``, as that
-    chain does; the bias is added in place into the product, and the
-    weight gradient is ``g.T @ x`` straight from the operands, which
-    rounds as the chain's transposed ``x.T @ g`` does. Stacked operands
-    ([E, m, in] inputs, [E, out, in] weights, [E, out] biases) apply
-    each member's weights to its own inputs.
+    ``x`` is one tensor or a pair ``(xr, xi)`` of [.., m, n] and
+    [.., m, in - n] tensors, the two column blocks of one joined input,
+    which is then never built; a lone tensor is the one-block case. The
+    node reads each block's row block of one contiguous copy ``wt`` of
+    ``w.T`` as a view: the value is the first block's product, plus
+    ``b`` added in place, plus each further block's product, in that
+    order (cvnn's complex layer's). A block's gradient is ``g @`` its
+    row block of ``wt`` transposed, and the weight gradient is each
+    ``g.T @ block`` written into that block's columns of one array.
 
-    ``x`` may also be a pair ``(xr, xi)`` of [.., m, n] and [.., m, in - n]
-    tensors, the two channel blocks of one joined input, which is then
-    never built. The node reads the two row blocks of the same one copy
-    ``wt`` of ``w.T`` as views: the value is ``xr @ wt[:n]``, plus ``b``,
-    plus ``xi @ wt[n:]``, in that order (cvnn's complex layer's), and the
-    weight gradient is ``g.T @ xr`` and ``g.T @ xi`` written side by side
-    into one array.
+    For one block, values and gradients match the unfused chain of a
+    matmul by the transposed weight and a row-broadcast bias add bit for
+    bit: the chain multiplies by a contiguous copy of ``w.T`` too, and
+    ``g.T @ x`` rounds as its transposed ``x.T @ g`` does. Stacked
+    operands ([E, m, in] inputs, [E, out, in] weights, [E, out] biases)
+    apply each member's weights to its own inputs.
 
     With ``relu`` the node is a hidden layer, ``max(x @ w.T + b, 0)``: the
     ReLU runs in place on the product (see ``record_op``), and backward
     masks the gradient by the node's own output, bit for bit a separate
     ReLU node's values and gradients.
     """
-    check_affine(x, w, b)
+    xs = (x,) if isinstance(x, Tensor) else tuple(x)
+    check_affine(xs, w, b)
     # x @ w.T on the transposed view would round differently at some shapes
     wt = np.ascontiguousarray(w.data.swapaxes(-1, -2))
-    if isinstance(x, Tensor):
-        xd = x.data
-        value = xd @ wt
-        value += b.data[..., None, :]  # value is the matmul's own fresh array
-        return record_op("linear", value, (x, w, b),
-                         (lambda g: g @ wt.swapaxes(-1, -2),
-                          lambda g: g.swapaxes(-1, -2) @ xd, _sum_rows), relu)
-    (xr, xi), n = x, x[0].shape[-1]
-    xrd, xid = xr.data, xi.data
-    wtr, wti = wt[..., :n, :], wt[..., n:, :]
-    value = xrd @ wtr
-    value += b.data[..., None, :]
-    value += xid @ wti
+    blocks, end = [], 0  # each block's data, its columns of w and its rows of wt
+    for t in xs:
+        cols = slice(end, end := end + t.data.shape[-1])
+        blocks.append((t.data, cols, wt[..., cols, :]))
+    value = blocks[0][0] @ blocks[0][2]
+    value += b.data[..., None, :]  # value is the matmul's own fresh array
+    for d, _, wtc in blocks[1:]:
+        value += d @ wtc
 
     def vjp_w(g):
         gw, gt = np.empty(w.shape), g.swapaxes(-1, -2)
-        np.matmul(gt, xrd, out=gw[..., :n])
-        np.matmul(gt, xid, out=gw[..., n:])
+        for d, cols, _ in blocks:
+            np.matmul(gt, d, out=gw[..., cols])
         return gw
 
-    return record_op("linear", value, (xr, xi, w, b),
-                     (lambda g: g @ wtr.swapaxes(-1, -2),
-                      lambda g: g @ wti.swapaxes(-1, -2), vjp_w, _sum_rows), relu)
+    return record_op("linear", value, (*xs, w, b),
+                     (*[lambda g, wtc=wtc: g @ wtc.swapaxes(-1, -2) for _, _, wtc in blocks],
+                      vjp_w, lambda g: np.add.reduce(g, axis=-2)), relu)
 
 
 def mean_center_rows(x: Tensor) -> Tensor:

@@ -330,9 +330,9 @@ def dft_encode(ds: Dataset) -> Dataset:
 def add_complex_noise(ds: Dataset, eta: float, seed: int) -> Dataset:
     """Add eta-scaled circular complex Gaussian noise to every feature entry.
 
-    Each noise entry has independent real and imaginary parts of
-    variance 1/2, so its complex variance is 1; labels are untouched.
-    eta = 0 returns ``ds`` itself, which is immutable.
+    Each noise entry has independent real and imaginary parts of variance
+    1/2, so its complex variance is 1; labels are untouched. eta = 0 returns
+    ``ds`` itself, which is immutable; features that overflow name ``eta``.
     """
     if not 0.0 <= eta < math.inf:
         raise ContractError(f"eta must be finite and non-negative, got {eta}")
@@ -346,8 +346,11 @@ def add_complex_noise(ds: Dataset, eta: float, seed: int) -> Dataset:
         for noise, features in ((re, ds.features_re), (im, ds.features_im)):
             noise *= eta * half  # in place, so only the two outputs are made
             noise += features
-    return replace(ds, features_re=re, features_im=im,
-                   provenance=f"{ds.provenance}|noise(eta={eta},seed={seed})")
+    try:
+        return replace(ds, features_re=re, features_im=im,
+                       provenance=f"{ds.provenance}|noise(eta={eta},seed={seed})")
+    except DataError as e:
+        raise DataError(f"noise at eta={eta}: {e}") from None
 
 
 # ---------------------------------------------------------------------------

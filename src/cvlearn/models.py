@@ -193,11 +193,11 @@ def _complex_affine(xs: list, p: dict, layer: str, relu: bool = False):
     [.., m, 2 out] value, whose inputs' gradients sum the two parts', the
     imaginary part's first, as backward summed two part nodes'.
 
-    ``linear``'s product and gradient forms over one contiguous copy of each
-    transposed weight, shared by both parts, the bias added before the second
-    product and the cross term's gradient taken as ``-g`` or ``g`` itself keep
-    values and gradients bit for bit those of two ``linear`` nodes joined by a
-    subtraction or an addition.
+    Each part is ``linear``'s two-block form, its shapes checked by the same
+    rule: ``yr`` over ``(xr, xi)`` against ``[wr | -wi]`` and ``yi`` over
+    ``(xi, xr)`` against ``[wr | wi]``. One copy of each transposed weight is
+    shared by both parts, and the cross term's gradient is ``-g`` or ``g``, so
+    values and gradients match two ``linear`` nodes joined by ``-`` or ``+`` bit for bit.
     With ``relu``, each part is ``max(y, 0)`` applied in place to its own
     fresh sum, and backward masks its gradient by that output, as in ``linear``.
 
@@ -208,7 +208,7 @@ def _complex_affine(xs: list, p: dict, layer: str, relu: bool = False):
     """
     wr, wi, br, bi = (p[f"{layer}.{n}"] for n in ("wr", "wi", "br", "bi"))
     for i, w, b in ((0, wr, br), (1, wi, bi), (1, wr, bi)):  # all four weights agree
-        ad.check_affine(xs[i], w, b)
+        ad.check_affine(xs[i:i + 1], w, b)
     wtr, wti = (np.ascontiguousarray(w.data.swapaxes(-1, -2)) for w in (wr, wi))
     ins = tuple(xs) if ad.find_tape((*xs, wr, wi, br, bi)) is not None else ()
     ar, ai = (x.data for x in xs)

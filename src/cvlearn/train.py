@@ -222,10 +222,10 @@ def resolve_config(raw) -> tuple[dict, TrainConfig]:
     if not isinstance(cfg["latent_dim"], int) or cfg["latent_dim"] < 2 \
             or cfg["latent_dim"] % 2 != 0:
         raise ValidationError("config field latent_dim: must be a positive even integer")
-    if not isinstance(cfg["train_dataset"], str):
-        raise ValidationError("config field train_dataset: must be a path string")
-    if not isinstance(cfg["test_dataset"], (str, type(None))):
-        raise ValidationError("config field test_dataset: must be a path string or null")
+    if not isinstance(cfg["train_dataset"], str) or not cfg["train_dataset"]:
+        raise ValidationError("config field train_dataset: must be a non-empty path")
+    if cfg["test_dataset"] == "" or not isinstance(cfg["test_dataset"], (str, type(None))):
+        raise ValidationError("config field test_dataset: must be null or a non-empty path")
     eta = cfg["noise_eta"]
     if not isinstance(eta, (int, float)) or isinstance(eta, bool) or not finite(eta) \
             or eta < 0:
@@ -241,7 +241,7 @@ def resolve_config(raw) -> tuple[dict, TrainConfig]:
 
 def _load_run_datasets(cfg: dict) -> tuple[Dataset, Optional[Dataset]]:
     train_ds = load_cvds(cfg["train_dataset"])
-    test_ds = load_cvds(cfg["test_dataset"]) if cfg["test_dataset"] else None
+    test_ds = load_cvds(cfg["test_dataset"]) if cfg["test_dataset"] is not None else None
     if cfg["noise_eta"] > 0:
         noise_root = Rng(cfg["seed"])
         train_ds = add_complex_noise(train_ds, cfg["noise_eta"],
@@ -266,8 +266,9 @@ def run_training(raw_config: dict, out_dir) -> dict:
         try:
             model, epochs = train_model(spec, train_ds, tc, test_ds)
         except MemoryError:
-            raise ValidationError(f"config field latent_dim: a network with latent_dim "
-                                  f"{spec.latent_dim} does not fit in memory") from None
+            raise ValidationError(f"a network of dN {spec.input_dim}, latent_dim "
+                                  f"{spec.latent_dim} and {spec.output_dim} outputs "
+                                  f"does not fit in memory") from None
         wall = time.monotonic() - started
         report = {
             "format": REPORT_FORMAT,

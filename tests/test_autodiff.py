@@ -454,13 +454,33 @@ def test_linear_pair_form_bit_identical_to_hand_computed(shape):
         assert np.abs(grads[name] - joined_grads[name]).max() <= 1e-12 * scale, name
 
 
+@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize("relu", [False, True])
+def test_linear_one_block_is_the_lone_tensor(lead, relu):
+    g = np.random.default_rng(len(lead) + 2 * relu)
+    params = {"x": g.standard_normal((*lead, 7, 4)), "w": g.standard_normal((*lead, 5, 4)),
+              "b": g.standard_normal((*lead, 5))}
+    upstream = g.standard_normal((*lead, 7, 5))
+    runs = []
+    for wrap in (lambda x: x, lambda x: (x,)):
+        tape = cv.Tape()
+        t = {k: tape.param(v, k) for k, v in params.items()}
+        out = ad.linear(wrap(t["x"]), t["w"], t["b"], relu)
+        runs.append((out.data, tape.backward(weighted_sum(out, upstream))))
+    (value, grads), (block_value, block_grads) = runs
+    assert np.array_equal(block_value, value)
+    for k in params:
+        assert np.array_equal(block_grads[k], grads[k]), k
+
+
 def test_linear_pair_shape_mismatch():
     w, b = ad.constant(np.ones((4, 5))), ad.constant(np.ones(4))
-    x2, x3 = ad.constant(np.ones((2, 2))), ad.constant(np.ones((2, 3)))
+    x1, x2, x3 = (ad.constant(np.ones((2, n))) for n in (1, 2, 3))
     ad.linear((x2, x3), w, b)  # widths 2 + 3 split w's 5 input columns
-    # widths that do not add up, rows or axes that differ, three parts, none
+    # widths that do not add up, rows or axes that differ, none, and three
+    # blocks whose widths 2 + 2 + 1 do split the 5 columns: one block or a pair
     for pair in [(x3, x3), (x2, x2), (x2, ad.constant(np.ones((3, 3)))),
-                 (x2, ad.constant(np.ones((1, 2, 3)))), (x2, x3, x2), ()]:
+                 (x2, ad.constant(np.ones((1, 2, 3)))), (), (x2, x2, x1)]:
         with pytest.raises(ShapeError):
             ad.linear(pair, w, b)
 

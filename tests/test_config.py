@@ -97,6 +97,7 @@ def test_cli_train_rejects_non_object_config(tmp_path, capsys, text):
     ("train_dataset", 5), ("train_dataset", None), ("train_dataset", ["a"]),
     ("test_dataset", 7), ("test_dataset", {}), ("beta", math.nan),
     ("noise_eta", math.nan), ("adam_eps", math.inf), ("learning_rate", math.inf),
+    ("train_dataset", ""), ("test_dataset", ""),
 ])
 def test_cli_train_malformed_field_exits_1_naming_it(tmp_path, capsys, field, value):
     cv.save_cvds(synthetic_classification(20, 4, 2, seed=1), tmp_path / "train")

@@ -338,10 +338,20 @@ def _config(w: Path, name: str, content: bytes) -> Path:
     return w / name
 
 
-def _latent_config(w: Path, latent_dim: int) -> Path:
+def _edited_config(w: Path, name: str, **edits) -> Path:
     config = json.loads((w / "good.json").read_text())
-    return _config(w, f"latent{latent_dim}.json",
-                   json.dumps({**config, "latent_dim": latent_dim}).encode())
+    return _config(w, name, json.dumps({**config, **edits}).encode())
+
+
+def _latent_config(w: Path, latent_dim: int) -> Path:
+    return _edited_config(w, f"latent{latent_dim}.json", latent_dim=latent_dim)
+
+
+def _class_count_config(w: Path) -> Path:
+    # 2**60 classes: the head's weight is refused before anything is allocated
+    cv.save_cvds(cv.Dataset(np.ones((4, 5)), np.zeros((4, 5)), np.array([0, 1, 0, 1]),
+                            "classification", num_classes=2 ** 60), w / "many-classes")
+    return _edited_config(w, "many-classes.json", train_dataset=str(w / "many-classes"))
 
 
 CASES = {
@@ -386,6 +396,18 @@ CASES = {
     # 8e19 bytes: past numpy's size limit, and np.prod of the shape wraps
     "train-latent-dim-past-array-limit": (1, "latent_dim", lambda w: [
         "train", "--config", _latent_config(w, 10 ** 18), "--out", w / "r4"]),
+    # the network's output count is named as well as latent_dim
+    "train-class-count-too-big": (1, "latent_dim 4 and 1152921504606846976 outputs",
+                                  lambda w: ["train", "--config", _class_count_config(w),
+                                             "--out", w / "r6"]),
+    "train-test-dataset-empty": (1, "config field test_dataset", lambda w: [
+        "train", "--config", _edited_config(w, "empty-test.json", test_dataset=""),
+        "--out", w / "r7"]),
+    "train-noise-eta-overflows": (2, "eta=1e+308: features_re contains non-finite",
+                                  lambda w: ["train", "--config",
+                                             _edited_config(w, "huge-eta.json",
+                                                            noise_eta=1e308),
+                                             "--out", w / "r8"]),
     "gen-features-blob-is-directory": (2, "Is a directory", lambda w: [
         "gen", "--task", "noise", "--eta", "0.5", "--in", _features_dir(w),
         "--out", w / "n1"]),
@@ -406,7 +428,7 @@ CASES = {
         "gen", "--task", "channel", "--m", "8", "--snr-db=3100", "--out", w / "n9"]),
     "gen-snr-db-underflows": (1, "snr_db", lambda w: [
         "gen", "--task", "channel", "--m", "8", "--snr-db=-3300", "--out", w / "n10"]),
-    "gen-eta-overflows": (2, "non-finite", lambda w: [
+    "gen-eta-overflows": (2, "eta=1e+308: features_im contains non-finite", lambda w: [
         "gen", "--task", "noise", "--eta", "1e308", "--in", w / "chan", "--out", w / "n11"]),
     # the channel draws alone need 8e15 bytes, beyond any address space
     "gen-m-too-big": (1, "--m", lambda w: [
@@ -468,7 +490,8 @@ def test_cli_help_exits_0(work):
 
 
 @pytest.mark.parametrize("case", ["train-latent-dim-too-big",
-                                  "train-latent-dim-past-array-limit"])
+                                  "train-latent-dim-past-array-limit",
+                                  "train-class-count-too-big"])
 def test_cli_failed_train_writes_no_run_files(work, case):
     _, _, argv = CASES[case]
     args = argv(work)
