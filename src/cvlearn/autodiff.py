@@ -16,9 +16,10 @@ pass builds no graph.
 
 A tensor holds its tape through a weak reference, so tape and nodes form
 no reference cycle and a dropped tape is freed at once rather than at the
-next cyclic garbage collection. ``Tape.param`` binds a float64
-C-contiguous array as a read-only view without copying; the caller must
-not write to such an array while a tape that binds it is in use.
+next cyclic garbage collection. ``Tape.param`` binds a float64 array in
+C order, or a weight stored [.., in, out] as Adam stores it, as a
+read-only view without copying; the caller must not write to such an
+array while a tape that binds it is in use.
 
 The op set is the real ops the networks share: ``linear`` (``x @ w.T +
 b``, the only real affine op, as one node over the one or two column
@@ -51,11 +52,13 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _f64_view(data) -> np.ndarray:
-    """Read-only float64 C-contiguous array: a view when ``data`` already is
-    one, a converted copy otherwise."""
-    if isinstance(data, np.ndarray) and data.dtype == np.float64 \
-            and data.flags.c_contiguous:
+def _f64_view(data, param: bool = False) -> np.ndarray:
+    """Read-only float64 array: a view when ``data`` already is one in C
+    order, or, for a ``param``, a weight stored [.., in, out] (C order with
+    its last two axes swapped); a converted C-contiguous copy otherwise."""
+    if isinstance(data, np.ndarray) and data.dtype == np.float64 and (
+            data.flags.c_contiguous
+            or param and data.ndim > 1 and data.swapaxes(-1, -2).flags.c_contiguous):
         return _freeze(data.view()) if data.flags.writeable else data
     return _freeze(np.array(data, dtype=np.float64, order="C"))
 
@@ -106,14 +109,15 @@ class Tape:
 
     def param(self, data, name: str) -> Tensor:
         """Bind a named tensor whose gradient ``backward`` returns, as a
-        read-only view (copied only when not float64 C-contiguous).
+        read-only view: copied only when float64 neither in C order nor, as
+        Adam stores weights, C order with its last two axes swapped.
 
         There is no finite check here: a ``Model`` checks its parameters'
         layout and values when built, and training checks each Adam update.
         """
         if name in self._param_ids:
             raise ContractError(f"duplicate parameter name on tape: {name}")
-        t = self._add(Tensor(_f64_view(data)))
+        t = self._add(Tensor(_f64_view(data, param=True)))
         self._param_ids[name] = t.node_id
         return t
 
@@ -162,15 +166,16 @@ def constant(data) -> Tensor:
     return Tensor(arr, op="const")
 
 
-def trusted_constant(data: np.ndarray) -> Tensor:
+def trusted_constant(data: np.ndarray, param: bool = False) -> Tensor:
     """``constant`` over data whose entries are already known to be finite,
     bound without checking them again.
 
     For a ``Dataset``'s features and targets, which its constructor checks
-    once and leaves read-only, and for rows gathered from them. The caller
+    once and leaves read-only, and for rows gathered from them; a ``Model``'s
+    parameter (``param``) is bound as ``Tape.param`` binds it. The caller
     vouches for finiteness: non-finite data bound here is not caught.
     """
-    return Tensor(_f64_view(data), op="const")
+    return Tensor(_f64_view(data, param), op="const")
 
 
 def find_tape(parents: Sequence[Tensor]) -> Optional[Tape]:
@@ -232,17 +237,21 @@ def linear(x, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     ``x`` is one tensor or a pair ``(xr, xi)`` of [.., m, n] and
     [.., m, in - n] tensors, the two column blocks of one joined input,
     which is then never built; a lone tensor is the one-block case. The
-    node reads each block's row block of one contiguous copy ``wt`` of
-    ``w.T`` as a view: the value is the first block's product, plus
-    ``b`` added in place, plus each further block's product, in that
-    order (cvnn's complex layer's). A block's gradient is ``g @`` its
-    row block of ``wt`` transposed, and the weight gradient is each
-    ``g.T @ block`` written into that block's columns of one array.
+    node reads each block's row block of ``wt``, ``w.T`` in C order, as a
+    view: ``wt`` is ``w``'s own storage when ``w`` views a weight stored
+    [.., in, out], as Adam's buffers and so every trained Model hold it,
+    and one contiguous copy otherwise. The value is the first block's
+    product, plus ``b`` added in place, plus each further block's
+    product, in that order (cvnn's complex layer's). A block's gradient
+    is ``g @`` its row block of ``wt`` transposed, and the weight
+    gradient is each ``block.T @ g`` written into that block's rows of
+    one [.., in, out] array, returned as its [.., out, in] view.
 
     For one block, values and gradients match the unfused chain of a
     matmul by the transposed weight and a row-broadcast bias add bit for
-    bit: the chain multiplies by a contiguous copy of ``w.T`` too, and
-    ``g.T @ x`` rounds as its transposed ``x.T @ g`` does. Stacked
+    bit: the chain multiplies by a contiguous copy of ``w.T`` too, which
+    holds the values of the storage in its layout, and ``x.T @ g``
+    rounds as its transposed ``g.T @ x`` does. Stacked
     operands ([E, m, in] inputs, [E, out, in] weights, [E, out] biases)
     apply each member's weights to its own inputs.
 
@@ -253,22 +262,23 @@ def linear(x, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     """
     xs = (x,) if isinstance(x, Tensor) else tuple(x)
     check_affine(xs, w, b)
-    # x @ w.T on the transposed view would round differently at some shapes
+    # no copy for a weight stored [.., in, out]; x @ w.T on a strided view
+    # would round differently at some shapes
     wt = np.ascontiguousarray(w.data.swapaxes(-1, -2))
-    blocks, end = [], 0  # each block's data, its columns of w and its rows of wt
+    blocks, end = [], 0  # each block's data, its slice of wt's rows, and that row block
     for t in xs:
-        cols = slice(end, end := end + t.data.shape[-1])
-        blocks.append((t.data, cols, wt[..., cols, :]))
+        rows = slice(end, end := end + t.data.shape[-1])
+        blocks.append((t.data, rows, wt[..., rows, :]))
     value = blocks[0][0] @ blocks[0][2]
     value += b.data[..., None, :]  # value is the matmul's own fresh array
     for d, _, wtc in blocks[1:]:
         value += d @ wtc
 
     def vjp_w(g):
-        gw, gt = np.empty(w.shape), g.swapaxes(-1, -2)
-        for d, cols, _ in blocks:
-            np.matmul(gt, d, out=gw[..., cols])
-        return gw
+        gwt = np.empty(wt.shape)  # stored [.., in, out], as Adam stores w
+        for d, rows, _ in blocks:
+            np.matmul(d.swapaxes(-1, -2), g, out=gwt[..., rows, :])
+        return gwt.swapaxes(-1, -2)
 
     return record_op("linear", value, (*xs, w, b),
                      (*[lambda g, wtc=wtc: g @ wtc.swapaxes(-1, -2) for _, _, wtc in blocks],

@@ -32,10 +32,7 @@ import numpy as np
 
 from .errors import ContractError, DataError
 from .rng import Rng
-from .transforms import dft_array
-
-# complex values per block of rows in dft_encode (1 MiB)
-_DFT_BLOCK = 1 << 16
+from .transforms import dft_array, row_blocks
 
 TASKS = ("classification", "complex_regression")
 
@@ -308,21 +305,17 @@ def dft_encode(ds: Dataset) -> Dataset:
 
     The real and imaginary parts are written straight into the two output
     arrays, one block of rows (about 1 MiB of complex values) at a time,
-    so the peak beyond the outputs is a few MiB at any M. Blocks hold at
-    least two rows, where a one-row product would round differently at
-    prime n, so every bit is that of ``dft_array`` over the whole array.
+    so the peak beyond the outputs is a few MiB at any M. The blocks are
+    ``transforms.row_blocks``', so every bit is that of ``dft_array`` over
+    the whole array.
     """
     if ds.features_im.any():  # no [M, dN] mask; -0.0 is zero and NaN is not
         raise DataError("dft_encode expects a real-form dataset (features_im all zero)")
     x = ds.features_re
-    (m, n), lo = x.shape, 0
-    re, im = np.empty((m, n)), np.empty((m, n))
-    step = max(2, _DFT_BLOCK // n)
-    while lo < m:
-        hi = m if m - lo <= step + 1 else lo + step  # never a one-row block
+    re, im = np.empty(x.shape), np.empty(x.shape)
+    for lo, hi in row_blocks(*x.shape):
         spectra = dft_array(x[lo:hi])
         re[lo:hi], im[lo:hi] = spectra.real, spectra.imag
-        lo = hi
     return replace(ds, features_re=re, features_im=im,
                    provenance=f"{ds.provenance}|dft_encode")
 

@@ -161,13 +161,20 @@ def init_params(spec: NetworkSpec, seed: int) -> Model:
     return Model(spec=spec, params=params)
 
 
-def param_views(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
-    """``flat``, made read-only, cut in order into views of ``shapes``."""
+def param_views(flat: np.ndarray, shapes: dict[str, tuple],
+                matrices=frozenset()) -> dict[str, np.ndarray]:
+    """``flat``, made read-only, cut in order into views of ``shapes``.
+
+    Each entry named in ``matrices`` is stored [.., in, out], as Adam
+    stores weights, and viewed [.., out, in]: ``linear`` then multiplies
+    by the storage itself. A checkpoint's blob names none."""
     flat.setflags(write=False)
     views, end = {}, 0
     for name, shape in shapes.items():
         start, end = end, end + math.prod(shape)
-        views[name] = flat[start:end].reshape(shape)
+        block = flat[start:end]
+        views[name] = (block.reshape(*shape[:-2], shape[-1], shape[-2]).swapaxes(-1, -2)
+                       if name in matrices else block.reshape(shape))
     return views
 
 
@@ -195,9 +202,12 @@ def _complex_affine(xs: list, p: dict, layer: str, relu: bool = False):
 
     Each part is ``linear``'s two-block form, its shapes checked by the same
     rule: ``yr`` over ``(xr, xi)`` against ``[wr | -wi]`` and ``yi`` over
-    ``(xi, xr)`` against ``[wr | wi]``. One copy of each transposed weight is
-    shared by both parts, and the cross term's gradient is ``-g`` or ``g``, so
-    values and gradients match two ``linear`` nodes joined by ``-`` or ``+`` bit for bit.
+    ``(xi, xr)`` against ``[wr | wi]``. Each transposed weight in C order is
+    shared by both parts: the storage itself for a weight stored [.., in, out],
+    as Adam stores it, or one copy. Each weight gradient is ``x.T @ g``'s
+    [.., in, out] product seen as its [.., out, in] view, and the cross
+    term's gradient is ``-g`` or ``g``, so values and gradients match two
+    ``linear`` nodes joined by ``-`` or ``+`` bit for bit.
     With ``relu``, each part is ``max(y, 0)`` applied in place to its own
     fresh sum, and backward masks its gradient by that output, as in ``linear``.
 
@@ -231,11 +241,11 @@ def _complex_affine(xs: list, p: dict, layer: str, relu: bool = False):
 
     def part(x1: Tensor, x2: Tensor, cross) -> tuple:
         # VJPs of x1 @ wr.T + b + cross(x2 @ wi.T) to (x1, x2, wr, wi, b)
-        x1d, x2d = x1.data, x2.data
+        x1t, x2t = x1.data.swapaxes(-1, -2), x2.data.swapaxes(-1, -2)
         return (lambda g: g @ wtr.swapaxes(-1, -2),
                 lambda g: cross(g) @ wti.swapaxes(-1, -2),
-                lambda g: g.swapaxes(-1, -2) @ x1d,
-                lambda g: cross(g).swapaxes(-1, -2) @ x2d,
+                lambda g: (x1t @ g).swapaxes(-1, -2),
+                lambda g: (x2t @ cross(g)).swapaxes(-1, -2),
                 lambda g: np.add.reduce(g, axis=-2))
 
     xr, xi = ins
@@ -319,7 +329,7 @@ def forward(model: Model, x_re, x_im, tape: Optional[Tape] = None) -> ForwardRes
     if x_re.shape[-1] != spec.input_dim:
         raise ShapeError(
             f"input feature width {x_re.shape[-1]} != network input_dim {spec.input_dim}")
-    p = {name: ad.trusted_constant(arr) if tape is None else tape.param(arr, name)
+    p = {name: ad.trusted_constant(arr, param=True) if tape is None else tape.param(arr, name)
          for name, arr in model.params.items()}
     xr, xi = (x if isinstance(x, Tensor) else ad.constant(x) for x in (x_re, x_im))
     return _BODIES[spec.kind](spec, p, xr, xi)
@@ -339,11 +349,19 @@ def latent_channels(result: ForwardResult) -> tuple[np.ndarray, np.ndarray]:
 
 # ---------------------------------------------------------------------------
 # checkpoints: one JSON header line, then raw little-endian float64 blobs
-# in declared parameter order
+# in declared parameter order and shape
+
+# values per piece a parameter is written in (32 KiB); a piece is a copy
+# only for a weight not in C order
+_WRITE_BLOCK = 1 << 12
 
 
 def save_checkpoint(model: Model, path, seed: int, epoch: int) -> None:
-    """Write one network; a stacked ensemble raises ContractError."""
+    """Write one network; a stacked ensemble raises ContractError.
+
+    Each parameter is written in pieces of whole rows: views of a C-order
+    array's own buffer, or, for a trained weight stored [in, out], C-order
+    copies of about 32 KiB, never one weight-sized copy."""
     if [p.shape for p in model.params.values()] != list(_param_shapes(model.spec).values()):
         raise ContractError("save_checkpoint writes one network, not a stacked ensemble")
     header = {
@@ -357,8 +375,10 @@ def save_checkpoint(model: Model, path, seed: int, epoch: int) -> None:
     }
     with open(path, "wb") as f:
         f.write(json.dumps(header).encode("utf-8") + b"\n")
-        for p in model.params.values():  # each array's own buffer, not a copy of it
-            f.write(np.ascontiguousarray(p, dtype="<f8"))
+        for p in model.params.values():
+            step = max(1, _WRITE_BLOCK // math.prod(p.shape[1:]))  # rows per piece
+            for lo in range(0, len(p), step):
+                f.write(np.ascontiguousarray(p[lo:lo + step], dtype="<f8"))
 
 
 def _header_spec(header: dict) -> NetworkSpec:

@@ -82,6 +82,21 @@ def _twiddles(n1: int, n2: int, sign: int) -> np.ndarray:
 # beyond the output array stays at a few MiB however many rows come in
 _SPLIT_BLOCK = 1 << 16
 
+# complex values per block of ``row_blocks`` (1 MiB)
+_ROW_BLOCK = 1 << 16
+
+
+def row_blocks(m: int, n: int):
+    """Yield the (lo, hi) bounds of consecutive blocks of m rows of width n,
+    about ``_ROW_BLOCK`` values each. A block holds at least two rows, where
+    a one-row product would round differently at prime n, so a transform
+    applied block by block gives every bit of the whole-array transform."""
+    step, lo = max(2, _ROW_BLOCK // n), 0
+    while lo < m:
+        hi = m if m - lo <= step + 1 else lo + step  # never a one-row block
+        yield lo, hi
+        lo = hi
+
 
 def _dft_split(z: np.ndarray, n1: int, n2: int, sign: int) -> np.ndarray:
     """Four-step transform along the last axis of length n1 * n2.
@@ -147,14 +162,21 @@ def _check_hilbert_input(z: np.ndarray) -> np.ndarray:
 
 
 def _hilbert_core(z: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
-    spec = dft_array(z) * multipliers
-    out = dft_array(spec, inverse=True)
+    """Each row of ``z`` through its spectrum times ``multipliers`` and back,
+    a block of rows at a time: the complex temporaries are one block's."""
+    n = z.shape[-1]
+    rows, out = z.reshape(-1, n), np.empty(z.shape)
+    top, residue = 0.0, 0.0
+    for lo, hi in row_blocks(len(rows), n):
+        block = dft_array(dft_array(rows[lo:hi]) * multipliers, inverse=True)
+        out.reshape(-1, n)[lo:hi] = block.real
+        top = max(top, float(np.abs(rows[lo:hi]).max(initial=0.0)))
+        residue = np.maximum(residue, np.abs(block.imag).max(initial=0.0))  # keeps NaN
     # residue bound scaled by input magnitude; a symmetric multiplier keeps
     # the inverse transform real to rounding error
-    limit = 1e-9 * max(1.0, float(np.abs(z).max(initial=0.0)))
-    if not np.abs(out.imag).max(initial=0.0) <= limit:
+    if not residue <= 1e-9 * max(1.0, top):
         raise ContractError("inverse transform produced a non-real result")
-    return np.ascontiguousarray(out.real)
+    return out
 
 
 def hilbert_rows_array(z: np.ndarray) -> np.ndarray:

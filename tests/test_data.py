@@ -364,7 +364,7 @@ def _real_form(m: int, n: int, seed: int) -> Dataset:
 # split); m around one block of rows, where the last block could hold one row
 @pytest.mark.parametrize("n", [2, 3, 64, 97, 784, 997])
 def test_dft_encode_bit_identical_to_whole_array_transform(n):
-    block = max(2, cv.data._DFT_BLOCK // n)
+    block = max(2, tr._ROW_BLOCK // n)
     for m in sorted({1, 2, block - 1, block, block + 1, 2000}):
         ds = _real_form(m, n, seed=n + m)
         enc = cv.dft_encode(ds)
