@@ -248,6 +248,20 @@ def _training_peak(spec, ds) -> int:
         tracemalloc.stop()
 
 
+@functools.lru_cache(maxsize=None)
+def _channel_training_peak(kind) -> int:
+    ds = cv.gen_channel_dataset(cv.ChannelSpec(), 200, seed=1)
+    return _training_peak(cv.NetworkSpec(kind, ds.dn, 64, ds.k, "complex_regression"), ds)
+
+
+@functools.lru_cache(maxsize=None)
+def _spectral_training_peak(kind) -> int:
+    x = np.random.default_rng(3).standard_normal((200, 784))
+    ds = cv.dft_encode(cv.Dataset(x, np.zeros_like(x), np.arange(200) % 10,
+                                  "classification"))
+    return _training_peak(cv.NetworkSpec(kind, 784, 64, 10, "classification"), ds)
+
+
 # The peak is Adam's state (moments, gradient, denominator and the two
 # parameter buffers, the idle one its scratch), the initial parameters, and
 # one step's tape and gradients. Each margin is under one parameter-sized
@@ -255,31 +269,45 @@ def _training_peak(spec, ds) -> int:
 # does not fit. With a separate scratch buffer in Adam the channel peaks
 # were 1.059/1.084/1.209/1.267 MB and the spectral 11.62/11.68/11.79/11.84 MB.
 # 2 epochs of a 200-row channel set at the recipe shapes (lN 64, batch 32):
-# 9.3k parameters, 75 kB a buffer; measured 0.912, 1.006, 1.016 and 1.088 MB
-# (0.982, 1.024, 1.079 and 1.160 MB while each linear call copied its weight
-# to a contiguous w.T; 0.984, 1.026, 1.134 and 1.192 MB while each step
-# joined its targets, and steinmetz's and analytic's heads their latents,
-# into fresh arrays).
+# 9.3k parameters, 75 kB a buffer. These ceilings were set while each linear
+# call copied its weight to a contiguous w.T (measured 0.981, 1.022, 1.076
+# and 1.156 MB; 0.984, 1.026, 1.134 and 1.192 MB while each step joined its
+# targets, and steinmetz's and analytic's heads their latents, into fresh arrays).
+@pytest.mark.parametrize("kind,pin_mb", [("rvnn", 1.03), ("cvnn", 1.08),
+                                         ("steinmetz", 1.12), ("analytic", 1.20)])
+def test_short_channel_training_run_memory_peak(kind, pin_mb):
+    peak = _channel_training_peak(kind)
+    assert peak <= pin_mb * 1e6, peak
+
+
+# The same run with no weight copy per linear call: measured 0.912, 1.006,
+# 1.016 and 1.088 MB (0.982, 1.024, 1.079 and 1.160 MB while each linear
+# call copied its weight to a contiguous w.T).
 @pytest.mark.parametrize("kind,pin_mb", [("rvnn", 0.96), ("cvnn", 1.06),
                                          ("steinmetz", 1.06), ("analytic", 1.13)])
-def test_short_channel_training_run_memory_peak(kind, pin_mb):
-    ds = cv.gen_channel_dataset(cv.ChannelSpec(), 200, seed=1)
-    peak = _training_peak(cv.NetworkSpec(kind, ds.dn, 64, ds.k, "complex_regression"), ds)
+def test_short_channel_training_run_copies_no_weight(kind, pin_mb):
+    peak = _channel_training_peak(kind)
     assert peak <= pin_mb * 1e6, peak
 
 
 # 2 epochs of 200 dft_encoded 784-wide rows, 10 classes (lN 64, batch 32):
-# about 110k parameters, 0.88 MB a buffer; measured 9.87, 10.34, 9.97 and
-# 10.03 MB, pinned 0.61-0.65 MB above (10.74, 10.80, 10.85 and 10.91 MB
-# while each linear call copied its weight to a contiguous w.T; steinmetz
-# and analytic measured 10.91 and 10.96 MB while their heads joined the latents).
+# about 110k parameters, 0.88 MB a buffer. These ceilings were set while
+# each linear call copied its weight to a contiguous w.T (measured 10.74,
+# 10.80, 10.84 and 10.91 MB, pinned 0.60-0.66 MB above).
+@pytest.mark.parametrize("kind,pin_mb", [("rvnn", 11.35), ("cvnn", 11.40),
+                                         ("steinmetz", 11.50), ("analytic", 11.55)])
+def test_short_spectral_training_run_memory_peak(kind, pin_mb):
+    peak = _spectral_training_peak(kind)
+    assert peak <= pin_mb * 1e6, peak
+
+
+# The same run with no weight copy per linear call: measured 9.87, 10.34,
+# 9.97 and 10.03 MB, pinned 0.61-0.65 MB above (10.74, 10.80, 10.85 and
+# 10.91 MB while each linear call copied its weight to a contiguous w.T).
 @pytest.mark.parametrize("kind,pin_mb", [("rvnn", 10.48), ("cvnn", 10.95),
                                          ("steinmetz", 10.62), ("analytic", 10.68)])
-def test_short_spectral_training_run_memory_peak(kind, pin_mb):
-    x = np.random.default_rng(3).standard_normal((200, 784))
-    ds = cv.dft_encode(cv.Dataset(x, np.zeros_like(x), np.arange(200) % 10,
-                                  "classification"))
-    peak = _training_peak(cv.NetworkSpec(kind, 784, 64, 10, "classification"), ds)
+def test_short_spectral_training_run_copies_no_weight(kind, pin_mb):
+    peak = _spectral_training_peak(kind)
     assert peak <= pin_mb * 1e6, peak
 
 
