@@ -17,11 +17,10 @@ pass builds no graph.
 A tensor holds its tape through a weak reference, so tape and nodes form
 no reference cycle and a dropped tape is freed at once rather than at the
 next cyclic garbage collection. ``Tape.param`` binds a float64 array in
-C order, or a weight stored [.., in, out] as Adam stores it, as a
-read-only view without copying; the caller must not write to such an
-array while a tape that binds it is in use.
+C order as a read-only view without copying; the caller must not write
+to such an array while a tape that binds it is in use.
 
-The op set is the real ops the networks share: ``linear`` (``x @ w.T +
+The op set is the real ops the networks share: ``linear`` (``x @ w +
 b``, the only real affine op, as one node over the one or two column
 blocks of ``x``, a lone tensor being one; no op joins or splits arrays),
 ``mean_center_rows`` and ``mean_sq_diff`` (the squared error of ``mse``
@@ -52,13 +51,10 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _f64_view(data, param: bool = False) -> np.ndarray:
+def _f64_view(data) -> np.ndarray:
     """Read-only float64 array: a view when ``data`` already is one in C
-    order, or, for a ``param``, a weight stored [.., in, out] (C order with
-    its last two axes swapped); a converted C-contiguous copy otherwise."""
-    if isinstance(data, np.ndarray) and data.dtype == np.float64 and (
-            data.flags.c_contiguous
-            or param and data.ndim > 1 and data.swapaxes(-1, -2).flags.c_contiguous):
+    order, a converted C-contiguous copy otherwise."""
+    if isinstance(data, np.ndarray) and data.dtype == np.float64 and data.flags.c_contiguous:
         return _freeze(data.view()) if data.flags.writeable else data
     return _freeze(np.array(data, dtype=np.float64, order="C"))
 
@@ -109,15 +105,14 @@ class Tape:
 
     def param(self, data, name: str) -> Tensor:
         """Bind a named tensor whose gradient ``backward`` returns, as a
-        read-only view: copied only when float64 neither in C order nor, as
-        Adam stores weights, C order with its last two axes swapped.
+        read-only view: copied only when not float64 in C order.
 
         There is no finite check here: a ``Model`` checks its parameters'
         layout and values when built, and training checks each Adam update.
         """
         if name in self._param_ids:
             raise ContractError(f"duplicate parameter name on tape: {name}")
-        t = self._add(Tensor(_f64_view(data, param=True)))
+        t = self._add(Tensor(_f64_view(data)))
         self._param_ids[name] = t.node_id
         return t
 
@@ -128,7 +123,12 @@ class Tape:
         A node recorded with ``relu`` first masks its gradient by
         ``data > 0``, read from its own output: ``max(x, 0) > 0`` exactly
         when ``x > 0`` (NaN and -0 included), so the mask is the one the
-        pre-activation would give, and the subgradient at 0 is 0."""
+        pre-activation would give, and the subgradient at 0 is 0.
+
+        A tensor's gradient sums its contributions in the order they are
+        made: nodes from last to first, each node's parents in list order.
+        So a node that lists a parent twice adds its first contribution,
+        then its second, to what the parent already had."""
         if loss._tape is not self._ref:
             raise ContractError("loss tensor does not belong to this tape")
         if loss.ndim > 1:
@@ -166,16 +166,16 @@ def constant(data) -> Tensor:
     return Tensor(arr, op="const")
 
 
-def trusted_constant(data: np.ndarray, param: bool = False) -> Tensor:
+def trusted_constant(data: np.ndarray) -> Tensor:
     """``constant`` over data whose entries are already known to be finite,
     bound without checking them again.
 
     For a ``Dataset``'s features and targets, which its constructor checks
-    once and leaves read-only, and for rows gathered from them; a ``Model``'s
-    parameter (``param``) is bound as ``Tape.param`` binds it. The caller
-    vouches for finiteness: non-finite data bound here is not caught.
+    once and leaves read-only, for rows gathered from them, and for a
+    ``Model``'s parameters. The caller vouches for finiteness: non-finite
+    data bound here is not caught.
     """
-    return Tensor(_f64_view(data, param), op="const")
+    return Tensor(_f64_view(data), op="const")
 
 
 def find_tape(parents: Sequence[Tensor]) -> Optional[Tape]:
@@ -216,72 +216,64 @@ def record_op(op: str, value: np.ndarray, parents: Sequence[Tensor],
 
 
 def check_affine(xs: Sequence[Tensor], w: Tensor, b: Tensor) -> None:
-    """ShapeError unless ``x @ w.T + b`` has matching 2-D or stacked operands,
+    """ShapeError unless ``x @ w + b`` has matching 2-D or stacked operands,
     ``x`` being the join of the one or two column blocks ``xs``: one leading
     shape, and widths that sum to ``w``'s input axis."""
     join, ws, bs = (xs[0].shape if 0 < len(xs) < 3 else ()), w.shape, b.shape
     for x in xs[1:]:  # the shape of the blocks' join; () when they have none
         join = (*join[:-1], join[-1] + x.shape[-1]) \
             if len(join) > 1 and x.shape[:-1] == join[:-1] else ()
-    if len(join) < 2 or len(ws) != len(join) or join[:-2] != ws[:-2] or join[-1] != ws[-1] \
-            or bs != ws[:-1]:
+    if len(join) < 2 or len(ws) != len(join) or join[:-2] != ws[:-2] or join[-1] != ws[-2] \
+            or bs != ws[:-2] + ws[-1:]:
         given = " + ".join(str(x.shape) for x in xs)
         raise ShapeError(f"affine operand shapes do not match: x {given}, w {ws}, b {bs}")
 
 
 def linear(x, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
-    """Fully connected layer ``x @ w.T + b`` as one tape node, the
+    """Fully connected layer ``x @ w + b`` as one tape node, the
     tape's only real affine op: every bias of rvnn, steinmetz and
     analytic enters here, and cvnn's complex layer copies its forms.
 
     ``x`` is one tensor or a pair ``(xr, xi)`` of [.., m, n] and
     [.., m, in - n] tensors, the two column blocks of one joined input,
     which is then never built; a lone tensor is the one-block case. The
-    node reads each block's row block of ``wt``, ``w.T`` in C order, as a
-    view: ``wt`` is ``w``'s own storage when ``w`` views a weight stored
-    [.., in, out], as Adam's buffers and so every trained Model hold it,
-    and one contiguous copy otherwise. The value is the first block's
-    product, plus ``b`` added in place, plus each further block's
-    product, in that order (cvnn's complex layer's). A block's gradient
-    is ``g @`` its row block of ``wt`` transposed, and the weight
-    gradient is each ``block.T @ g`` written into that block's rows of
-    one [.., in, out] array, returned as its [.., out, in] view.
+    weight is [.., in, out], so each block multiplies by its own row
+    block of ``w``, a view. The value is the first block's product, plus
+    ``b`` added in place, plus each further block's product, in that
+    order (cvnn's complex layer's). A block's gradient is ``g @`` its
+    row block of ``w`` transposed, and the weight gradient is each
+    ``block.T @ g`` written into that block's rows of one [.., in, out]
+    array.
 
     For one block, values and gradients match the unfused chain of a
-    matmul by the transposed weight and a row-broadcast bias add bit for
-    bit: the chain multiplies by a contiguous copy of ``w.T`` too, which
-    holds the values of the storage in its layout, and ``x.T @ g``
-    rounds as its transposed ``g.T @ x`` does. Stacked
-    operands ([E, m, in] inputs, [E, out, in] weights, [E, out] biases)
-    apply each member's weights to its own inputs.
+    matmul and a row-broadcast bias add bit for bit. Stacked operands
+    ([E, m, in] inputs, [E, in, out] weights, [E, out] biases) apply
+    each member's weights to its own inputs.
 
-    With ``relu`` the node is a hidden layer, ``max(x @ w.T + b, 0)``: the
+    With ``relu`` the node is a hidden layer, ``max(x @ w + b, 0)``: the
     ReLU runs in place on the product (see ``record_op``), and backward
     masks the gradient by the node's own output, bit for bit a separate
     ReLU node's values and gradients.
     """
     xs = (x,) if isinstance(x, Tensor) else tuple(x)
     check_affine(xs, w, b)
-    # no copy for a weight stored [.., in, out]; x @ w.T on a strided view
-    # would round differently at some shapes
-    wt = np.ascontiguousarray(w.data.swapaxes(-1, -2))
-    blocks, end = [], 0  # each block's data, its slice of wt's rows, and that row block
+    blocks, end = [], 0  # each block's data, its slice of w's rows, and that row block
     for t in xs:
         rows = slice(end, end := end + t.data.shape[-1])
-        blocks.append((t.data, rows, wt[..., rows, :]))
+        blocks.append((t.data, rows, w.data[..., rows, :]))
     value = blocks[0][0] @ blocks[0][2]
     value += b.data[..., None, :]  # value is the matmul's own fresh array
-    for d, _, wtc in blocks[1:]:
-        value += d @ wtc
+    for d, _, wb in blocks[1:]:
+        value += d @ wb
 
     def vjp_w(g):
-        gwt = np.empty(wt.shape)  # stored [.., in, out], as Adam stores w
+        gw = np.empty(w.shape)
         for d, rows, _ in blocks:
-            np.matmul(d.swapaxes(-1, -2), g, out=gwt[..., rows, :])
-        return gwt.swapaxes(-1, -2)
+            np.matmul(d.swapaxes(-1, -2), g, out=gw[..., rows, :])
+        return gw
 
     return record_op("linear", value, (*xs, w, b),
-                     (*[lambda g, wtc=wtc: g @ wtc.swapaxes(-1, -2) for _, _, wtc in blocks],
+                     (*[lambda g, wb=wb: g @ wb.swapaxes(-1, -2) for _, _, wb in blocks],
                       vjp_w, lambda g: np.add.reduce(g, axis=-2)), relu)
 
 

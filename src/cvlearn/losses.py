@@ -140,17 +140,15 @@ class AdamState:
     """Every buffer Adam touches, allocated once by ``adam_init``.
 
     ``m`` and ``v`` are the flat moment estimates in the declaration order
-    of ``shapes``, each weight matrix (named in ``matrices``) stored
-    [.., in, out], the layout ``linear`` multiplies by; ``grad``, ``denom``
-    and ``ok`` are per-step scratch. The parameters live in the two flat
-    buffers of ``flats``, which take turns: ``flats[active]`` holds the
-    last accepted values, the idle one is a step's other scratch until the
-    update is written into it, and ``views`` holds each buffer's read-only
-    views in the declared shapes, cut once. ``refused`` is set once an
-    update was refused, since ``m`` and ``v`` have moved.
+    and shape of ``shapes``; ``grad``, ``denom`` and ``ok`` are per-step
+    scratch. The parameters live in the two flat buffers of ``flats``,
+    which take turns: ``flats[active]`` holds the last accepted values, the
+    idle one is a step's other scratch until the update is written into it,
+    and ``views`` holds each buffer's read-only C-order views in the
+    declared shapes, cut once. ``refused`` is set once an update was
+    refused, since ``m`` and ``v`` have moved.
     """
     shapes: dict[str, tuple]
-    matrices: frozenset
     m: np.ndarray
     v: np.ndarray
     grad: np.ndarray
@@ -165,26 +163,14 @@ class AdamState:
 
 def adam_init(params: dict[str, np.ndarray]) -> AdamState:
     """Allocate an Adam run's buffers for parameters shaped like
-    ``params``; their values are copied in by the first step. The weight
-    matrices are the entries of the highest rank, when it is at least 2
-    (a bias has one axis fewer than its weight)."""
+    ``params``; their values are copied in by the first step."""
     shapes = {name: np.shape(p) for name, p in params.items()}
-    rank = max(map(len, shapes.values()), default=0)
-    matrices = frozenset(name for name, shape in shapes.items() if len(shape) == rank > 1)
     size = sum(math.prod(shape) for shape in shapes.values())
     flats = (np.empty(size), np.empty(size))
-    return AdamState(shapes=shapes, matrices=matrices, m=np.zeros(size), v=np.zeros(size),
+    return AdamState(shapes=shapes, m=np.zeros(size), v=np.zeros(size),
                      grad=np.empty(size), denom=np.empty(size),
                      ok=np.empty(size, dtype=bool), flats=flats,
-                     views=tuple(param_views(f.view(), shapes, matrices) for f in flats))
-
-
-def _stored(arrays: dict, state: AdamState) -> list:
-    """``arrays`` in the order and layout of ``state``'s flat buffers: each
-    weight matrix through its [.., in, out] view, which is the storage
-    itself for a gradient from ``linear`` or the views of a step."""
-    return [arrays[name].swapaxes(-1, -2) if name in state.matrices else arrays[name]
-            for name in state.shapes]
+                     views=tuple(param_views(f.view(), shapes) for f in flats))
 
 
 def _check_keys(arrays: dict, shapes: dict, what: str) -> None:
@@ -217,14 +203,14 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     active, idle = state.flats[state.active], state.flats[1 - state.active]
     if params is not state.views[state.active]:
         _check_keys(params, state.shapes, "parameter")
-        np.concatenate(_stored(params, state), axis=None, out=active)
+        np.concatenate([params[name] for name in state.shapes], axis=None, out=active)
     b1, b2, eps, lr = config.adam_b1, config.adam_b2, config.adam_eps, config.learning_rate
     t = state.t = state.t + 1
     g, m, v, denom = state.grad, state.m, state.v, state.denom
     # the per-tensor formulas in their operation order, so every element
     # rounds as it would in a per-tensor update; the idle buffer, which the
     # update overwrites anyway, holds the intermediates
-    np.concatenate(_stored(grads, state), axis=None, out=g)
+    np.concatenate([grads[name] for name in state.shapes], axis=None, out=g)
     np.multiply(g, 1 - b1, out=idle)
     np.multiply(m, b1, out=m)
     m += idle                                   # b1 * m + (1 - b1) * g

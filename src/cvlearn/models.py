@@ -39,7 +39,7 @@ KINDS = ("rvnn", "cvnn", "steinmetz", "analytic")
 
 MAGNITUDE_EPS = 1e-12  # under the sqrt of the CVNN magnitude head
 
-CHECKPOINT_FORMAT = "cvlearn-checkpoint-v1"
+CHECKPOINT_FORMAT = "cvlearn-checkpoint-v2"
 
 
 @dataclass(frozen=True)
@@ -116,30 +116,31 @@ class ForwardResult:
 
 
 def _param_shapes(spec: NetworkSpec) -> dict[str, tuple]:
-    """Parameter names and shapes in declared (serialization) order."""
+    """Parameter names and shapes in declared (serialization) order; each
+    weight is [in, out], the layout ``x @ w`` reads."""
     dn, ln, out = spec.input_dim, spec.latent_dim, spec.head_width
     if spec.kind == "rvnn":
         return {
-            "fc1.w": (ln, 2 * dn), "fc1.b": (ln,),
-            "fc2.w": (2 * ln, ln), "fc2.b": (2 * ln,),
-            "fc3.w": (out, 2 * ln), "fc3.b": (out,),
+            "fc1.w": (2 * dn, ln), "fc1.b": (ln,),
+            "fc2.w": (ln, 2 * ln), "fc2.b": (2 * ln,),
+            "fc3.w": (2 * ln, out), "fc3.b": (out,),
         }
     if spec.kind == "cvnn":
         k = spec.output_dim
         shapes = {}
-        for name, (o, i) in (("fc1", (ln, dn)), ("fc2", (ln, ln)), ("fc3", (k, ln))):
-            shapes[f"{name}.wr"] = (o, i)
-            shapes[f"{name}.wi"] = (o, i)
+        for name, (i, o) in (("fc1", (dn, ln)), ("fc2", (ln, ln)), ("fc3", (ln, k))):
+            shapes[f"{name}.wr"] = (i, o)
+            shapes[f"{name}.wi"] = (i, o)
             shapes[f"{name}.br"] = (o,)
             shapes[f"{name}.bi"] = (o,)
         return shapes
     # steinmetz / analytic share one parameterization
     return {
-        "realfc1.w": (ln, dn), "realfc1.b": (ln,),
+        "realfc1.w": (dn, ln), "realfc1.b": (ln,),
         "realfc2.w": (ln, ln), "realfc2.b": (ln,),
-        "imagfc1.w": (ln, dn), "imagfc1.b": (ln,),
+        "imagfc1.w": (dn, ln), "imagfc1.b": (ln,),
         "imagfc2.w": (ln, ln), "imagfc2.b": (ln,),
-        "regressor.w": (out, 2 * ln), "regressor.b": (out,),
+        "regressor.w": (2 * ln, out), "regressor.b": (out,),
     }
 
 
@@ -148,7 +149,8 @@ def init_params(spec: NetworkSpec, seed: int) -> Model:
 
     Each parameter draws from its own named substream, so initialization
     is deterministic per (spec, seed) and independent of evaluation order.
-    Raises MemoryError for a parameter too large to allocate.
+    A weight draws its values in [out, in] order and stores their
+    transpose. Raises MemoryError for a parameter too large to allocate.
     """
     root = Rng(seed)
     params = {}
@@ -156,25 +158,19 @@ def init_params(spec: NetworkSpec, seed: int) -> Model:
         if len(shape) == 1:
             params[name] = np.zeros(shape)
         else:
-            bound = 1.0 / np.sqrt(shape[1])
-            params[name] = root.substream(f"init/{name}").uniform(-bound, bound, shape)
+            bound = 1.0 / np.sqrt(shape[0])
+            draw = root.substream(f"init/{name}").uniform(-bound, bound, shape[::-1])
+            params[name] = draw.T.copy()
     return Model(spec=spec, params=params)
 
 
-def param_views(flat: np.ndarray, shapes: dict[str, tuple],
-                matrices=frozenset()) -> dict[str, np.ndarray]:
-    """``flat``, made read-only, cut in order into views of ``shapes``.
-
-    Each entry named in ``matrices`` is stored [.., in, out], as Adam
-    stores weights, and viewed [.., out, in]: ``linear`` then multiplies
-    by the storage itself. A checkpoint's blob names none."""
+def param_views(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """``flat``, made read-only, cut in order into C-order views of ``shapes``."""
     flat.setflags(write=False)
     views, end = {}, 0
     for name, shape in shapes.items():
         start, end = end, end + math.prod(shape)
-        block = flat[start:end]
-        views[name] = (block.reshape(*shape[:-2], shape[-1], shape[-2]).swapaxes(-1, -2)
-                       if name in matrices else block.reshape(shape))
+        views[name] = flat[start:end].reshape(shape)
     return views
 
 
@@ -192,45 +188,45 @@ def _rvnn(spec: NetworkSpec, p: dict, xr: Tensor, xi: Tensor) -> ForwardResult:
 
 
 def _complex_affine(xs: list, p: dict, layer: str, relu: bool = False):
-    """(yr + i yi) = (wr + i wi)(xr + i xi) + (br + i bi), with
-    ``yr = xr @ wr.T + br - xi @ wi.T`` and ``yi = xi @ wr.T + bi + xr @ wi.T``.
+    """(yr + i yi) = (xr + i xi)(wr + i wi) + (br + i bi), with
+    ``yr = xr @ wr + br - xi @ wi`` and ``yi = xi @ wr + bi + xr @ wi``.
     Takes ``[xr, xi]`` in a list that it empties. A hidden layer (``relu``)
     returns ``[yr, yi]``, one tape node per part, the real part first; the
     head returns one node, ``yr`` and ``yi`` written into the halves of its
-    [.., m, 2 out] value, whose inputs' gradients sum the two parts', the
-    imaginary part's first, as backward summed two part nodes'.
+    [.., m, 2 out] value, which lists the imaginary part's parents
+    ``(xi, xr, wr, wi, bi)`` and then the real part's ``(xr, xi, wr, wi,
+    br)``, each with its part's VJPs fed its half of the gradient. Backward
+    sums a repeated parent's contributions in list order, the imaginary
+    part's first, as it summed two part nodes'.
 
     Each part is ``linear``'s two-block form, its shapes checked by the same
-    rule: ``yr`` over ``(xr, xi)`` against ``[wr | -wi]`` and ``yi`` over
-    ``(xi, xr)`` against ``[wr | wi]``. Each transposed weight in C order is
-    shared by both parts: the storage itself for a weight stored [.., in, out],
-    as Adam stores it, or one copy. Each weight gradient is ``x.T @ g``'s
-    [.., in, out] product seen as its [.., out, in] view, and the cross
-    term's gradient is ``-g`` or ``g``, so values and gradients match two
-    ``linear`` nodes joined by ``-`` or ``+`` bit for bit.
-    With ``relu``, each part is ``max(y, 0)`` applied in place to its own
-    fresh sum, and backward masks its gradient by that output, as in ``linear``.
+    rule: ``yr`` over ``(xr, xi)`` against ``[wr; -wi]`` and ``yi`` over
+    ``(xi, xr)`` against ``[wr; wi]``. Each weight gradient is ``x.T @ g``
+    and the cross term's gradient is ``-g`` or ``g``, so values and
+    gradients match two ``linear`` nodes joined by ``-`` or ``+`` bit for
+    bit. With ``relu``, each part is ``max(y, 0)`` applied in place to its
+    own fresh sum, and backward masks its gradient by that output, as in
+    ``linear``.
 
-    The products run as ``xr @ wr.T``, ``xr @ wi.T``, ``xi @ wi.T``,
-    ``xi @ wr.T``. Off a tape nothing else holds an input once ``xs`` is
-    emptied, so each is freed after its second product: at most four
-    [m, out] arrays are live.
+    The products run as ``xr @ wr``, ``xr @ wi``, ``xi @ wi``, ``xi @ wr``.
+    Off a tape nothing else holds an input once ``xs`` is emptied, so each
+    is freed after its second product: at most four [m, out] arrays are
+    live.
     """
     wr, wi, br, bi = (p[f"{layer}.{n}"] for n in ("wr", "wi", "br", "bi"))
     for i, w, b in ((0, wr, br), (1, wi, bi), (1, wr, bi)):  # all four weights agree
         ad.check_affine(xs[i:i + 1], w, b)
-    wtr, wti = (np.ascontiguousarray(w.data.swapaxes(-1, -2)) for w in (wr, wi))
     ins = tuple(xs) if ad.find_tape((*xs, wr, wi, br, bi)) is not None else ()
     ar, ai = (x.data for x in xs)
     xs.clear()
-    n = wtr.shape[-1]
+    n = wr.shape[-1]
     head = None if relu else np.empty(ar.shape[:-1] + (2 * n,))
-    yr = np.matmul(ar, wtr, out=None if relu else head[..., :n])
+    yr = np.matmul(ar, wr.data, out=None if relu else head[..., :n])
     yr += br.data[..., None, :]
-    q = ar @ wti
+    q = ar @ wi.data
     del ar
-    np.subtract(yr, ai @ wti, out=yr)  # negation is exact
-    yi = np.matmul(ai, wtr, out=None if relu else head[..., n:])
+    np.subtract(yr, ai @ wi.data, out=yr)  # negation is exact
+    yi = np.matmul(ai, wr.data, out=None if relu else head[..., n:])
     del ai
     yi += bi.data[..., None, :]
     np.add(yi, q, out=yi)
@@ -240,12 +236,12 @@ def _complex_affine(xs: list, p: dict, layer: str, relu: bool = False):
         return record_op("complex_affine", head, (), ())
 
     def part(x1: Tensor, x2: Tensor, cross) -> tuple:
-        # VJPs of x1 @ wr.T + b + cross(x2 @ wi.T) to (x1, x2, wr, wi, b)
+        # VJPs of x1 @ wr + b + cross(x2 @ wi) to (x1, x2, wr, wi, b)
         x1t, x2t = x1.data.swapaxes(-1, -2), x2.data.swapaxes(-1, -2)
-        return (lambda g: g @ wtr.swapaxes(-1, -2),
-                lambda g: cross(g) @ wti.swapaxes(-1, -2),
-                lambda g: (x1t @ g).swapaxes(-1, -2),
-                lambda g: (x2t @ cross(g)).swapaxes(-1, -2),
+        return (lambda g: g @ wr.data.swapaxes(-1, -2),
+                lambda g: cross(g) @ wi.data.swapaxes(-1, -2),
+                lambda g: x1t @ g,
+                lambda g: x2t @ cross(g),
                 lambda g: np.add.reduce(g, axis=-2))
 
     xr, xi = ins
@@ -253,13 +249,9 @@ def _complex_affine(xs: list, p: dict, layer: str, relu: bool = False):
     if relu:
         return [record_op("complex_affine", yr, (xr, xi, wr, wi, br), re, True),
                 record_op("complex_affine", yi, (xi, xr, wr, wi, bi), im, True)]
-
-    def both(r, i):  # an input's gradient from each part, the imaginary part's first
-        return lambda g: i(g[..., n:]) + r(g[..., :n])
-
-    vjps = (both(re[0], im[1]), both(re[1], im[0]), both(re[2], im[2]), both(re[3], im[3]),
-            lambda g: re[4](g[..., :n]), lambda g: im[4](g[..., n:]))
-    return record_op("complex_affine", head, (xr, xi, wr, wi, br, bi), vjps)
+    return record_op("complex_affine", head, (xi, xr, wr, wi, bi, xr, xi, wr, wi, br),
+                     [lambda g, v=v: v(g[..., n:]) for v in im]
+                     + [lambda g, v=v: v(g[..., :n]) for v in re])
 
 
 def _magnitude(y: Tensor) -> Tensor:
@@ -329,7 +321,7 @@ def forward(model: Model, x_re, x_im, tape: Optional[Tape] = None) -> ForwardRes
     if x_re.shape[-1] != spec.input_dim:
         raise ShapeError(
             f"input feature width {x_re.shape[-1]} != network input_dim {spec.input_dim}")
-    p = {name: ad.trusted_constant(arr, param=True) if tape is None else tape.param(arr, name)
+    p = {name: ad.trusted_constant(arr) if tape is None else tape.param(arr, name)
          for name, arr in model.params.items()}
     xr, xi = (x if isinstance(x, Tensor) else ad.constant(x) for x in (x_re, x_im))
     return _BODIES[spec.kind](spec, p, xr, xi)
@@ -349,19 +341,13 @@ def latent_channels(result: ForwardResult) -> tuple[np.ndarray, np.ndarray]:
 
 # ---------------------------------------------------------------------------
 # checkpoints: one JSON header line, then raw little-endian float64 blobs
-# in declared parameter order and shape
-
-# values per piece a parameter is written in (32 KiB); a piece is a copy
-# only for a weight not in C order
-_WRITE_BLOCK = 1 << 12
+# in declared parameter order and shape, each weight [in, out]
 
 
 def save_checkpoint(model: Model, path, seed: int, epoch: int) -> None:
-    """Write one network; a stacked ensemble raises ContractError.
-
-    Each parameter is written in pieces of whole rows: views of a C-order
-    array's own buffer, or, for a trained weight stored [in, out], C-order
-    copies of about 32 KiB, never one weight-sized copy."""
+    """Write one network; a stacked ensemble raises ContractError. Each
+    parameter is written whole, from its own buffer when it is in C order,
+    as in every Model that cvlearn builds."""
     if [p.shape for p in model.params.values()] != list(_param_shapes(model.spec).values()):
         raise ContractError("save_checkpoint writes one network, not a stacked ensemble")
     header = {
@@ -376,9 +362,7 @@ def save_checkpoint(model: Model, path, seed: int, epoch: int) -> None:
     with open(path, "wb") as f:
         f.write(json.dumps(header).encode("utf-8") + b"\n")
         for p in model.params.values():
-            step = max(1, _WRITE_BLOCK // math.prod(p.shape[1:]))  # rows per piece
-            for lo in range(0, len(p), step):
-                f.write(np.ascontiguousarray(p[lo:lo + step], dtype="<f8"))
+            f.write(np.ascontiguousarray(p, "<f8"))
 
 
 def _header_spec(header: dict) -> NetworkSpec:

@@ -17,8 +17,8 @@ transform maps the last axis, whatever the leading shape.
   (784 = 28 * 28, 64 = 8 * 8). Two batched products against the cached
   n1- and n2-point kernels, joined by a cached twiddle table, cost about
   8 n (n1 + n2) real flops per row instead of 8 n^2. Rows go through in
-  blocks of about 1 MiB, so the only large allocation is the output, as
-  on the direct path;
+  ``row_blocks`` of about 1 MiB, so the only large allocation is the
+  output, as on the direct path;
 - prime n, n = 0 and n = 1: direct summation against the cached n-point
   kernel.
 
@@ -78,10 +78,6 @@ def _twiddles(n1: int, n2: int, sign: int) -> np.ndarray:
     return t
 
 
-# complex elements per block of rows in the split path: the transient
-# beyond the output array stays at a few MiB however many rows come in
-_SPLIT_BLOCK = 1 << 16
-
 # complex values per block of ``row_blocks`` (1 MiB)
 _ROW_BLOCK = 1 << 16
 
@@ -109,11 +105,10 @@ def _dft_split(z: np.ndarray, n1: int, n2: int, sign: int) -> np.ndarray:
     k1, k2, tw = _dft_kernel(n1, sign), _dft_kernel(n2, sign), _twiddles(n1, n2, sign)
     rows = z.reshape((-1, n1, n2))
     out = np.empty((len(rows), n2, n1), dtype=np.complex128)
-    step = max(1, _SPLIT_BLOCK // (n1 * n2))
-    for lo in range(0, len(rows), step):
-        y = rows[lo:lo + step].swapaxes(-1, -2) @ k1
+    for lo, hi in row_blocks(len(rows), n1 * n2):
+        y = rows[lo:hi].swapaxes(-1, -2) @ k1
         y *= tw
-        np.matmul(k2, y, out=out[lo:lo + step])
+        np.matmul(k2, y, out=out[lo:hi])
     return out.reshape(z.shape)
 
 

@@ -19,29 +19,35 @@ FD_STEP = 1e-5
 RELU_NODES = {"rvnn": 2, "cvnn": 4, "steinmetz": 4, "analytic": 4}
 
 
+def in_out(w):
+    """A weight drawn [.., out, in], the order the fixtures draw in, stored
+    in C order in its declared [.., in, out] layout."""
+    return np.ascontiguousarray(np.swapaxes(w, -1, -2))
+
+
 def relu_preactivations(tape) -> list:
     """The pre-activation of every node on the tape that applies a ReLU in
     place, recomputed from the node's parents with plain numpy rather than
-    by the op's own code: ``x @ w.T + b`` over a ``linear`` node's joined
-    input blocks, ``x1 @ wr.T + b -/+ x2 @ wi.T`` for a hidden
+    by the op's own code: ``x @ w + b`` over a ``linear`` node's joined
+    input blocks, ``x1 @ wr + b -/+ x2 @ wi`` for a hidden
     ``complex_affine`` part, and both parts side by side for cvnn's head,
-    the ``complex_affine`` node with six parents and no ReLU. A hidden
-    layer records its real part (minus) before its imaginary part (plus),
-    so the parts alternate. Each recomputed value must give the node's
-    output, under ``max(., 0)`` where the node applies a ReLU.
+    the ``complex_affine`` node with ten parents (the imaginary part's
+    five, then the real part's) and no ReLU. A hidden layer records its
+    real part (minus) before its imaginary part (plus), so the parts
+    alternate. Each recomputed value must give the node's output, under
+    ``max(., 0)`` where the node applies a ReLU.
     """
     def part(x1, x2, wr, wi, b, sign):
-        return x1 @ wr.swapaxes(-1, -2) + b[..., None, :] + sign * (x2 @ wi.swapaxes(-1, -2))
+        return x1 @ wr + b[..., None, :] + sign * (x2 @ wi)
 
     pres, parts = [], 0
     for n in tape.nodes:
         if n.op == "linear":
             *xs, w, b = (p.data for p in n.parents)
-            pre = np.concatenate(xs, axis=-1) @ w.swapaxes(-1, -2) + b[..., None, :]
-        elif n.op == "complex_affine" and len(n.parents) == 6:
-            xr, xi, wr, wi, br, bi = (p.data for p in n.parents)
-            pre = np.concatenate([part(xr, xi, wr, wi, br, -1.0),
-                                  part(xi, xr, wr, wi, bi, 1.0)], axis=-1)
+            pre = np.concatenate(xs, axis=-1) @ w + b[..., None, :]
+        elif n.op == "complex_affine" and len(n.parents) == 10:
+            im, re = (p.data for p in n.parents[:5]), (p.data for p in n.parents[5:])
+            pre = np.concatenate([part(*re, -1.0), part(*im, 1.0)], axis=-1)
         elif n.op == "complex_affine":
             pre = part(*(p.data for p in n.parents), 1.0 if parts % 2 else -1.0)
             parts += 1
@@ -95,20 +101,18 @@ def block_relative_error(fd: dict, tape_grads: dict) -> float:
 
 
 def linear_chain_reference(x, w, b, upstream, bias: bool):
-    """Value and gradients of ``sum((x @ w.T (+ b)) * upstream)`` by the
-    numpy calls of the unfused tape chain that ``autodiff.linear``
-    replaces: a transpose node, a matmul node, a row-broadcast bias add
-    node when ``bias``, then the ``weighted_sum`` probe.
-    Without ``bias`` the gradient of ``b`` is zeros, as the tape reports
-    for an unreached parameter.
+    """Value and gradients of ``sum((x @ w (+ b)) * upstream)`` for a 2-D
+    [in, out] weight ``w`` in C order, by the numpy calls of the unfused
+    tape chain that ``autodiff.linear`` replaces: a matmul node, a
+    row-broadcast bias add node when ``bias``, then the ``weighted_sum``
+    probe. Without ``bias`` the gradient of ``b`` is zeros, as the tape
+    reports for an unreached parameter.
     """
-    wt = np.ascontiguousarray(w.T)                # transpose
-    value = x @ wt                                # matmul
+    value = x @ w                                 # matmul
     if bias:
         value = value + b[..., None, :]           # bias add
     g = np.full(value.shape, 1.0) * upstream      # the probe
-    grads = {"x": g @ wt.T,                       # matmul, first operand
-             "w": np.ascontiguousarray((x.T @ g).T),  # matmul, then transpose
+    grads = {"x": g @ w.T, "w": x.T @ g,          # matmul, each operand
              "b": np.add.reduce(g, axis=-2) if bias else np.zeros_like(b)}
     return value, grads
 

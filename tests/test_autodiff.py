@@ -9,7 +9,7 @@ from cvlearn import autodiff as ad
 from cvlearn import models
 from cvlearn.errors import ContractError, DataError, ShapeError
 
-from helpers import (block_relative_error, central_diff, linear_chain_reference,
+from helpers import (block_relative_error, central_diff, in_out, linear_chain_reference,
                      relu_margin, sq_diff_chain_reference, weighted_sum)
 
 
@@ -93,6 +93,21 @@ def test_backward_of_member_losses_is_backward_of_their_sum():
     assert np.array_equal(per_member["a"], summed["a"])
 
 
+def test_a_parent_listed_twice_gets_its_contributions_summed_in_list_order():
+    # cvnn's head lists its inputs and weights once per part: a node adds
+    # its contributions to a parent in list order, and an earlier node adds
+    # its own after them
+    c0, c1, c2 = np.random.default_rng(12).standard_normal((3, 4, 5))
+    tape = cv.Tape()
+    x = tape.param(np.zeros((4, 5)), "x")
+    early = ad.record_op("early", np.zeros((4, 5)), (x,), (lambda g: c0,))
+    late = ad.record_op("late", np.zeros((4, 5)), (x, early, x),
+                        (lambda g: c1, lambda g: g, lambda g: c2))
+    grads = tape.backward(weighted_sum(late, np.ones((4, 5))))
+    assert np.array_equal(grads["x"], (c1 + c2) + c0)
+    assert not np.array_equal(grads["x"], c1 + (c2 + c0))  # the order shows
+
+
 def test_backward_requires_scalar_loss():
     tape = cv.Tape()
     x = tape.param(np.ones((2, 2)), "x")
@@ -102,7 +117,7 @@ def test_backward_requires_scalar_loss():
 
 def test_backward_relu_network_matches_finite_differences():
     g = np.random.default_rng(3)
-    w = g.standard_normal((4, 6))
+    w = in_out(g.standard_normal((4, 6)))
     x = ad.constant(g.standard_normal((6, 2)).T)
     b = ad.constant(g.standard_normal(4))
 
@@ -139,7 +154,7 @@ def test_backward_composite_network_with_penalty():
 def test_backward_deterministic_bit_identical():
     g = np.random.default_rng(4)
     x = g.standard_normal((4, 8))
-    w = g.standard_normal((3, 8))
+    w = in_out(g.standard_normal((3, 8)))
     b = g.standard_normal(3)
     target = g.standard_normal((4, 3))
 
@@ -258,6 +273,7 @@ def test_binary_op_gradients_100_seeds(name):
         g = np.random.default_rng(1000 + seed)
         a = g.standard_normal((3, 4))
         b = g.standard_normal(b_shapes.get(name, (3, 4)))
+        b = in_out(b) if name == "linear" else b
 
         def loss_fn(params, seed=seed):
             tape = cv.Tape()
@@ -274,7 +290,7 @@ def test_binary_op_gradients_100_seeds(name):
 def test_linear_with_bias_gradients_100_seeds():
     for seed in range(100):
         g = np.random.default_rng(2000 + seed)
-        params = {"x": g.standard_normal((3, 4)), "w": g.standard_normal((5, 4)),
+        params = {"x": g.standard_normal((3, 4)), "w": in_out(g.standard_normal((5, 4))),
                   "b": g.standard_normal(5)}
 
         def run(params, seed=seed):
@@ -325,16 +341,19 @@ def _node_case(name, g):
                 return y[part]
             return y if part is None else _half(y, part)
 
-        return op, {k: g.standard_normal(lead + s) for k, s in shapes.items()}
+        return op, {k: in_out(v) if k[0] == "w" else v
+                    for k, v in ((k, g.standard_normal(lead + s)) for k, s in shapes.items())}
     if name.startswith("linear_pair"):
         lead = (2,) if name.endswith("stacked") else ()
         shapes = {"xr": (3, 4), "xi": (3, 2), "w": (5, 6), "b": (5,)}
         return (lambda t: ad.linear((t["xr"], t["xi"]), t["w"], t["b"], relu),
-                {k: g.standard_normal(lead + s) for k, s in shapes.items()})
+                {k: in_out(v) if k == "w" else v
+                 for k, v in ((k, g.standard_normal(lead + s)) for k, s in shapes.items())})
     if name.startswith("linear"):
         shapes = {"x": (3, 4), "w": (5, 4), "b": (5,)}
         return (lambda t: ad.linear(t["x"], t["w"], t["b"], relu),
-                {k: g.standard_normal(s) for k, s in shapes.items()})
+                {k: in_out(v) if k == "w" else v
+                 for k, v in ((k, g.standard_normal(s)) for k, s in shapes.items())})
     if name == "magnitude":
         parts = g.standard_normal((3, 4)), g.standard_normal((3, 4))
         return (lambda t: models._magnitude(t["y"]), {"y": np.concatenate(parts, axis=-1)})
@@ -393,7 +412,7 @@ def test_linear_bit_identical_to_transpose_matmul_add_bias(shape, bias):
     *lead, m, d_in, d_out = shape
     g = np.random.default_rng(d_in * 1000 + d_out)
     x = g.standard_normal((*lead, m, d_in))
-    w = g.standard_normal((*lead, d_out, d_in))
+    w = in_out(g.standard_normal((*lead, d_out, d_in)))
     b = g.standard_normal((*lead, d_out))
     upstream = g.standard_normal((*lead, m, d_out))
 
@@ -429,15 +448,15 @@ def test_linear_pair_form_bit_identical_to_hand_computed(shape):
     *lead, m, nr, ni, d_out = shape
     g = np.random.default_rng(nr * 1000 + ni + d_out + len(lead))
     xr, xi = g.standard_normal((*lead, m, nr)), g.standard_normal((*lead, m, ni))
-    w = g.standard_normal((*lead, d_out, nr + ni))
+    w = in_out(g.standard_normal((*lead, d_out, nr + ni)))
     b = g.standard_normal((*lead, d_out))
     upstream = g.standard_normal((*lead, m, d_out))
     value, grads = _linear_pair(xr, xi, w, b, upstream)
     for e in np.ndindex(*lead):
-        wt, u = np.ascontiguousarray(w[e].T), upstream[e]
-        assert np.array_equal(value[e], xr[e] @ wt[:nr] + b[e] + xi[e] @ wt[nr:])
-        ref = {"xr": u @ wt[:nr].T, "xi": u @ wt[nr:].T,
-               "w": np.concatenate([u.T @ xr[e], u.T @ xi[e]], axis=1),
+        we, u = w[e], upstream[e]
+        assert np.array_equal(value[e], xr[e] @ we[:nr] + b[e] + xi[e] @ we[nr:])
+        ref = {"xr": u @ we[:nr].T, "xi": u @ we[nr:].T,
+               "w": np.concatenate([u.T @ xr[e], u.T @ xi[e]], axis=1).T,
                "b": np.add.reduce(u, axis=0)}
         for name, r in ref.items():
             assert np.array_equal(grads[name][e], r), name
@@ -458,7 +477,8 @@ def test_linear_pair_form_bit_identical_to_hand_computed(shape):
 @pytest.mark.parametrize("relu", [False, True])
 def test_linear_one_block_is_the_lone_tensor(lead, relu):
     g = np.random.default_rng(len(lead) + 2 * relu)
-    params = {"x": g.standard_normal((*lead, 7, 4)), "w": g.standard_normal((*lead, 5, 4)),
+    params = {"x": g.standard_normal((*lead, 7, 4)),
+              "w": in_out(g.standard_normal((*lead, 5, 4))),
               "b": g.standard_normal((*lead, 5))}
     upstream = g.standard_normal((*lead, 7, 5))
     runs = []
@@ -474,11 +494,11 @@ def test_linear_one_block_is_the_lone_tensor(lead, relu):
 
 
 def test_linear_pair_shape_mismatch():
-    w, b = ad.constant(np.ones((4, 5))), ad.constant(np.ones(4))
+    w, b = ad.constant(np.ones((5, 4))), ad.constant(np.ones(4))
     x1, x2, x3 = (ad.constant(np.ones((2, n))) for n in (1, 2, 3))
-    ad.linear((x2, x3), w, b)  # widths 2 + 3 split w's 5 input columns
+    ad.linear((x2, x3), w, b)  # widths 2 + 3 split w's 5 input rows
     # widths that do not add up, rows or axes that differ, none, and three
-    # blocks whose widths 2 + 2 + 1 do split the 5 columns: one block or a pair
+    # blocks whose widths 2 + 2 + 1 do split the 5 rows: one block or a pair
     for pair in [(x3, x3), (x2, x2), (x2, ad.constant(np.ones((3, 3)))),
                  (x2, ad.constant(np.ones((1, 2, 3)))), (), (x2, x2, x1)]:
         with pytest.raises(ShapeError):
@@ -528,16 +548,16 @@ def test_mean_sq_diff_shape_mismatch():
 
 
 def test_linear_shape_mismatch():
-    x, w = ad.constant(np.ones((2, 3))), ad.constant(np.ones((4, 2)))
+    x, w = ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 4)))
     with pytest.raises(ShapeError):
         ad.linear(x, w, ad.constant(np.ones(4)))
     with pytest.raises(ShapeError):
-        ad.linear(x, ad.constant(np.ones((4, 3))), ad.constant(np.ones(3)))
+        ad.linear(x, ad.constant(np.ones((3, 4))), ad.constant(np.ones(3)))
 
 
 def test_linear_requires_a_bias():
     with pytest.raises(TypeError):
-        ad.linear(ad.constant(np.ones((2, 3))), ad.constant(np.ones((4, 3))))
+        ad.linear(ad.constant(np.ones((2, 3))), ad.constant(np.ones((3, 4))))
 
 
 def test_dropped_tape_is_freed_without_cyclic_gc():
@@ -545,7 +565,8 @@ def test_dropped_tape_is_freed_without_cyclic_gc():
     try:
         tape = cv.Tape()
         x = tape.param(np.ones((2, 3)), "x")
-        out = ad.linear(x, x, ad.constant(np.zeros(2)), relu=True)
+        out = ad.linear(x, tape.param(np.ones((3, 2)), "w"), ad.constant(np.zeros(2)),
+                        relu=True)
         loss = weighted_sum(out, np.ones(out.shape))
         tape.backward(loss)
         ref = weakref.ref(tape)

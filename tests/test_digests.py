@@ -59,7 +59,7 @@ DIGESTS = {
         "train_models/analytic/E3":
             "1692cedc4bf43437151b59601eb181ce94b7a4245002f19ed29c978141f002c7",
         "cli_train/checkpoint.bin":
-            "e5e03e035789bfb127c41c69807b50b07674208cd7dfe6b23b518f9e1a8b708b",
+            "5e07bb629867a576905c472a7316a2212b29e12d3f2f167b42a6e5bcb261d6f7",
         "cli_train/report":
             "0b8311a40ece26971d3113519cd2df84ee4a7af230660dc44c135b15954bd95b",
     },
@@ -139,7 +139,9 @@ def train_models_digest(kind: str, members: int) -> str:
     parts = []
     for model, records in train_models(spec, train_sets, cfgs, test_sets):
         for name, p in model.params.items():
-            parts += [name.encode(), np.ascontiguousarray(p, dtype="<f8").tobytes()]
+            # each weight as its [out, in] transpose, the order the pins were
+            # recorded in; p.T of a bias is the bias
+            parts += [name.encode(), np.ascontiguousarray(p.T, dtype="<f8").tobytes()]
         parts.append(records)
     return _sha(*parts)
 

@@ -10,7 +10,7 @@ from cvlearn import transforms as tr
 from cvlearn.errors import (ContractError, DataError, DivergenceError, ShapeError,
                             ValidationError)
 from cvlearn.losses import TrainConfig, adam_init, adam_step
-from cvlearn.models import LatentPair, param_views
+from cvlearn.models import LatentPair
 from cvlearn.train import resolve_config
 
 from helpers import adam_reference, total_loss_chain_reference, weighted_sum
@@ -252,31 +252,23 @@ def test_adam_in_place_matches_functional_oracle(layout, knobs):
         for name in ref:
             assert np.array_equal(p[name], ref[name]), name
     assert state.t == ref_state[2] == 30
-    # the oracle's moments are in declared row-major order; the state's are
-    # in its own layout, so each tensor's are compared through its views
-    for flat, ref_flat in ((state.m, ref_state[0]), (state.v, ref_state[1])):
-        got = param_views(flat.copy(), state.shapes, state.matrices)
-        want = param_views(ref_flat.copy(), state.shapes)
-        for name in state.shapes:
-            assert np.array_equal(got[name], want[name]), name
+    assert np.array_equal(state.m, ref_state[0]) and np.array_equal(state.v, ref_state[1])
 
 
 @pytest.mark.parametrize("layout,matrices", [("1-D", set()), ("2-D", {"w", "u"}),
                                              ("stacked", {"w"})])
 def test_adam_stores_weight_matrices_as_linear_reads_them(layout, matrices):
-    # each weight matrix, an entry of the highest rank, is stored [.., in, out]
-    # and returned as an [.., out, in] view of it, so linear's contiguous w.T
-    # is the storage itself; a bias is stored as it is declared
+    # every entry, weight matrix or bias, comes back as a read-only C-order
+    # view of the active buffer in its declared shape, so a tape binds each
+    # weight matrix that linear multiplies by without a copy
     params, grads = _adam_case(ADAM_SHAPES[layout], seed=4)
-    state = adam_init(params)
-    assert state.matrices == matrices
-    p, state = adam_step(params, grads[0], state, TrainConfig(learning_rate=0.01))
+    p, state = adam_step(params, grads[0], adam_init(params), TrainConfig(learning_rate=0.01))
     for name, arr in p.items():
         assert arr.shape == params[name].shape
-        stored = arr.swapaxes(-1, -2) if name in matrices else arr
-        assert stored.flags.c_contiguous, name
-        assert np.shares_memory(stored, state.flats[state.active]), name
-        assert np.ascontiguousarray(stored) is stored, name
+        assert arr.flags.c_contiguous and not arr.flags.writeable, name
+        assert np.shares_memory(arr, state.flats[state.active]), name
+    for name in matrices:
+        assert np.shares_memory(cv.Tape().param(p[name], name).data, p[name]), name
 
 
 def test_adam_returns_read_only_views_and_leaves_inputs_alone():

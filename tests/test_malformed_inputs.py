@@ -9,6 +9,7 @@ with one stderr line and no traceback.
 import contextlib
 import io
 import json
+import math
 import tempfile
 import warnings
 from dataclasses import fields
@@ -255,6 +256,29 @@ def _bad_checkpoint(w: Path) -> Path:
     return w / "huge.bin"
 
 
+def _v1_checkpoint(w: Path, src: Path) -> Path:
+    """``src`` rewritten as the v1 format stored it: each weight transposed
+    to [out, in] and listed at that shape, under the v1 format string."""
+    header, blob = src.read_bytes().split(b"\n", 1)
+    header, flat, parts, start = json.loads(header), np.frombuffer(blob, dtype="<f8"), [], 0
+    for entry in header["params"]:
+        p = flat[start:(start := start + math.prod(entry["shape"]))].reshape(entry["shape"])
+        parts.append(p.T.tobytes())
+        entry["shape"] = entry["shape"][::-1]
+    header["format"] = "cvlearn-checkpoint-v1"
+    _write_checkpoint(w / f"v1-{src.name}", header, b"".join(parts))
+    return w / f"v1-{src.name}"
+
+
+def _square_steinmetz_v1(w: Path) -> Path:
+    """A v1 steinmetz checkpoint whose every weight is square (dN = lN = 4,
+    8 classes), so each matches its v2 shape too, and a set it fits."""
+    spec = cv.NetworkSpec("steinmetz", 4, 4, 8, "classification")
+    cv.save_checkpoint(cv.init_params(spec, 1), w / "square.bin", seed=1, epoch=0)
+    cv.save_cvds(synthetic_classification(8, 4, 8, seed=6), w / "cls4")
+    return _v1_checkpoint(w, w / "square.bin")
+
+
 def _features_dir(w: Path) -> Path:
     d = w / "dirblob"
     cv.save_cvds(cv.gen_channel_dataset(cv.ChannelSpec(), 4, seed=2), d)
@@ -361,6 +385,11 @@ CASES = {
         "eval", "--checkpoint", w / "chan", "--dataset", w / "chan"]),
     "eval-checkpoint-huge-shape": (2, "checkpoint blob: expected", lambda w: [
         "eval", "--checkpoint", _bad_checkpoint(w), "--dataset", w / "chan"]),
+    "eval-checkpoint-v1": (2, "cvlearn-checkpoint-v1", lambda w: [
+        "eval", "--checkpoint", _v1_checkpoint(w, w / "run" / "checkpoint.bin"),
+        "--dataset", w / "chan"]),
+    "eval-checkpoint-v1-square-steinmetz": (2, "cvlearn-checkpoint-v1", lambda w: [
+        "eval", "--checkpoint", _square_steinmetz_v1(w), "--dataset", w / "cls4"]),
     "eval-checkpoint-overflows": (2, "not all finite", lambda w: [
         "eval", "--checkpoint", _overflowing_checkpoint(w), "--dataset", w / "chan",
         "--out", w / "o1.json"]),

@@ -12,7 +12,7 @@ from cvlearn import models
 from cvlearn.errors import ContractError, DataError, ShapeError
 
 from helpers import (block_relative_error, build_arch_loss, central_diff,
-                     complex_affine_chain_reference, magnitude_chain_reference,
+                     complex_affine_chain_reference, in_out, magnitude_chain_reference,
                      random_regression, synthetic_classification, weighted_sum)
 
 ALL_KINDS = ["rvnn", "cvnn", "steinmetz", "analytic"]
@@ -93,7 +93,7 @@ def test_steinmetz_hand_computed_fixture():
         "realfc2.w": eye.copy(), "realfc2.b": np.zeros(2),
         "imagfc1.w": eye.copy(), "imagfc1.b": np.zeros(2),
         "imagfc2.w": eye.copy(), "imagfc2.b": np.zeros(2),
-        "regressor.w": np.array([[1.0, 2.0, 3.0, 4.0]]), "regressor.b": np.zeros(1),
+        "regressor.w": np.array([[1.0], [2.0], [3.0], [4.0]]), "regressor.b": np.zeros(1),
     }
     # real chain: relu([1,-1]) = [1,0]; relu([1,0]) = [1,0]; centered -> [.5,-.5]
     # imag chain: zeros throughout
@@ -165,7 +165,7 @@ def test_complex_layer_single_neuron():
     p = {"fc1.wr": tape.param(w.real, "wr"), "fc1.wi": tape.param(w.imag, "wi"),
          "fc1.br": tape.param(b.real, "br"), "fc1.bi": tape.param(b.imag, "bi")}
     head = models._complex_affine([ad.constant(x.real), ad.constant(x.imag)], p, "fc1")
-    y = x @ w.T + b  # numpy's complex arithmetic
+    y = x @ w + b  # numpy's complex arithmetic
     assert np.array_equal(head.data, np.concatenate([y.real, y.imag], axis=1))
     assert head.data.tolist() == [[0.0, 1.0]]
     rr, ri = models._complex_affine([ad.constant(x.real), ad.constant(x.imag)], p,
@@ -178,8 +178,8 @@ def test_complex_layer_single_neuron():
 
 
 # a bias, weight or row count that numpy would broadcast or fail on
-@pytest.mark.parametrize("name,shape", [("fc1.br", (1,)), ("fc2.wi", (4, 3)),
-                                        ("fc2.wi", (1, 4)), ("fc3.bi", (1,))])
+@pytest.mark.parametrize("name,shape", [("fc1.br", (1,)), ("fc2.wi", (3, 4)),
+                                        ("fc2.wi", (4, 1)), ("fc3.bi", (1,))])
 def test_cvnn_rejects_mismatched_parameter_shapes(name, shape):
     spec = cv.NetworkSpec(kind="cvnn", input_dim=3, latent_dim=4, output_dim=2,
                           task="complex_regression")
@@ -199,7 +199,8 @@ def test_complex_affine_bit_identical_to_linear_sub_add_chain(shape):
     x_shape, w_shape, b_shape = (*lead, m, d_in), (*lead, d_out, d_in), (*lead, d_out)
     arrays = {"xr": x_shape, "xi": x_shape, "wr": w_shape, "wi": w_shape,
               "br": b_shape, "bi": b_shape}
-    arrays = {k: g.standard_normal(s) for k, s in arrays.items()}
+    arrays = {k: in_out(v) if k[0] == "w" else v
+              for k, v in ((k, g.standard_normal(s)) for k, s in arrays.items())}
     up_r, up_i = g.standard_normal((*lead, m, d_out)), g.standard_normal((*lead, m, d_out))
 
     def layer_of(t):
@@ -312,11 +313,11 @@ def test_cvnn_degenerate_reduces_to_real_mlp_bitwise():
     # same op ordering on plain arrays: matmul, subtract zero, add bias
     h = xr
     for layer in ("fc1", "fc2"):
-        h = (h @ model.params[f"{layer}.wr"].T
-             - np.zeros((4, 1)) @ np.zeros((1, model.params[f"{layer}.wr"].shape[0]))
+        h = (h @ model.params[f"{layer}.wr"]
+             - np.zeros((4, 1)) @ np.zeros((1, model.params[f"{layer}.wr"].shape[1]))
              + model.params[f"{layer}.br"])
         h = np.maximum(h, 0.0)
-    ref = (h @ model.params["fc3.wr"].T) - 0.0 + model.params["fc3.br"]
+    ref = (h @ model.params["fc3.wr"]) - 0.0 + model.params["fc3.br"]
     assert np.array_equal(pred.data[:, :3], ref)
     assert np.all(pred.data[:, 3:] == 0)
 
@@ -377,7 +378,7 @@ def test_cvnn_joined_head_gradients_match_finite_differences(task):
         if built is None:
             continue
         params, loss_fn, tape, loss = built
-        head = [n for n in tape.nodes if n.op == "complex_affine" and len(n.parents) == 6]
+        head = [n for n in tape.nodes if n.op == "complex_affine" and len(n.parents) == 10]
         assert len(head) == 1 and head[0].shape == (2, 6)  # batch 2, k = 3
         fd = central_diff(loss_fn, params)
         assert block_relative_error(fd, tape.backward(loss)) < 1e-5
@@ -508,7 +509,7 @@ def test_checkpoint_garbage_header_rejected(tmp_path):
 
 def _per_blob_checkpoint(model, seed, epoch) -> bytes:
     """The checkpoint bytes as written one parameter blob at a time."""
-    header = {"format": "cvlearn-checkpoint-v1", "spec": asdict(model.spec),
+    header = {"format": "cvlearn-checkpoint-v2", "spec": asdict(model.spec),
               "seed": seed, "epoch": epoch,
               "params": [{"name": n, "shape": list(p.shape)}
                          for n, p in model.params.items()],

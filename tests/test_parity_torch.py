@@ -23,6 +23,13 @@ def _t(arr, grad=False):
     return out
 
 
+def _torch_params(model):
+    """The model's parameters as leaf tensors in torch's layout: each
+    [in, out] weight transposed to [out, in] (a bias's .T is itself), so a
+    parameter's .grad.numpy().T is in cvlearn's layout again."""
+    return {name: _t(arr.T, grad=True) for name, arr in model.params.items()}
+
+
 def _rel(a, b):
     a, b = np.asarray(a), np.asarray(b)
     denom = max(np.linalg.norm(a), np.linalg.norm(b), 1e-12)
@@ -51,7 +58,7 @@ def test_steinmetz_with_penalty_matches_torch(seed):
                          cv.hilbert_penalty(result.latent_pair), beta)
     grads = tape.backward(loss)
 
-    p = {name: _t(arr, grad=True) for name, arr in model.params.items()}
+    p = _torch_params(model)
 
     def chain(x, prefix):
         h = torch.relu(_t(x) @ p[f"{prefix}fc1.w"].T + p[f"{prefix}fc1.b"])
@@ -67,7 +74,7 @@ def test_steinmetz_with_penalty_matches_torch(seed):
 
     assert abs(float(loss.data) - float(ref_loss.detach())) < 1e-12
     for name in model.params:
-        assert _rel(grads[name], p[name].grad.numpy()) < 1e-10, name
+        assert _rel(grads[name], p[name].grad.numpy().T) < 1e-10, name
 
 
 @pytest.mark.parametrize("task", ["classification", "complex_regression"])
@@ -88,7 +95,7 @@ def test_cvnn_matches_torch(task):
         loss = cv.mse(res.pred, targets)
     grads = tape.backward(loss)
 
-    p = {name: _t(arr, grad=True) for name, arr in model.params.items()}
+    p = _torch_params(model)
     yr, yi = _t(x_re), _t(x_im)
     for layer, activate in (("fc1", True), ("fc2", True), ("fc3", False)):
         wr, wi = p[f"{layer}.wr"], p[f"{layer}.wi"]
@@ -107,7 +114,7 @@ def test_cvnn_matches_torch(task):
 
     assert abs(float(loss.data) - float(ref_loss.detach())) < 1e-12
     for name in model.params:
-        assert _rel(grads[name], p[name].grad.numpy()) < 1e-10, name
+        assert _rel(grads[name], p[name].grad.numpy().T) < 1e-10, name
 
 
 def test_rvnn_matches_torch():
@@ -121,7 +128,7 @@ def test_rvnn_matches_torch():
     tape = cv.Tape()
     grads = tape.backward(cv.mse(cv.forward(model, x_re, x_im, tape).pred, targets))
 
-    p = {name: _t(arr, grad=True) for name, arr in model.params.items()}
+    p = _torch_params(model)
     x = torch.cat([_t(x_re), _t(x_im)], dim=1)
     h = torch.relu(x @ p["fc1.w"].T + p["fc1.b"])
     latent = torch.relu(h @ p["fc2.w"].T + p["fc2.b"])
@@ -130,7 +137,7 @@ def test_rvnn_matches_torch():
     ref_loss.backward()
 
     for name in model.params:
-        assert _rel(grads[name], p[name].grad.numpy()) < 1e-10, name
+        assert _rel(grads[name], p[name].grad.numpy().T) < 1e-10, name
 
 
 def test_adam_trajectory_matches_torch():

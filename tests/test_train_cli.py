@@ -119,10 +119,11 @@ def _spectral_set():
 def test_rvnn_evaluate_of_spectral_set_allocates_no_joined_input():
     # 2000 x 784 dft_encoded rows, latent 64, 10 classes. The two channel
     # blocks are read in place, each ReLU runs in place and no graph is
-    # kept, so the peak is the [2000, 64] and [2000, 128] activations and
-    # the weight copy: 3.21 MB measured (5.1 MB with a separate ReLU node),
-    # where the joined [2000, 1568] input alone took 25.1 MB. Pinned at
-    # about +15%: 0.49 MB, under one [2000, 64] activation (1.02 MB).
+    # kept, so the peak is the [2000, 64] and [2000, 128] activations:
+    # 3.14 MB measured (3.21 MB while each call copied its weight, 5.1 MB
+    # with a separate ReLU node), where the joined [2000, 1568] input alone
+    # took 25.1 MB. Pinned at 3.7 MB, under one [2000, 64] activation
+    # (1.02 MB) above the measured peak.
     model = cv.init_params(cv.NetworkSpec("rvnn", 784, 64, 10, "classification"), 1)
     assert _evaluate_peak(model, _spectral_set()) <= 3.7e6
 
@@ -143,7 +144,9 @@ def test_rvnn_evaluate_of_spectral_set_allocates_no_joined_input():
 # rvnn, steinmetz and analytic peaks were 25.6, 31.0 and 31.0 MB, and
 # 6.39 MB on 784; with layer 1's outputs kept through layer 2, cvnn's were
 # 25.67 and 5.19 MB; with the latents joined into an [m, 128] copy for the
-# head, steinmetz's and analytic's were 20.71 and 4.34 MB.
+# head, steinmetz's and analytic's were 20.71 and 4.34 MB. With no weight
+# copy per call the 784-wide peaks are 4.10 MB for cvnn and 3.16 MB for
+# steinmetz and analytic.
 @pytest.mark.parametrize("rows,kind,pin_mb", [
     ("channel", "rvnn", 17.8), ("channel", "cvnn", 23.6),
     ("channel", "steinmetz", 17.8), ("channel", "analytic", 17.8),
@@ -191,10 +194,62 @@ def test_no_graph_forward_of_a_trained_model_copies_no_weight(kind):
     assert peak < largest, peak
 
 
+@pytest.mark.parametrize("source", ["fresh", "loaded"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_no_graph_forward_of_a_fresh_or_loaded_model_copies_no_weight(kind, source,
+                                                                      tmp_path):
+    # as for a trained model: init_params and load_checkpoint hold each
+    # weight [in, out] in C order, the layout its product reads. Measured
+    # 0.085 MB for rvnn and 0.070 MB for the others; 0.84, 0.87 and 0.45 MB
+    # when each call copied a weight declared [out, in] to a contiguous w.T.
+    model = cv.init_params(cv.NetworkSpec(kind, 784, 64, 10, "classification"), 1)
+    if source == "loaded":
+        cv.save_checkpoint(model, tmp_path / "ckpt.bin", seed=1, epoch=0)
+        model = cv.load_checkpoint(tmp_path / "ckpt.bin")[0]
+    xr, xi = _spectral_set().features_re[:32], _spectral_set().features_im[:32]
+    largest = max(p.nbytes for p in model.params.values())
+    cv.forward(model, xr, xi)  # warm-up
+    tracemalloc.start()
+    try:
+        cv.forward(model, xr, xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < largest, peak
+
+
+@pytest.mark.parametrize("source", ["init_params", "train_models-E1", "train_models-E3",
+                                    "load_checkpoint"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_every_model_holds_its_parameters_in_declared_shape_and_c_order(kind, source,
+                                                                        tmp_path):
+    # dN 5, lN 4 and 3 classes tell a weight's axes apart: each is declared
+    # [in, out], its last axis as long as its bias
+    spec = cv.NetworkSpec(kind, 5, 4, 3, "classification")
+    if source == "init_params":
+        models = [cv.init_params(spec, 1)]
+    elif source == "load_checkpoint":
+        cv.save_checkpoint(cv.init_params(spec, 1), tmp_path / "ckpt.bin", seed=1, epoch=0)
+        models = [cv.load_checkpoint(tmp_path / "ckpt.bin")[0]]
+    else:
+        cfgs = [cv.TrainConfig(learning_rate=1e-3, epochs=1, batch_size=8, seed=s)
+                for s in range(1, int(source[-1]) + 1)]
+        ds = synthetic_classification(16, 5, 3, seed=7)
+        models = [model for model, _ in train_models(spec, [ds] * len(cfgs), cfgs)]
+    shapes = cv.models._param_shapes(spec)
+    for name, shape in shapes.items():
+        if len(shape) == 2:
+            assert shape[-1:] == shapes[name.replace(".w", ".b")], name
+    for model in models:
+        assert list(model.params) == list(shapes)
+        for name, p in model.params.items():
+            assert p.shape == shapes[name] and p.flags.c_contiguous, name
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_forward_of_f_ordered_inputs_is_bit_identical(kind):
-    # inputs enter through constant, which makes them C-contiguous: only a
-    # parameter is bound in the transposed layout
+    # inputs enter through constant, which makes them C-contiguous, the
+    # layout every parameter is held in
     model = _trained_spectral(kind)
     ds = _spectral_set()
     xr, xi = ds.features_re[:40], ds.features_im[:40]
@@ -217,9 +272,10 @@ def test_evaluate_of_a_trained_model_memory_peak(kind, pin_mb):
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_save_checkpoint_of_a_trained_model_makes_no_weight_sized_copy(kind, tmp_path):
-    # a trained weight is stored [in, out] and written as [out, in] rows in
-    # 32 KiB pieces: measured 39 kB, where one transposing copy of a weight
-    # takes 0.40-0.80 MB. The bound is test_models' 0.1 MB for an untrained save.
+    # each trained parameter is written whole from Adam's C-order buffer:
+    # measured 10-13 kB (39 kB when each weight was written transposed in
+    # 32 KiB pieces), where one copy of a weight takes 0.40-0.80 MB. The
+    # bound is test_models' 0.1 MB for an untrained save.
     model = _trained_spectral(kind)
     cv.save_checkpoint(model, tmp_path / "warm.bin", seed=1, epoch=1)
     tracemalloc.start()
@@ -232,7 +288,7 @@ def test_save_checkpoint_of_a_trained_model_makes_no_weight_sized_copy(kind, tmp
     loaded = cv.load_checkpoint(tmp_path / "ckpt.bin")[0]
     for name, p in model.params.items():
         assert np.array_equal(loaded.params[name], p), name
-        assert loaded.params[name].flags.c_contiguous, name  # the file's layout
+        assert loaded.params[name].flags.c_contiguous, name
 
 
 def _training_peak(spec, ds) -> int:
@@ -307,6 +363,25 @@ def test_short_spectral_training_run_memory_peak(kind, pin_mb):
 @pytest.mark.parametrize("kind,pin_mb", [("rvnn", 10.48), ("cvnn", 10.95),
                                          ("steinmetz", 10.62), ("analytic", 10.68)])
 def test_short_spectral_training_run_copies_no_weight(kind, pin_mb):
+    peak = _spectral_training_peak(kind)
+    assert peak <= pin_mb * 1e6, peak
+
+
+# The same runs with every weight declared and stored [in, out], so no
+# Model, fresh or trained, is copied per call: measured 0.838, 0.933, 0.941
+# and 1.015 MB on the channel set and 8.99, 9.46, 9.09 and 9.16 MB on the
+# 784-wide one, pinned 0.042-0.049 MB (channel; a buffer is 75 kB) and
+# 0.61 MB (784-wide; 0.88 MB) above.
+@pytest.mark.parametrize("kind,pin_mb", [("rvnn", 0.88), ("cvnn", 0.98),
+                                         ("steinmetz", 0.99), ("analytic", 1.06)])
+def test_short_channel_training_run_single_weight_layout(kind, pin_mb):
+    peak = _channel_training_peak(kind)
+    assert peak <= pin_mb * 1e6, peak
+
+
+@pytest.mark.parametrize("kind,pin_mb", [("rvnn", 9.60), ("cvnn", 10.07),
+                                         ("steinmetz", 9.70), ("analytic", 9.77)])
+def test_short_spectral_training_run_single_weight_layout(kind, pin_mb):
     peak = _spectral_training_peak(kind)
     assert peak <= pin_mb * 1e6, peak
 

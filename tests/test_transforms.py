@@ -81,7 +81,7 @@ def _assert_oracle_close(got, want):
 def test_split_path_matches_direct_oracle(n):
     g = np.random.default_rng(300 + n)
     # the last shape spans more than one block of rows
-    for lead in [(), (3,), (2, 3), (tr._SPLIT_BLOCK // n + 2,)]:
+    for lead in [(), (3,), (2, 3), (tr._ROW_BLOCK // n + 2,)]:
         z = g.standard_normal(lead + (n,)) + 1j * g.standard_normal(lead + (n,))
         _assert_oracle_close(tr.dft_array(z), tr.dft_direct_array(z))
         _assert_oracle_close(tr.dft_array(z, inverse=True),
