@@ -6,13 +6,15 @@ already topologically sorted and ``backward`` is a single deterministic
 reverse sweep. Tapes are rebuilt per batch; tensors are read-only after
 creation and safe to share across threads.
 
-Data that gets no gradient enters through ``constant``, which rejects
-NaN and Inf, or through ``trusted_constant``, which binds data already
-checked where it was made (a ``Dataset``'s read-only features and
-targets, rows gathered from them, and a ``Model``'s parameters when
-nothing is differentiated) without reading it a second time. An op over
-constants only records nothing and keeps no parents or VJPs, so such a
-pass builds no graph.
+Every array from outside the library binds through one rule,
+``real_array``, which refuses ragged, complex, string and object input
+and NaN or Inf with a DataError naming the argument. Data that gets no
+gradient enters through ``constant``, which applies it, or through
+``trusted_constant``, which binds data already checked where it was made
+(a ``Dataset``'s read-only features and targets, rows gathered from
+them, and a ``Model``'s parameters when nothing is differentiated)
+without reading it a second time. An op over constants only records
+nothing and keeps no parents or VJPs, so such a pass builds no graph.
 
 A tensor holds its tape through a weak reference, so tape and nodes form
 no reference cycle and a dropped tape is freed at once rather than at the
@@ -51,12 +53,11 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _f64_view(data) -> np.ndarray:
-    """Read-only float64 array: a view when ``data`` already is one in C
-    order, a converted C-contiguous copy otherwise."""
-    if isinstance(data, np.ndarray) and data.dtype == np.float64 and data.flags.c_contiguous:
-        return _freeze(data.view()) if data.flags.writeable else data
-    return _freeze(np.array(data, dtype=np.float64, order="C"))
+def _frozen(data, dtype=np.float64) -> np.ndarray:
+    """Read-only C-order ``dtype`` array (None keeps ``data``'s dtype):
+    ``data`` or a view of it when it already is one, a converted copy otherwise."""
+    arr = np.asarray(data, dtype, order="C")
+    return _freeze(arr.view()) if arr.flags.writeable else arr
 
 
 class Tensor:
@@ -112,7 +113,7 @@ class Tape:
         """
         if name in self._param_ids:
             raise ContractError(f"duplicate parameter name on tape: {name}")
-        t = self._add(Tensor(_f64_view(data)))
+        t = self._add(Tensor(_frozen(data)))
         self._param_ids[name] = t.node_id
         return t
 
@@ -157,25 +158,35 @@ class Tape:
         }
 
 
-def constant(data) -> Tensor:
-    """Tensor outside any tape; participates in ops but gets no gradient.
-    Rejects non-finite entries."""
-    arr = _f64_view(data)
+def real_array(value, name: str, dtype=np.float64) -> np.ndarray:
+    """The one binding of an array from outside the library, returned as
+    ``_frozen`` returns it. DataError naming ``name`` unless it is a
+    rectangular array of finite real numbers (or complex, for a complex
+    ``dtype``): numpy would drop an imaginary part and misread a string."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        raise DataError(f"{name} must be a rectangular array") from None
+    kinds = "biufc" if np.dtype(dtype).kind == "c" else "biuf"
+    if arr.dtype.kind not in kinds:
+        raise DataError(f"{name} must hold {'' if 'c' in kinds else 'real '}numbers, "
+                        f"got dtype {arr.dtype}")
     if not np.isfinite(arr).all():
-        raise DataError("tensor creation: non-finite entries")
-    return Tensor(arr, op="const")
+        raise DataError(f"{name} contains non-finite values")
+    return _frozen(arr, dtype)
+
+
+def constant(data, name: str = "constant") -> Tensor:
+    """Tensor outside any tape; participates in ops but gets no gradient.
+    ``data`` binds through ``real_array``, errors naming ``name``."""
+    return Tensor(real_array(data, name), op="const")
 
 
 def trusted_constant(data: np.ndarray) -> Tensor:
-    """``constant`` over data whose entries are already known to be finite,
-    bound without checking them again.
-
-    For a ``Dataset``'s features and targets, which its constructor checks
-    once and leaves read-only, for rows gathered from them, and for a
-    ``Model``'s parameters. The caller vouches for finiteness: non-finite
-    data bound here is not caught.
-    """
-    return Tensor(_f64_view(data), op="const")
+    """``constant`` without ``real_array``'s checks, for data checked where
+    it was made (see the module docstring): the caller vouches for it, and
+    complex or non-finite data bound here is not caught."""
+    return Tensor(_frozen(data), op="const")
 
 
 def find_tape(parents: Sequence[Tensor]) -> Optional[Tape]:

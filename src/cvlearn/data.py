@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import real_array
 from .errors import ContractError, DataError
 from .rng import Rng
 from .transforms import dft_array, row_blocks
@@ -51,13 +52,11 @@ class Dataset:
     parts then k imaginary parts. For classification, num_classes fixes k
     even when a split lacks some class; it defaults to max(label) + 1.
 
-    Construction converts and validates every field (numeric dtypes,
-    shapes, class ids and count, finiteness, a string provenance), each
-    error naming the field, and keeps features_re, features_im and labels
-    as read-only arrays, views of the caller's arrays when no conversion
-    was needed; the caller's own arrays stay writable. The instance is
-    frozen, so training and evaluation bind its arrays without checking
-    them again.
+    Construction binds each array through ``autodiff.real_array`` (a
+    read-only view when no conversion is needed; the caller's own arrays
+    stay writable) and checks shapes, class ids and count and a string
+    provenance, each error naming the field. The instance is frozen, so
+    training and evaluation bind its arrays without checking them again.
     """
     features_re: np.ndarray
     features_im: np.ndarray
@@ -70,8 +69,8 @@ class Dataset:
         def put(name, value):
             object.__setattr__(self, name, value)
 
-        put("features_re", _numeric(self.features_re, "features_re", np.float64))
-        put("features_im", _numeric(self.features_im, "features_im", np.float64))
+        put("features_re", real_array(self.features_re, "features_re"))
+        put("features_im", real_array(self.features_im, "features_im"))
         if self.task not in TASKS:
             raise DataError(f"unknown task: {self.task!r}")
         if not isinstance(self.provenance, str):
@@ -83,7 +82,7 @@ class Dataset:
         if self.dn < 1:
             raise DataError("features_re and features_im must have at least one column")
         if self.task == "classification":
-            given = _numeric(self.labels, "labels", None)
+            given = real_array(self.labels, "labels", None)
             with np.errstate(invalid="ignore"):
                 ids = np.ascontiguousarray(given, dtype=np.int64)
             if not np.array_equal(ids, given):
@@ -100,7 +99,7 @@ class Dataset:
                 raise DataError(f"num_classes {k!r} must be an integer above class id {top}")
             put("num_classes", top + 1 if k is None else int(k))
         else:
-            put("labels", _numeric(self.labels, "labels", np.float64))
+            put("labels", real_array(self.labels, "labels"))
             shape = self.labels.shape
             if len(shape) != 2 or shape[0] != self.m or shape[1] % 2 or self.k < 1:
                 raise DataError(f"labels shape {shape} != (M, 2k) with k >= 1")
@@ -128,22 +127,6 @@ class Dataset:
                        features_im=self.features_im[:m].copy(),
                        labels=self.labels[:m].copy(),
                        provenance=f"{self.provenance}|take({m})")
-
-
-def _numeric(value, name: str, dtype) -> np.ndarray:
-    """``value`` as a read-only C-contiguous ``dtype`` array (a view when it
-    is one); DataError naming ``name`` unless it holds finite real numbers."""
-    try:
-        arr = np.asarray(value)
-    except ValueError:  # ragged nesting
-        raise DataError(f"{name} must be a rectangular array") from None
-    if arr.dtype.kind not in "biuf":
-        raise DataError(f"{name} must hold real numbers, got dtype {arr.dtype}")
-    if not np.isfinite(arr).all():
-        raise DataError(f"{name} contains non-finite values")
-    out = np.ascontiguousarray(arr, dtype=dtype).view()
-    out.setflags(write=False)
-    return out
 
 
 def parse_json_object(blob: bytes, what: str, error: type = DataError) -> dict:

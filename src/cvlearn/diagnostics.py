@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .autodiff import real_array
 from .errors import DataError, ShapeError
 
 
@@ -23,8 +24,7 @@ def accuracy(pred_logits: np.ndarray, labels: np.ndarray) -> float:
 
     Ties break toward the lowest class index.
     """
-    pred_logits = np.asarray(pred_logits)
-    labels = np.asarray(labels)
+    pred_logits, labels = _rows(pred_logits, "pred_logits"), real_array(labels, "labels", None)
     if pred_logits.ndim != 2 or labels.shape != (pred_logits.shape[0],):
         raise ShapeError(
             f"accuracy shapes incompatible: {pred_logits.shape} vs {labels.shape}")
@@ -32,10 +32,18 @@ def accuracy(pred_logits: np.ndarray, labels: np.ndarray) -> float:
 
 
 def mse_metric(pred: np.ndarray, target: np.ndarray) -> float:
-    pred, target = np.asarray(pred), np.asarray(target)
+    pred, target = _rows(pred, "pred"), real_array(target, "target")
     if pred.shape != target.shape:
         raise ShapeError(f"mse shapes differ: {pred.shape} vs {target.shape}")
     return float(np.mean((pred - target) ** 2))
+
+
+def _rows(pred, name: str) -> np.ndarray:
+    """A metric's predictions through ``real_array``; DataError when empty."""
+    pred = real_array(pred, name)
+    if pred.size == 0:
+        raise DataError(f"{name} is empty (shape {pred.shape}): the metric is undefined")
+    return pred
 
 
 def _wrap_angle(d: np.ndarray) -> np.ndarray:
@@ -58,7 +66,7 @@ def mag_phase_mse(pred: np.ndarray, target: np.ndarray) -> MagPhaseResult:
     atan2; a zero complex value gets phase 0 and is tallied rather than
     dropped.
     """
-    pred, target = np.asarray(pred, dtype=np.float64), np.asarray(target, dtype=np.float64)
+    pred, target = _rows(pred, "pred"), real_array(target, "target")
     if pred.shape != target.shape or pred.ndim != 2 or pred.shape[1] % 2 != 0:
         raise ShapeError(
             f"mag_phase_mse expects matching [batch, 2k] arrays, got "
@@ -74,7 +82,7 @@ def mag_phase_mse(pred: np.ndarray, target: np.ndarray) -> MagPhaseResult:
 
 
 def _latent_arrays(z_re, z_im) -> tuple[np.ndarray, np.ndarray]:
-    z_re, z_im = np.asarray(z_re, dtype=np.float64), np.asarray(z_im, dtype=np.float64)
+    z_re, z_im = real_array(z_re, "z_re"), real_array(z_im, "z_im")
     if z_re.shape != z_im.shape or z_re.ndim != 2:
         raise ShapeError(
             f"latent channels must be matching 2-D arrays, got "
@@ -138,10 +146,7 @@ def covariance_comparison(z_re, z_im) -> CovComparison:
     b = z_re.shape[0]
     if b < 2:
         raise DataError("covariance needs a batch of at least 2 samples")
-    peak = max(np.abs(z_re).max(initial=0.0), np.abs(z_im).max(initial=0.0))
-    if not math.isfinite(peak):
-        raise DataError("latent covariance norm is not finite: the latents are not all finite")
-    e = math.frexp(peak)[1]
+    e = math.frexp(max(np.abs(z_re).max(initial=0.0), np.abs(z_im).max(initial=0.0)))[1]
     cr, ci = np.ldexp(z_re, -e), np.ldexp(z_im, -e)
     cr -= cr.mean(axis=0, keepdims=True)
     ci -= ci.mean(axis=0, keepdims=True)

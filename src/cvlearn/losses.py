@@ -109,7 +109,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 
 def mse(pred: Tensor, target) -> Tensor:
     """Mean squared difference over the last two axes (per stacked member)."""
-    tgt = target if isinstance(target, Tensor) else ad.constant(np.asarray(target))
+    tgt = target if isinstance(target, Tensor) else ad.constant(target, "target")
     return ad.mean_sq_diff(pred, tgt)
 
 

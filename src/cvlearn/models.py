@@ -84,21 +84,20 @@ class NetworkSpec:
 
 @dataclass
 class Model:
-    """A network's parameters: the spec's, in declared order and shape, and
-    finite, or construction raises DataError (forward binds them unchecked).
-    Training holds an ensemble as one Model whose parameters carry a leading [E] axis."""
+    """A network's parameters, bound by ``ad.real_array`` as read-only views
+    in the spec's declared order and shape, or construction raises DataError
+    (forward binds them unchecked). An ensemble's carry a leading [E] axis."""
     spec: NetworkSpec
     params: dict[str, np.ndarray]
 
     def __post_init__(self):
-        got = [(name, np.shape(p)) for name, p in self.params.items()]
+        self.params = {name: ad.real_array(p, f"parameter {name}")
+                       for name, p in self.params.items()}
+        got = [(name, p.shape) for name, p in self.params.items()]
         lead = got[0][1][:-2] if got else ()  # every layout starts with a weight matrix
         want = [(name, lead + shape) for name, shape in _param_shapes(self.spec).items()]
         if len(lead) > 1 or got != want:
             raise DataError(f"parameters {got} do not match the spec's layout {want}")
-        for name, p in self.params.items():
-            if not np.isfinite(p).all():
-                raise DataError(f"parameter {name!r} has non-finite values")
 
 
 @dataclass
@@ -301,9 +300,9 @@ def forward(model: Model, x_re, x_im, tape: Optional[Tape] = None) -> ForwardRes
     """The forward pass of every architecture, used by training and evaluation.
 
     Inputs enter as constants, given no gradient, so backward stops at
-    the first layer. Arrays are checked for NaN/Inf and bound without
-    copying; constant Tensors (``ad.trusted_constant`` over a Dataset's
-    checked features) are used as they are. Parameters bind to ``tape``;
+    the first layer. Arrays bind through ``ad.constant``'s input rule,
+    without copying; constant Tensors (``ad.trusted_constant`` over a
+    Dataset's checked features) are used as they are. Parameters bind to ``tape``;
     with no tape (evaluation) they bind as trusted constants, checked when
     the Model was built, and the pass builds no graph: each activation is
     freed once the next op has read it. Each hidden layer's ReLU runs in
@@ -311,19 +310,18 @@ def forward(model: Model, x_re, x_im, tape: Optional[Tape] = None) -> ForwardRes
     activation, on a tape or off.
     """
     spec = model.spec
-    x_re, x_im = (x if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-                  for x in (x_re, x_im))
+    xr, xi = (x if isinstance(x, Tensor) else ad.constant(x, name)
+              for x, name in ((x_re, "x_re"), (x_im, "x_im")))
     # [m, dN] inputs, or [E, m, dN] for an ensemble
-    if x_re.ndim not in (2, 3) or x_re.shape != x_im.shape:
+    if xr.ndim not in (2, 3) or xr.shape != xi.shape:
         raise ShapeError(
             f"inputs must be matching 2-D (or stacked 3-D) arrays, "
-            f"got {x_re.shape} and {x_im.shape}")
-    if x_re.shape[-1] != spec.input_dim:
+            f"got {xr.shape} and {xi.shape}")
+    if xr.shape[-1] != spec.input_dim:
         raise ShapeError(
-            f"input feature width {x_re.shape[-1]} != network input_dim {spec.input_dim}")
+            f"input feature width {xr.shape[-1]} != network input_dim {spec.input_dim}")
     p = {name: ad.trusted_constant(arr) if tape is None else tape.param(arr, name)
          for name, arr in model.params.items()}
-    xr, xi = (x if isinstance(x, Tensor) else ad.constant(x) for x in (x_re, x_im))
     return _BODIES[spec.kind](spec, p, xr, xi)
 
 

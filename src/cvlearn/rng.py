@@ -68,12 +68,12 @@ def _fnv1a64(name: str) -> int:
 
 def _count(size) -> int:
     """Entries of an int or tuple ``size``, multiplied as Python ints so
-    the count cannot wrap. Raises ContractError for a negative or
+    the count cannot wrap. Raises ContractError for a negative, bool or
     non-integer dimension and MemoryError when the entries cannot be
     addressed, before anything is allocated or drawn."""
-    try:
-        dims = ([operator.index(d) for d in size] if isinstance(size, tuple)
-                else [operator.index(size)])
+    dims = size if isinstance(size, tuple) else (size,)
+    try:  # operator.index takes a bool, but numpy's reshape does not
+        dims = [operator.index(None if isinstance(d, bool) else d) for d in dims]
     except TypeError:
         raise ContractError(f"draw size {size!r} must be a non-negative integer "
                             "or a tuple of them") from None

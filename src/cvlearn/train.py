@@ -51,14 +51,15 @@ def forward_metrics(model: Model, ds: Dataset) -> tuple[dict, ForwardResult]:
         result = forward(model, ad.trusted_constant(ds.features_re),
                          ad.trusted_constant(ds.features_im))
         pred = result.pred.data
-        if ds.task == "classification":
+        finite = np.isfinite(pred).all()  # or the metrics would refuse pred by name
+        if finite and ds.task == "classification":
             metrics = {"accuracy": accuracy(pred, ds.labels)}
-        else:
+        elif finite:
             mp = mag_phase_mse(pred, ds.labels)
             metrics = {"mse": mse_metric(pred, ds.labels),
                        "mag_mse": mp.mag_mse, "phase_mse": mp.phase_mse,
                        "degenerate_phases": mp.degenerate_phases}
-    if not (np.isfinite(pred).all() and all(map(math.isfinite, metrics.values()))):
+    if not (finite and all(map(math.isfinite, metrics.values()))):
         raise DataError("the model's predictions or metrics on this dataset are not "
                         "all finite: its parameters overflow")
     return metrics, result

@@ -36,8 +36,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .autodiff import Tensor, record_op
-from .errors import ContractError, DataError
+from .autodiff import Tensor, real_array, record_op
+from .errors import ContractError
 
 
 @lru_cache(maxsize=32)
@@ -122,9 +122,7 @@ def dft_array(z: np.ndarray, inverse: bool = False) -> np.ndarray:
     Agrees with ``dft_direct_array`` to about 1e-15 relative to the
     largest output bin.
     """
-    z = np.asarray(z, dtype=np.complex128)
-    if z.ndim == 0:
-        raise ContractError("dft_array needs a signal axis, got a 0-d input")
+    z = _signal(z, "dft_array")
     n = z.shape[-1]
     if n < 2 or (n1 := _split(n)) == 1:
         return dft_direct_array(z, inverse)
@@ -137,22 +135,26 @@ def dft_array(z: np.ndarray, inverse: bool = False) -> np.ndarray:
 
 def dft_direct_array(z: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Direct O(n^2) summation along the last axis; oracle for the split path."""
-    z = np.asarray(z, dtype=np.complex128)
-    if z.ndim == 0:
-        raise ContractError("dft_direct_array needs a signal axis, got a 0-d input")
+    z = _signal(z, "dft_direct_array")
     n = z.shape[-1]
     sign = 1 if inverse else -1
     out = z @ _dft_kernel(n, sign).T
     return out / n if inverse else out
 
 
-def _check_hilbert_input(z: np.ndarray) -> np.ndarray:
-    z = np.ascontiguousarray(z, dtype=np.float64)
-    n = z.shape[-1]
+def _signal(z, what: str) -> np.ndarray:
+    """The DFTs' ``z``: complex128 through ``real_array``, and not 0-d."""
+    z = real_array(z, "z", np.complex128)
+    if z.ndim == 0:
+        raise ContractError(f"{what} needs a signal axis, got a 0-d input")
+    return z
+
+
+def _check_hilbert_input(z, name: str) -> np.ndarray:
+    z = real_array(z, name)
+    n = z.shape[-1] if z.ndim else 1  # a 0-d input is one sample
     if n % 2 != 0 or n < 2:
         raise ContractError(f"Hilbert transform needs an even row length of at least 2, got {n}")
-    if not np.isfinite(z).all():
-        raise DataError("Hilbert transform: non-finite input")
     return z
 
 
@@ -176,7 +178,7 @@ def _hilbert_core(z: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
 
 def hilbert_rows_array(z: np.ndarray) -> np.ndarray:
     """Spectral Hilbert transform of each row of a real [..., n] array, n even."""
-    z = _check_hilbert_input(z)
+    z = _check_hilbert_input(z, "z")
     return _hilbert_core(z, _multiplier(z.shape[-1]))
 
 
@@ -185,7 +187,7 @@ hilbert_freq = hilbert_rows_array
 
 def hilbert_adjoint_rows_array(g: np.ndarray) -> np.ndarray:
     """Transpose of the row-wise transform (conjugated multiplier)."""
-    g = _check_hilbert_input(g)
+    g = _check_hilbert_input(g, "g")
     return _hilbert_core(g, np.conj(_multiplier(g.shape[-1])))
 
 
@@ -205,13 +207,13 @@ def dht_cotangent(x: np.ndarray) -> np.ndarray:
     to n: one matrix-vector product per row. Agrees with hilbert_freq on
     zero-DC, zero-Nyquist signals; kept as an independent verification path.
     """
-    x = _check_hilbert_input(x)
+    x = _check_hilbert_input(x, "x")
     return np.matmul(_cotangent_kernel(x.shape[-1]), x[..., None])[..., 0]
 
 
 def analytic_signal(x: np.ndarray) -> np.ndarray:
     """Complex128 signal whose imaginary part is the Hilbert transform of x."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = real_array(x, "x")
     return x + 1j * hilbert_freq(x)
 
 

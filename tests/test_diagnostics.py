@@ -163,7 +163,7 @@ def test_covariance_norm_beyond_float_range_is_a_data_error():
         for bad in (np.inf, np.nan):
             z = z_re.copy()
             z[3, 2] = bad
-            with pytest.raises(DataError, match="latent covariance norm is not finite"):
+            with pytest.raises(DataError, match="z_re contains non-finite values"):
                 dg.covariance_comparison(z, z_im)
 
 
