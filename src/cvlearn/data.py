@@ -288,9 +288,10 @@ def dft_encode(ds: Dataset) -> Dataset:
 
     The real and imaginary parts are written straight into the two output
     arrays, one block of rows (about 1 MiB of complex values) at a time,
-    so the peak beyond the outputs is a few MiB at any M. The blocks are
-    ``transforms.row_blocks``', so every bit is that of ``dft_array`` over
-    the whole array.
+    so the peak beyond the outputs is a few MiB at any M. Each block goes
+    to ``dft_array`` as real float64 rows, never copied to complex. The
+    blocks are ``transforms.row_blocks``', so every bit is that of
+    ``dft_array`` over the whole array.
     """
     if ds.features_im.any():  # no [M, dN] mask; -0.0 is zero and NaN is not
         raise DataError("dft_encode expects a real-form dataset (features_im all zero)")

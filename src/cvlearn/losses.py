@@ -182,6 +182,13 @@ def _check_keys(arrays: dict, shapes: dict, what: str) -> None:
                              f"state's shape {shape} for {name}")
 
 
+def _check_real(arrays: dict, shapes: dict, what: str) -> None:
+    for name in shapes:
+        dtype = np.asarray(arrays[name]).dtype
+        if dtype.kind not in "biuf":
+            raise DataError(f"{what} {name} must hold real numbers, got dtype {dtype}")
+
+
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, config: TrainConfig) -> tuple[dict, AdamState]:
     """One bias-corrected Adam update over all parameters as one flat
@@ -195,22 +202,29 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     dict keeps its values until the step after next, so copy it to keep
     it. Otherwise the last accepted values stay as they are, and
     DivergenceError carries the refused values as its ``params``; the
-    moments have moved, so the state then refuses every further step.
+    moments have moved, so the state then refuses every further step. A
+    gradient or parameter that does not hold real numbers is a DataError
+    naming it, raised before the state moves.
     """
     if state.refused:
         raise ContractError("this Adam state refused an update and cannot step again")
     _check_keys(grads, state.shapes, "gradient")
+    g, m, v, denom = state.grad, state.m, state.v, state.denom
+    try:
+        np.concatenate([grads[name] for name in state.shapes], axis=None, out=g)
+    except TypeError:  # numpy refuses a complex, string or object entry
+        _check_real(grads, state.shapes, "gradient")
+        raise
     active, idle = state.flats[state.active], state.flats[1 - state.active]
     if params is not state.views[state.active]:
         _check_keys(params, state.shapes, "parameter")
+        _check_real(params, state.shapes, "parameter")  # numpy copies what precedes a bad entry
         np.concatenate([params[name] for name in state.shapes], axis=None, out=active)
     b1, b2, eps, lr = config.adam_b1, config.adam_b2, config.adam_eps, config.learning_rate
     t = state.t = state.t + 1
-    g, m, v, denom = state.grad, state.m, state.v, state.denom
     # the per-tensor formulas in their operation order, so every element
     # rounds as it would in a per-tensor update; the idle buffer, which the
     # update overwrites anyway, holds the intermediates
-    np.concatenate([grads[name] for name in state.shapes], axis=None, out=g)
     np.multiply(g, 1 - b1, out=idle)
     np.multiply(m, b1, out=m)
     m += idle                                   # b1 * m + (1 - b1) * g

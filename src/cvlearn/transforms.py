@@ -10,17 +10,20 @@ matrix-vector product per row, is a direct time-domain cross-check; the
 two agree on signals with zero DC and Nyquist content. Each array
 transform maps the last axis, whatever the leading shape.
 
-``dft_array`` evaluates a length n in one of two ways:
+``dft_array`` binds a real input (bool, int or float) as float64 and a
+complex one as complex128, and evaluates a length n in one of two ways:
 
 - composite n, powers of two included: the Cooley-Tukey four-step split
   n = n1 * n2, with n1 the largest divisor of n not above sqrt(n)
   (784 = 28 * 28, 64 = 8 * 8). Two batched products against the cached
   n1- and n2-point kernels, joined by a cached twiddle table, cost about
-  8 n (n1 + n2) real flops per row instead of 8 n^2. Rows go through in
-  ``row_blocks`` of about 1 MiB, so the only large allocation is the
-  output, as on the direct path;
+  8 n (n1 + n2) real flops per row instead of 8 n^2. A real input's first
+  stage is one real product against the n1-point kernel's float64 view,
+  with the bytes of the complex product, save the sign of an exactly zero
+  bin of a whole-zero row. Rows go through in ``row_blocks`` of about
+  1 MiB, so the only large allocation is the output, for real input too;
 - prime n, n = 0 and n = 1: direct summation against the cached n-point
-  kernel.
+  kernel, of the input as complex128.
 
 ``dft_direct_array`` is the direct sum for every n and stays the
 independent oracle for the split. Kernel and twiddle exponents are
@@ -101,12 +104,18 @@ def _dft_split(z: np.ndarray, n1: int, n2: int, sign: int) -> np.ndarray:
     n1-point transforms over j1, a twiddle by w_n^(j2 k1), then n2-point
     transforms over j2. The result's [k2, k1] layout is already output
     order, so each block of rows is written straight into the output.
+    A float64 ``z`` takes its first stage as one real product against the
+    kernel's [n1, 2 n1] float64 view, whose columns interleave the real and
+    imaginary parts; read as complex128, it has the complex product's bytes
+    but for the sign of an exactly zero bin (see the module docstring).
     """
     k1, k2, tw = _dft_kernel(n1, sign), _dft_kernel(n2, sign), _twiddles(n1, n2, sign)
+    if z.dtype == np.float64:
+        k1 = k1.view(np.float64)  # [n1, 2 n1]: real and imaginary columns interleaved
     rows = z.reshape((-1, n1, n2))
     out = np.empty((len(rows), n2, n1), dtype=np.complex128)
     for lo, hi in row_blocks(len(rows), n1 * n2):
-        y = rows[lo:hi].swapaxes(-1, -2) @ k1
+        y = (rows[lo:hi].swapaxes(-1, -2) @ k1).view(np.complex128)
         y *= tw
         np.matmul(k2, y, out=out[lo:hi])
     return out.reshape(z.shape)
@@ -135,16 +144,22 @@ def dft_array(z: np.ndarray, inverse: bool = False) -> np.ndarray:
 
 def dft_direct_array(z: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Direct O(n^2) summation along the last axis; oracle for the split path."""
-    z = _signal(z, "dft_direct_array")
+    z = _signal(z, "dft_direct_array", np.complex128)
     n = z.shape[-1]
     sign = 1 if inverse else -1
     out = z @ _dft_kernel(n, sign).T
     return out / n if inverse else out
 
 
-def _signal(z, what: str) -> np.ndarray:
-    """The DFTs' ``z``: complex128 through ``real_array``, and not 0-d."""
-    z = real_array(z, "z", np.complex128)
+def _signal(z, what: str, real=np.float64) -> np.ndarray:
+    """The DFTs' ``z`` through ``real_array``, and not 0-d: complex128 when
+    it holds complex numbers, ``real`` when it holds real ones (bool, int
+    or float)."""
+    try:
+        kind = np.asarray(z).dtype.kind
+    except ValueError:  # ragged nesting: the rule refuses it below
+        kind = "c"
+    z = real_array(z, "z", real if kind in "biuf" else np.complex128)
     if z.ndim == 0:
         raise ContractError(f"{what} needs a signal axis, got a 0-d input")
     return z

@@ -19,6 +19,13 @@ FD_STEP = 1e-5
 RELU_NODES = {"rvnn": 2, "cvnn": 4, "steinmetz": 4, "analytic": 4}
 
 
+def same_bytes(a, b) -> bool:
+    """Bit-for-bit equality: dtype, shape and bytes. ``np.array_equal``
+    holds -0.0 and +0.0 equal, so it cannot back a bit-identity claim."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def in_out(w):
     """A weight drawn [.., out, in], the order the fixtures draw in, stored
     in C order in its declared [.., in, out] layout."""

@@ -21,6 +21,8 @@ from cvlearn import transforms as tr
 from cvlearn.errors import ContractError, DataError, ShapeError, ValidationError
 from cvlearn.models import ForwardResult
 
+from helpers import same_bytes
+
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 hnp = pytest.importorskip("hypothesis.extra.numpy")
@@ -167,6 +169,34 @@ def test_dfts_refuse_string_object_and_non_finite_input(transform, bad):
     f = getattr(tr, transform)
     assert np.array_equal(f(z.tolist()), f(z))
     assert np.array_equal(f(z.real.astype(np.int64)), f(z.real.astype(np.int64) + 0j))
+
+
+# widths: the split (8: n1 = 2; 64; 784: n1 = 28) and the direct sum (7)
+@pytest.mark.parametrize("n", [7, 8, 64, 784])
+@pytest.mark.parametrize("real", [lambda x: (4.0 * x).astype(np.int64), lambda x: x > 0,
+                                  lambda x: x.astype(np.float32)],
+                         ids=["int64", "bool", "float32"])
+def test_dft_array_binds_int_bool_and_float32_input_as_float64(real, n):
+    x = real(_signals((3, n)))
+    assert tr._signal(x, "dft_array").dtype == np.float64
+    want = x.astype(np.complex128)
+    for f in (tr.dft_array, tr.dft_direct_array):
+        for inverse in (False, True):
+            assert same_bytes(f(x, inverse), f(want, inverse)), (f.__name__, inverse)
+
+
+@pytest.mark.parametrize("transform", ["dft_array", "dft_direct_array"])
+def test_dfts_keep_the_input_rule_messages_and_bind_complex_as_complex128(transform):
+    f = getattr(tr, transform)
+    refused(lambda: f(np.array(["1", "2"])), "^z must hold numbers, got dtype <U1$")
+    refused(lambda: f(np.array([1.0, None])), "^z must hold numbers, got dtype object$")
+    for ragged in ([[1.0, 2.0], [3.0]], [[1.0, 2.0], [3j]]):
+        refused(lambda: f(ragged), "^z must be a rectangular array$")
+    refused(lambda: f(np.array([1j, np.inf])), "^z contains non-finite values$")
+    refused(lambda: f(np.array(2.0)), "needs a signal axis", ContractError)
+    z = _signals((2, 8)) + 1j * _signals((2, 8), 1)
+    assert tr._signal(z.astype(np.complex64), transform).dtype == np.complex128
+    assert same_bytes(f(z.tolist()), f(z))
 
 
 # ---------------------------------------------------------------------------

@@ -353,6 +353,41 @@ def test_adam_checks_keys_and_shapes():
         adam_step({"w": np.zeros((3, 2)), "b": np.zeros(2)}, grads, state, cfg)
 
 
+NON_REAL = {"complex": lambda a: a + 1j,
+            "string": lambda a: a.astype(str),
+            "object": lambda a: a.astype(object)}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_REAL))
+@pytest.mark.parametrize("what", ["gradient", "parameter"])
+def test_adam_refuses_a_non_real_entry_before_its_state_moves(what, kind):
+    # the last entry is the bad one, so numpy has copied the others into the
+    # buffer before it refuses; at step 2 the parameters' active buffer holds
+    # the first step's result, which the next step must still start from
+    params, grads = _adam_case(ADAM_SHAPES["2-D"], seed=4)
+    cfg = TrainConfig(learning_rate=0.01)
+    p, state = adam_step(params, grads[0], adam_init(params), cfg)
+    bad = dict(grads[1]) if what == "gradient" else {k: v + 1.0 for k, v in p.items()}
+    bad["u"] = NON_REAL[kind](bad["u"])
+    kept = {name: arr.copy() for name, arr in p.items()}
+    m, v = state.m.copy(), state.v.copy()
+    args = (p, bad) if what == "gradient" else (bad, grads[1])
+    with pytest.raises(DataError, match=f"^{what} u must hold real numbers"):
+        adam_step(*args, state, cfg)
+    assert state.t == 1 and not state.refused
+    assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+    for name in p:
+        assert np.array_equal(p[name], kept[name]), name
+    # the next valid step is that of a clean two-step run
+    clean, ref_state = adam_reference(params, grads[0], (0.0, 0.0, 0), cfg)
+    clean, ref_state = adam_reference(clean, grads[1], ref_state, cfg)
+    p, state = adam_step(p, grads[1], state, cfg)
+    assert state.t == 2
+    for name in clean:
+        assert np.array_equal(p[name], clean[name]), name
+    assert np.array_equal(state.m, ref_state[0]) and np.array_equal(state.v, ref_state[1])
+
+
 @pytest.mark.parametrize("dn,k,task", [(5, 1, "complex_regression"),
                                        (784, 10, "classification")])
 @pytest.mark.parametrize("members", [1, 2])
