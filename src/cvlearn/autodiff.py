@@ -36,10 +36,23 @@ layer and magnitude head. Each acts on the last two axes, so one op body
 serves a single network's [m, n] operands and an ensemble's stacked
 [E, m, n] operands alike: every member slice makes the same numpy and
 BLAS calls as the 2-D case and rounds exactly as it would alone.
+
+The forward products of ``linear`` and of cvnn's complex layer go
+through ``matmul``: a product with at least ``_SPLIT_MACS`` multiply-adds
+in each row half, called from a thread that may run on another CPU,
+computes its upper rows on one new thread, pinned to those other CPUs,
+and its lower rows on the caller's, both into the one output the whole
+product would allocate. Each half is a BLAS call off OpenBLAS's
+small-matrix path, whose rows have the bytes of the whole product's, at
+one BLAS thread or two. There is no pool: the thread is joined before
+``matmul`` returns or raises. Backward products, the DFT and Hilbert row
+blocks and Adam stay serial.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import weakref
 from typing import Callable, Optional, Sequence
 
@@ -222,6 +235,62 @@ def record_op(op: str, value: np.ndarray, parents: Sequence[Tensor],
                             relu=relu))
 
 
+# A product splits when each row half has at least this many multiply-adds
+# per stacked member. OpenBLAS takes its small-matrix path at M N K <= 1e6,
+# and a half on that path rounds unlike the whole product's rows; this
+# stays 8x above that bound. A half this large takes about 0.5 ms on one
+# core, and starting, pinning and joining the thread 0.1-0.25 ms (2-vCPU
+# KVM guest): at 2^22 the split lost, at 2^23 it won. A 32-row training
+# batch (at most 32 x 784 x 64 per product) never splits.
+_SPLIT_MACS = 1 << 23
+
+
+def _other_cpus() -> set:
+    """The CPUs the calling thread may run on, other than the one it is on
+    now (the "processor" field of its /proc stat); empty where the platform
+    has neither. A thread started here began on its creator's CPU, and the
+    two stayed on that one CPU for hundreds of ms with the other idle (a
+    2-vCPU KVM guest), so the upper half's thread is pinned to these."""
+    try:
+        with open("/proc/thread-self/stat") as f:
+            cpu = int(f.read().rsplit(")", 1)[1].split()[36])
+        return os.sched_getaffinity(0) - {cpu}
+    except (OSError, AttributeError):
+        return set()
+
+
+def matmul(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``np.matmul(a, b, out=out)`` of operands of two or more axes, bit for
+    bit, a large product's upper row half on a new thread (see the module
+    docstring). The thread is joined before this returns or raises, and an
+    exception raised in its half is raised here."""
+    m, n = a.shape[-2], b.shape[-1]
+    h = m // 2
+    if h * a.shape[-1] * n < _SPLIT_MACS or not (cpus := _other_cpus()):
+        return np.matmul(a, b, out=out)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (m, n),
+                       np.result_type(a, b))
+    raised = []
+
+    def upper():
+        try:
+            os.sched_setaffinity(0, cpus)  # this thread's own mask
+            np.matmul(a[..., :h, :], b, out=out[..., :h, :])
+        except BaseException as e:  # re-raised in the caller's thread
+            raised.append(e)
+
+    thread = threading.Thread(target=upper, name="cvlearn.autodiff.matmul")
+    thread.start()
+    try:
+        np.matmul(a[..., h:, :], b, out=out[..., h:, :])
+    finally:
+        thread.join()
+    if raised:
+        raise raised[0]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # elementary operations
 
@@ -272,10 +341,10 @@ def linear(x, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     for t in xs:
         rows = slice(end, end := end + t.data.shape[-1])
         blocks.append((t.data, rows, w.data[..., rows, :]))
-    value = blocks[0][0] @ blocks[0][2]
+    value = matmul(blocks[0][0], blocks[0][2])
     value += b.data[..., None, :]  # value is the matmul's own fresh array
     for d, _, wb in blocks[1:]:
-        value += d @ wb
+        value += matmul(d, wb)
 
     def vjp_w(g):
         gw = np.empty(w.shape)

@@ -35,7 +35,16 @@ def mse_metric(pred: np.ndarray, target: np.ndarray) -> float:
     pred, target = _rows(pred, "pred"), real_array(target, "target")
     if pred.shape != target.shape:
         raise ShapeError(f"mse shapes differ: {pred.shape} vs {target.shape}")
-    return float(np.mean((pred - target) ** 2))
+    with np.errstate(over="ignore"):
+        return _finite(float(np.mean((pred - target) ** 2)), "mse")
+
+
+def _finite(value: float, metric: str) -> float:
+    """``value``, or DataError naming ``metric`` when it left float range:
+    finite predictions and targets can still overflow on the way."""
+    if not math.isfinite(value):
+        raise DataError(f"{metric} of these predictions and targets overflows float64")
+    return value
 
 
 def _rows(pred, name: str) -> np.ndarray:
@@ -74,11 +83,12 @@ def mag_phase_mse(pred: np.ndarray, target: np.ndarray) -> MagPhaseResult:
     k = pred.shape[1] // 2
     pr, pi = pred[:, :k], pred[:, k:]
     tr, ti = target[:, :k], target[:, k:]
-    mag_err = np.hypot(pr, pi) - np.hypot(tr, ti)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf of two huge magnitudes
+        mag_mse = _finite(float(np.mean((np.hypot(pr, pi) - np.hypot(tr, ti)) ** 2)),
+                          "mag_mse")
     degenerate = int(np.sum((pr == 0) & (pi == 0)) + np.sum((tr == 0) & (ti == 0)))
     phase_err = _wrap_angle(np.arctan2(pi, pr) - np.arctan2(ti, tr))
-    return MagPhaseResult(float(np.mean(mag_err ** 2)),
-                          float(np.mean(phase_err ** 2)), degenerate)
+    return MagPhaseResult(mag_mse, float(np.mean(phase_err ** 2)), degenerate)
 
 
 def _latent_arrays(z_re, z_im) -> tuple[np.ndarray, np.ndarray]:

@@ -18,6 +18,13 @@ Every hidden layer's ReLU runs in place inside its affine node (the
 node and one activation-sized array. Off the tape, cvnn's complex layer
 frees each input part after its last product, so it holds at most four
 activation-sized arrays.
+
+Each forward product goes through ``ad.matmul``, which computes a large
+product's two row halves on two threads, bit for bit the whole product,
+into the array the whole product would allocate: an evaluation over
+thousands of rows uses a second CPU and allocates nothing more (cvnn's
+layer still holds at most four), and a 32-row training batch starts no
+thread.
 """
 
 from __future__ import annotations
@@ -220,12 +227,12 @@ def _complex_affine(xs: list, p: dict, layer: str, relu: bool = False):
     xs.clear()
     n = wr.shape[-1]
     head = None if relu else np.empty(ar.shape[:-1] + (2 * n,))
-    yr = np.matmul(ar, wr.data, out=None if relu else head[..., :n])
+    yr = ad.matmul(ar, wr.data, out=None if relu else head[..., :n])
     yr += br.data[..., None, :]
-    q = ar @ wi.data
+    q = ad.matmul(ar, wi.data)
     del ar
-    np.subtract(yr, ai @ wi.data, out=yr)  # negation is exact
-    yi = np.matmul(ai, wr.data, out=None if relu else head[..., n:])
+    np.subtract(yr, ad.matmul(ai, wi.data), out=yr)  # negation is exact
+    yi = ad.matmul(ai, wr.data, out=None if relu else head[..., n:])
     del ai
     yi += bi.data[..., None, :]
     np.add(yi, q, out=yi)

@@ -45,24 +45,25 @@ def forward_metrics(model: Model, ds: Dataset) -> tuple[dict, ForwardResult]:
     """One forward pass over a dataset: the task metrics, and the result
     whose latents the diagnostics read. A dataset that does not fit the
     network raises DataError, and so do predictions or metrics that are
-    not all finite, as finite parameters can still overflow on the way."""
+    not all finite, as finite parameters can still overflow on the way; an
+    overflowing metric's error names it."""
     model.spec.check_fits(ds, "dataset")
     with np.errstate(over="ignore", invalid="ignore"):
         result = forward(model, ad.trusted_constant(ds.features_re),
                          ad.trusted_constant(ds.features_im))
-        pred = result.pred.data
-        finite = np.isfinite(pred).all()  # or the metrics would refuse pred by name
-        if finite and ds.task == "classification":
-            metrics = {"accuracy": accuracy(pred, ds.labels)}
-        elif finite:
-            mp = mag_phase_mse(pred, ds.labels)
-            metrics = {"mse": mse_metric(pred, ds.labels),
-                       "mag_mse": mp.mag_mse, "phase_mse": mp.phase_mse,
-                       "degenerate_phases": mp.degenerate_phases}
-    if not (finite and all(map(math.isfinite, metrics.values()))):
-        raise DataError("the model's predictions or metrics on this dataset are not "
-                        "all finite: its parameters overflow")
-    return metrics, result
+    pred = result.pred.data
+    if not np.isfinite(pred).all():  # or the metrics would refuse pred by name
+        raise DataError("the model's predictions on this dataset are not all finite: "
+                        "its parameters overflow")
+    if ds.task == "classification":
+        return {"accuracy": accuracy(pred, ds.labels)}, result
+    try:
+        mse = mse_metric(pred, ds.labels)
+        mp = mag_phase_mse(pred, ds.labels)
+    except DataError as e:  # the set fits and pred is finite: a metric overflowed
+        raise DataError(f"the model's metrics on this dataset are not all finite: {e}") from None
+    return {"mse": mse, "mag_mse": mp.mag_mse, "phase_mse": mp.phase_mse,
+            "degenerate_phases": mp.degenerate_phases}, result
 
 
 def primary_metric(metrics: dict) -> float:

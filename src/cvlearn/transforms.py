@@ -57,14 +57,24 @@ def _multiplier(n: int) -> np.ndarray:
     return m
 
 
+def _roots_table(n: int, sign: int, rows: int, cols: int) -> np.ndarray:
+    """Read-only [rows, cols] table exp(sign 2i pi (j k mod n) / n): the n
+    roots of unity, gathered by j k reduced modulo n in integers. An entry
+    is the same scalar operations on the same integer as the n^2 formula,
+    so it has its bytes, at n ``exp`` calls instead of rows * cols; and the
+    reduced exponent keeps the phase exact for every n."""
+    roots = np.exp(sign * 2j * np.pi * np.arange(n) / n)
+    index = np.outer(np.arange(rows), np.arange(cols))
+    index %= n
+    t = roots[index]
+    t.setflags(write=False)
+    return t
+
+
 @lru_cache(maxsize=8)
 def _dft_kernel(n: int, sign: int) -> np.ndarray:
-    """Read-only [n, n] kernel exp(sign 2i pi (j k mod n) / n); reducing
-    j k in integers keeps the phase exact for every n."""
-    idx = np.arange(n)
-    k = np.exp(sign * 2j * np.pi * (np.outer(idx, idx) % n) / n)
-    k.setflags(write=False)
-    return k
+    """Read-only [n, n] kernel exp(sign 2i pi (j k mod n) / n)."""
+    return _roots_table(n, sign, n, n)
 
 
 def _split(n: int) -> int:
@@ -75,10 +85,7 @@ def _split(n: int) -> int:
 @lru_cache(maxsize=8)
 def _twiddles(n1: int, n2: int, sign: int) -> np.ndarray:
     """Read-only [n2, n1] table exp(sign 2i pi (j2 k1 mod n) / n), n = n1 n2."""
-    n = n1 * n2
-    t = np.exp(sign * 2j * np.pi * (np.outer(np.arange(n2), np.arange(n1)) % n) / n)
-    t.setflags(write=False)
-    return t
+    return _roots_table(n1 * n2, sign, n2, n1)
 
 
 # complex values per block of ``row_blocks`` (1 MiB)

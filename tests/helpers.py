@@ -5,9 +5,11 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import cvlearn as cv
 
@@ -17,6 +19,27 @@ FD_STEP = 1e-5
 # hidden-layer ReLU nodes of one forward pass: rvnn's two layers; two
 # layers of two parts (cvnn) or of two branches (steinmetz, analytic)
 RELU_NODES = {"rvnn": 2, "cvnn": 4, "steinmetz": 4, "analytic": 4}
+
+
+def spy_split_threads(monkeypatch) -> list:
+    """For the test, let ``autodiff.matmul`` split as on a host with two
+    CPUs (pinning its thread to the caller's own mask), and replace
+    ``threading.Thread`` by a subclass that appends each thread it starts
+    for a product's upper rows to the returned list; other threads (a
+    pool's workers) pass unrecorded. Skips where there is no CPU affinity."""
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity calls: products never split")
+    monkeypatch.setattr(cv.autodiff, "_other_cpus", lambda: os.sched_getaffinity(0))
+    started = []
+
+    class Spy(threading.Thread):
+        def start(self):
+            if self.name == "cvlearn.autodiff.matmul":
+                started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Spy)
+    return started
 
 
 def same_bytes(a, b) -> bool:
@@ -337,11 +360,16 @@ def random_regression(m: int, dn: int, k: int, seed: int) -> cv.Dataset:
                       provenance=f"random-regression(seed={seed})")
 
 
-def cli(*args, cwd=None) -> subprocess.CompletedProcess:
-    """``python -m cvlearn *args`` in a child process that imports cvlearn
-    from the same place this process did."""
+def python(*args, cwd=None) -> subprocess.CompletedProcess:
+    """``python *args`` in a child process that imports cvlearn from the
+    same place this process did."""
     src = str(Path(cv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    return subprocess.run([sys.executable, "-m", "cvlearn", *map(str, args)],
+    return subprocess.run([sys.executable, *map(str, args)],
                           capture_output=True, text=True, env=env, cwd=cwd)
+
+
+def cli(*args, cwd=None) -> subprocess.CompletedProcess:
+    """``python -m cvlearn *args`` in a child process, as ``python`` runs it."""
+    return python("-m", "cvlearn", *args, cwd=cwd)

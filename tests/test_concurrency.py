@@ -17,6 +17,8 @@ import cvlearn as cv
 from cvlearn.models import KINDS, forward, latent_channels
 from cvlearn.train import evaluate, train_model
 
+from helpers import spy_split_threads
+
 THREADS = 4
 TIMEOUT_S = 60
 
@@ -34,9 +36,10 @@ def fast_switching():
 @pytest.fixture(scope="module")
 def sets() -> dict:
     """The channel regression set (dN 5, k 1) and a 784-wide ``dft_encode``d
-    classification set (k 10)."""
-    x = np.random.default_rng(3).uniform(0.0, 1.0, (200, 784))
-    images = cv.Dataset(x, np.zeros_like(x), np.arange(200) % 10, "classification")
+    classification set (k 10), whose 400 rows split each first-layer
+    product into row halves on two threads (``autodiff.matmul``)."""
+    x = np.random.default_rng(3).uniform(0.0, 1.0, (400, 784))
+    images = cv.Dataset(x, np.zeros_like(x), np.arange(400) % 10, "classification")
     return {"complex_regression": cv.gen_channel_dataset(cv.ChannelSpec(), 1000, seed=3),
             "classification": cv.dft_encode(images)}
 
@@ -57,19 +60,27 @@ def _digest(model, records) -> str:
 
 
 @pytest.mark.parametrize("task", ["complex_regression", "classification"])
-def test_concurrent_evaluation_equals_serial(sets, task):
+def test_concurrent_evaluation_equals_serial(sets, task, monkeypatch):
     ds = sets[task]
     models = {kind: cv.init_params(cv.NetworkSpec(kind, ds.dn, 64, ds.k, task), 1)
               for kind in KINDS}
     for model in models.values():
         for p in model.params.values():
             p.setflags(write=False)  # frozen: any write in a pass raises
-    serial = {kind: _outputs(model, ds) for kind, model in models.items()}
+    # each 784-wide first-layer product splits; no channel product does
+    started = spy_split_threads(monkeypatch)
+    serial = {}
+    for kind, model in models.items():
+        before = len(started)
+        serial[kind] = _outputs(model, ds), len(started) - before
+        assert (serial[kind][1] > 0) == (task == "classification"), kind
     jobs = [kind for kind in KINDS for _ in range(4)]
+    before = len(started)
     with ThreadPoolExecutor(max_workers=THREADS) as pool:
         got = list(pool.map(lambda kind: _outputs(models[kind], ds), jobs, timeout=TIMEOUT_S))
     for kind, out in zip(jobs, got):
-        assert out == serial[kind], kind
+        assert out == serial[kind][0], kind
+    assert len(started) - before == sum(serial[kind][1] for kind in jobs)
 
 
 @pytest.mark.parametrize("kind", KINDS)

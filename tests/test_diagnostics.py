@@ -77,6 +77,21 @@ def test_mag_phase_degenerate_tally():
     assert out.degenerate_phases == 1
 
 
+@pytest.mark.parametrize("metric, name, pred, target", [
+    ("mse_metric", "mse", np.full((2, 2), 1e200), np.zeros((2, 2))),
+    ("mse_metric", "mse", np.full((2, 2), 1e308), np.full((2, 2), -1e308)),
+    ("mag_phase_mse", "mag_mse", np.full((2, 2), 1e200), np.zeros((2, 2))),
+    # both magnitudes overflow in hypot, and inf - inf is NaN
+    ("mag_phase_mse", "mag_mse", np.full((2, 2), 1.5e308), np.full((2, 2), 1.5e308))])
+def test_a_metric_that_overflows_raises_naming_itself_without_a_warning(metric, name, pred,
+                                                                       target):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=f"^{name} of these predictions and targets "
+                                            "overflows float64$"):
+            getattr(dg, metric)(pred, target)
+
+
 def test_orthogonality_of_hilbert_pairs():
     z_re = zero_dc_nyquist(np.random.default_rng(2).standard_normal((6, 32)))
     z_im = tr.hilbert_rows_array(z_re)

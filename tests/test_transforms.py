@@ -180,6 +180,18 @@ def test_real_input_gives_the_bytes_of_complex_input():
                            if tr._split(n) in SIGNED_ZERO_N1]
 
 
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_kernels_from_roots_of_unity_have_the_bytes_of_the_n_squared_formula(sign):
+    # the oracle: one exp per entry of the reduced exponent (j k) mod n
+    def formula(n, rows, cols):
+        return np.exp(sign * 2j * np.pi * (np.outer(np.arange(rows), np.arange(cols)) % n) / n)
+
+    for n in [*range(201), 784, 997, 1024]:
+        assert same_bytes(tr._dft_kernel(n, sign), formula(n, n, n)), n
+        if n > 1 and (n1 := tr._split(n)) > 1:
+            assert same_bytes(tr._twiddles(n1, n // n1, sign), formula(n, n // n1, n1)), n
+
+
 @pytest.mark.parametrize("n", [4, 8, 64, 256, 100, 6])
 def test_parseval(n):
     z = _rand_complex(n, 200 + n)
