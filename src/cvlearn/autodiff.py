@@ -39,18 +39,19 @@ BLAS calls as the 2-D case and rounds exactly as it would alone.
 
 The forward products of ``linear`` and of cvnn's complex layer go
 through ``matmul``: a product with at least ``_SPLIT_MACS`` multiply-adds
-in each row half, called from a thread that may run on another CPU,
-computes its upper rows on one new thread, pinned to those other CPUs,
-and its lower rows on the caller's, both into the one output the whole
-product would allocate. Each half is a BLAS call off OpenBLAS's
-small-matrix path, whose rows have the bytes of the whole product's, at
-one BLAS thread or two. There is no pool: the thread is joined before
-``matmul`` returns or raises. Backward products, the DFT and Hilbert row
-blocks and Adam stay serial.
+in each row half computes its upper rows on a second CPU and its lower
+rows on the caller's, both into the one output the whole product would
+allocate. Each half is a BLAS call off OpenBLAS's small-matrix path,
+whose rows have the bytes of the whole product's, at one BLAS thread or
+two. ``on_two_cpus`` runs such a pair of halves, here and in the
+``transforms`` row-block walk: one new thread, pinned to the caller's
+other CPUs, in a copy of the caller's context, joined before it returns
+or raises. There is no pool. Backward products and Adam stay serial.
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 import weakref
@@ -236,9 +237,10 @@ def record_op(op: str, value: np.ndarray, parents: Sequence[Tensor],
 
 
 # A product splits when each row half has at least this many multiply-adds
-# per stacked member. OpenBLAS takes its small-matrix path at M N K <= 1e6,
-# and a half on that path rounds unlike the whole product's rows; this
-# stays 8x above that bound. A half this large takes about 0.5 ms on one
+# per stacked member, and so does a ``transforms`` row-block walk. OpenBLAS
+# takes its small-matrix path at M N K <= 1e6, and a product half on that
+# path rounds unlike the whole product's rows; this stays 8x above that
+# bound. A half this large takes about 0.5 ms on one
 # core, and starting, pinning and joining the thread 0.1-0.25 ms (2-vCPU
 # KVM guest): at 2^22 the split lost, at 2^23 it won. A 32-row training
 # batch (at most 32 x 784 x 64 per product) never splits.
@@ -250,7 +252,7 @@ def _other_cpus() -> set:
     now (the "processor" field of its /proc stat); empty where the platform
     has neither. A thread started here began on its creator's CPU, and the
     two stayed on that one CPU for hundreds of ms with the other idle (a
-    2-vCPU KVM guest), so the upper half's thread is pinned to these."""
+    2-vCPU KVM guest), so ``on_two_cpus`` pins its thread to these."""
     try:
         with open("/proc/thread-self/stat") as f:
             cpu = int(f.read().rsplit(")", 1)[1].split()[36])
@@ -259,35 +261,51 @@ def _other_cpus() -> set:
         return set()
 
 
-def matmul(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """``np.matmul(a, b, out=out)`` of operands of two or more axes, bit for
-    bit, a large product's upper row half on a new thread (see the module
-    docstring). The thread is joined before this returns or raises, and an
-    exception raised in its half is raised here."""
-    m, n = a.shape[-2], b.shape[-1]
-    h = m // 2
-    if h * a.shape[-1] * n < _SPLIT_MACS or not (cpus := _other_cpus()):
-        return np.matmul(a, b, out=out)
-    if out is None:
-        out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (m, n),
-                       np.result_type(a, b))
-    raised = []
+def on_two_cpus(lower: Callable, upper: Callable, name: str) -> tuple:
+    """``(lower(), upper())``, ``upper`` on a new thread named ``name`` and
+    ``lower`` on the caller's. The new thread pins itself to the caller's
+    ``_other_cpus`` and runs ``upper`` in a copy of the caller's context, so
+    numpy's ``errstate`` holds in both. It is joined before this returns or
+    raises, and an exception raised in ``upper`` is raised here. Where there
+    is no other CPU, both run here, ``lower`` first. It is the one place
+    cvlearn starts a thread."""
+    cpus = _other_cpus()
+    if not cpus:
+        return lower(), upper()
+    context, got, raised = contextvars.copy_context(), [], []
 
-    def upper():
+    def run():
         try:
             os.sched_setaffinity(0, cpus)  # this thread's own mask
-            np.matmul(a[..., :h, :], b, out=out[..., :h, :])
+            got.append(context.run(upper))
         except BaseException as e:  # re-raised in the caller's thread
             raised.append(e)
 
-    thread = threading.Thread(target=upper, name="cvlearn.autodiff.matmul")
+    thread = threading.Thread(target=run, name=name)
     thread.start()
     try:
-        np.matmul(a[..., h:, :], b, out=out[..., h:, :])
+        mine = lower()
     finally:
         thread.join()
     if raised:
         raise raised[0]
+    return mine, got[0]
+
+
+def matmul(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``np.matmul(a, b, out=out)`` of operands of two or more axes, bit for
+    bit, a large product's row halves through ``on_two_cpus`` (see the
+    module docstring)."""
+    m, n = a.shape[-2], b.shape[-1]
+    h = m // 2
+    if h * a.shape[-1] * n < _SPLIT_MACS:
+        return np.matmul(a, b, out=out)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (m, n),
+                       np.result_type(a, b))
+    on_two_cpus(lambda: np.matmul(a[..., h:, :], b, out=out[..., h:, :]),
+                lambda: np.matmul(a[..., :h, :], b, out=out[..., :h, :]),
+                "cvlearn.autodiff.matmul")
     return out
 
 

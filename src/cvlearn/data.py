@@ -33,7 +33,7 @@ import numpy as np
 from .autodiff import real_array
 from .errors import ContractError, DataError
 from .rng import Rng
-from .transforms import dft_array, row_blocks
+from .transforms import dft_array, walk_row_blocks
 
 TASKS = ("classification", "complex_regression")
 
@@ -287,19 +287,23 @@ def dft_encode(ds: Dataset) -> Dataset:
     """Replace real-form features by their per-row spectra; labels pass through.
 
     The real and imaginary parts are written straight into the two output
-    arrays, one block of rows (about 1 MiB of complex values) at a time,
+    arrays, a block of rows (about 0.5 MiB of complex values) at a time,
     so the peak beyond the outputs is a few MiB at any M. Each block goes
     to ``dft_array`` as real float64 rows, never copied to complex. The
-    blocks are ``transforms.row_blocks``', so every bit is that of
-    ``dft_array`` over the whole array.
+    blocks are a ``transforms.walk_row_blocks``, the upper half of a large
+    one on a second CPU, so every bit is that of ``dft_array`` over the
+    whole array.
     """
     if ds.features_im.any():  # no [M, dN] mask; -0.0 is zero and NaN is not
         raise DataError("dft_encode expects a real-form dataset (features_im all zero)")
     x = ds.features_re
     re, im = np.empty(x.shape), np.empty(x.shape)
-    for lo, hi in row_blocks(*x.shape):
+
+    def block(lo, hi):
         spectra = dft_array(x[lo:hi])
         re[lo:hi], im[lo:hi] = spectra.real, spectra.imag
+
+    walk_row_blocks(*x.shape, block)
     return replace(ds, features_re=re, features_im=im,
                    provenance=f"{ds.provenance}|dft_encode")
 

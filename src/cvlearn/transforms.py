@@ -21,9 +21,14 @@ complex one as complex128, and evaluates a length n in one of two ways:
   stage is one real product against the n1-point kernel's float64 view,
   with the bytes of the complex product, save the sign of an exactly zero
   bin of a whole-zero row. Rows go through in ``row_blocks`` of about
-  1 MiB, so the only large allocation is the output, for real input too;
+  0.5 MiB, so the only large allocation is the output, for real input too;
 - prime n, n = 0 and n = 1: direct summation against the cached n-point
   kernel, of the input as complex128.
+
+``walk_row_blocks`` takes the split's blocks, the spectral Hilbert
+transform's and ``data.dft_encode``'s, the upper half of a large walk on
+a second CPU (``autodiff.on_two_cpus``); every block is computed as in a
+serial walk, so the bits do not depend on the CPU count.
 
 ``dft_direct_array`` is the direct sum for every n and stays the
 independent oracle for the split. Kernel and twiddle exponents are
@@ -39,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .autodiff import Tensor, real_array, record_op
+from .autodiff import _SPLIT_MACS, Tensor, on_two_cpus, real_array, record_op
 from .errors import ContractError
 
 
@@ -88,8 +93,9 @@ def _twiddles(n1: int, n2: int, sign: int) -> np.ndarray:
     return _roots_table(n1 * n2, sign, n2, n1)
 
 
-# complex values per block of ``row_blocks`` (1 MiB)
-_ROW_BLOCK = 1 << 16
+# complex values per block of ``row_blocks`` (0.5 MiB): a walk that splits
+# has two blocks in flight
+_ROW_BLOCK = 1 << 15
 
 
 def row_blocks(m: int, n: int):
@@ -102,6 +108,25 @@ def row_blocks(m: int, n: int):
         hi = m if m - lo <= step + 1 else lo + step  # never a one-row block
         yield lo, hi
         lo = hi
+
+
+def walk_row_blocks(m: int, n: int, block) -> list:
+    """``[block(lo, hi) for lo, hi in row_blocks(m, n)]``, the upper half of
+    the blocks through ``autodiff.on_two_cpus`` when each half holds at
+    least ``_SPLIT_MACS`` multiply-adds, at n (n1 + n / n1) a row: the
+    split DFT's two stages, n (1 + n) at prime n. Blocks write disjoint rows
+    and each is computed as in a serial walk, so the split moves no bit."""
+    bounds = list(row_blocks(m, n))
+    # the upper half starts at the block bound nearest m / 2; one block is all lower
+    h = min(range(len(bounds)), key=lambda i: abs(m - 2 * bounds[i][0]), default=0)
+    mid = bounds[h][0] if h else m
+    n1 = _split(n)
+    if min(mid, m - mid) * n * (n1 + n // n1) < _SPLIT_MACS:
+        return [block(lo, hi) for lo, hi in bounds]
+    lower, upper = on_two_cpus(lambda: [block(lo, hi) for lo, hi in bounds[:h]],
+                               lambda: [block(lo, hi) for lo, hi in bounds[h:]],
+                               "cvlearn.transforms.walk_row_blocks")
+    return lower + upper
 
 
 def _dft_split(z: np.ndarray, n1: int, n2: int, sign: int) -> np.ndarray:
@@ -121,10 +146,13 @@ def _dft_split(z: np.ndarray, n1: int, n2: int, sign: int) -> np.ndarray:
         k1 = k1.view(np.float64)  # [n1, 2 n1]: real and imaginary columns interleaved
     rows = z.reshape((-1, n1, n2))
     out = np.empty((len(rows), n2, n1), dtype=np.complex128)
-    for lo, hi in row_blocks(len(rows), n1 * n2):
+
+    def block(lo, hi):
         y = (rows[lo:hi].swapaxes(-1, -2) @ k1).view(np.complex128)
         y *= tw
         np.matmul(k2, y, out=out[lo:hi])
+
+    walk_row_blocks(len(rows), n1 * n2, block)
     return out.reshape(z.shape)
 
 
@@ -182,15 +210,18 @@ def _check_hilbert_input(z, name: str) -> np.ndarray:
 
 def _hilbert_core(z: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
     """Each row of ``z`` through its spectrum times ``multipliers`` and back,
-    a block of rows at a time: the complex temporaries are one block's."""
+    in a ``walk_row_blocks``: the complex temporaries are a block's."""
     n = z.shape[-1]
     rows, out = z.reshape(-1, n), np.empty(z.shape)
-    top, residue = 0.0, 0.0
-    for lo, hi in row_blocks(len(rows), n):
-        block = dft_array(dft_array(rows[lo:hi]) * multipliers, inverse=True)
-        out.reshape(-1, n)[lo:hi] = block.real
-        top = max(top, float(np.abs(rows[lo:hi]).max(initial=0.0)))
-        residue = np.maximum(residue, np.abs(block.imag).max(initial=0.0))  # keeps NaN
+
+    def block(lo, hi):
+        back = dft_array(dft_array(rows[lo:hi]) * multipliers, inverse=True)
+        out.reshape(-1, n)[lo:hi] = back.real
+        return float(np.abs(rows[lo:hi]).max(initial=0.0)), np.abs(back.imag).max(initial=0.0)
+
+    got = walk_row_blocks(len(rows), n, block)
+    top = max((t for t, _ in got), default=0.0)
+    residue = np.max([r for _, r in got], initial=0.0)  # keeps NaN
     # residue bound scaled by input magnitude; a symmetric multiplier keeps
     # the inverse transform real to rounding error
     if not residue <= 1e-9 * max(1.0, top):

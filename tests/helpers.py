@@ -22,11 +22,12 @@ RELU_NODES = {"rvnn": 2, "cvnn": 4, "steinmetz": 4, "analytic": 4}
 
 
 def spy_split_threads(monkeypatch) -> list:
-    """For the test, let ``autodiff.matmul`` split as on a host with two
-    CPUs (pinning its thread to the caller's own mask), and replace
+    """For the test, let ``autodiff.on_two_cpus`` split as on a host with
+    two CPUs (pinning its thread to the caller's own mask), and replace
     ``threading.Thread`` by a subclass that appends each thread it starts
-    for a product's upper rows to the returned list; other threads (a
-    pool's workers) pass unrecorded. Skips where there is no CPU affinity."""
+    for a product's upper rows or a row-block walk's upper blocks to the
+    returned list; other threads (a pool's workers) pass unrecorded. Skips
+    where there is no CPU affinity."""
     if not hasattr(os, "sched_setaffinity"):
         pytest.skip("no CPU affinity calls: products never split")
     monkeypatch.setattr(cv.autodiff, "_other_cpus", lambda: os.sched_getaffinity(0))
@@ -34,7 +35,7 @@ def spy_split_threads(monkeypatch) -> list:
 
     class Spy(threading.Thread):
         def start(self):
-            if self.name == "cvlearn.autodiff.matmul":
+            if self.name in ("cvlearn.autodiff.matmul", "cvlearn.transforms.walk_row_blocks"):
                 started.append(self)
             super().start()
 

@@ -1,5 +1,6 @@
-"""The README's concurrency guarantee: forward passes on a frozen model may
-run in several threads at once, and each gives the bits of a serial run.
+"""The README's concurrency guarantee: forward passes on a frozen model,
+and the transforms, may run in several threads at once, and each gives
+the bits of a serial run.
 
 Four threads at most, on small data, so the file runs in about a second.
 The interpreter switches threads every 10 us here, not every 5 ms, so
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import cvlearn as cv
+from cvlearn import transforms as tr
 from cvlearn.models import KINDS, forward, latent_channels
 from cvlearn.train import evaluate, train_model
 
@@ -102,3 +104,20 @@ def test_training_beside_concurrent_evaluation_equals_a_solo_run(sets, kind):
                 f.result(timeout=TIMEOUT_S)
         assert trained.result(timeout=TIMEOUT_S) == solo
     assert all(f.result() == want for f in evaluations)
+
+
+def test_concurrent_transforms_equal_serial(sets, monkeypatch):
+    # 400 rows at 784 wide: each call's row-block walk splits on two threads
+    x = sets["classification"].features_re
+    images = cv.Dataset(x, np.zeros_like(x), np.arange(400) % 10, "classification")
+    calls = {"dft_encode": lambda: cv.dft_encode(images).features_im,
+             "dft_array": lambda: tr.dft_array(x, inverse=True),
+             "hilbert": lambda: tr.hilbert_rows_array(x)}
+    started = spy_split_threads(monkeypatch)
+    serial = {name: call().tobytes() for name, call in calls.items()}
+    assert len(started) == len(calls)
+    jobs = [name for name in calls for _ in range(THREADS)]
+    with ThreadPoolExecutor(max_workers=THREADS) as pool:
+        got = list(pool.map(lambda name: calls[name]().tobytes(), jobs, timeout=TIMEOUT_S))
+    assert got == [serial[name] for name in jobs]
+    assert len(started) == len(calls) * (1 + THREADS)

@@ -1,18 +1,21 @@
 """``autodiff.matmul``: a large product's row halves on two threads give
 the bytes of ``np.matmul``; small products, 32-row training steps and a
 process limited to one CPU start no thread; an error in either half
-reaches the caller with no thread left running.
+reaches the caller with no thread left running, and the caller's numpy
+``errstate`` holds in both halves.
 """
 
 import itertools
 import os
 import threading
+import warnings
 
 import numpy as np
 import pytest
 
 import cvlearn as cv
 from cvlearn import autodiff as ad
+from cvlearn.errors import DataError
 from cvlearn.models import KINDS
 from cvlearn.train import forward_metrics
 
@@ -129,6 +132,24 @@ def test_an_error_in_either_half_reaches_the_caller(monkeypatch, half):
         ad.matmul(a, b)
     assert e.value is raised[0] and len(raised) == 1
     assert threading.active_count() == before
+
+
+def test_an_overflow_in_the_upper_half_stays_under_the_callers_errstate(monkeypatch):
+    # forward_metrics ignores overflow in the forward pass, then refuses the
+    # non-finite predictions: the first layer's 1e306 weights overflow in
+    # both halves of its 500-row split, and no RuntimeWarning may escape
+    started = spy_split_threads(monkeypatch)
+    model = cv.init_params(cv.NetworkSpec("steinmetz", 784, 64, 10, "classification"), 1)
+    huge = {name: np.full(p.shape, 1e306) if name in ("realfc1.w", "imagfc1.w") else p
+            for name, p in model.params.items()}
+    g = np.random.default_rng(35)
+    ds = cv.Dataset(g.random((1000, 784)), g.random((1000, 784)), np.arange(1000) % 10,
+                    "classification")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="not all finite"):
+            cv.evaluate(cv.Model(model.spec, huge), ds)
+    assert len(started) == 2  # each branch's first layer
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")

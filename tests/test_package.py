@@ -3,8 +3,9 @@ relies on ``assert``, which ``python -O`` strips, no module keeps an
 import it does not use or imports a package beyond the standard library
 and numpy, no module reads an environment variable, no function, class
 or method goes unused, every public ``autodiff`` name is reached from
-another package module, and every file is written through
-``data.staged`` into a directory made by ``data.output_dir``."""
+another package module, every file is written through ``data.staged``
+into a directory made by ``data.output_dir``, and only
+``autodiff.on_two_cpus`` starts a thread."""
 
 import ast
 import sys
@@ -313,3 +314,47 @@ def test_unstaged_write_check_flags_planted_writes():
     assert _unstaged_writes(sources) == [
         f"rng.py:{lines + 4} mkdir", f"rng.py:{lines + 5} write_bytes",
         f"rng.py:{lines + 11} write_text", f"rng.py:{lines + 15} mkdir"]
+
+
+# the names through which the standard library makes a thread
+_THREAD_MAKERS = {"Thread", "Timer", "ThreadPoolExecutor", "start_new_thread"}
+
+
+def _thread_makers(sources: dict[str, str]) -> list[str]:
+    """``module:function`` of each read or import of a name that makes a
+    thread (``threading.Thread``, a subclass's base, ``from threading import
+    Thread``, a pool), by the innermost enclosing function."""
+    found = []
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            function = node.name
+        names = ([node.attr] if isinstance(node, ast.Attribute)
+                 else [node.id] if isinstance(node, ast.Name)
+                 else [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                 else [])
+        found.extend(f"{module}:{function}" for name in names if name in _THREAD_MAKERS)
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, None)
+    return found
+
+
+def test_only_on_two_cpus_starts_a_thread():
+    # the one place that pins its thread, copies the caller's context and joins
+    assert _thread_makers(_package_sources()) == ["autodiff.py:on_two_cpus"]
+
+
+def test_thread_maker_check_flags_planted_threads():
+    sources = _package_sources()
+    sources["rng.py"] += (
+        "\n\nfrom threading import Thread as T\n"
+        "\n\nclass Worker(threading.Thread):\n    pass\n"
+        "\n\ndef planted(f):\n    threading.Timer(1.0, f).start()\n"
+        "    with concurrent.futures.ThreadPoolExecutor(2) as pool:\n"
+        "        return pool.submit(f)\n")
+    assert _thread_makers(sources) == [
+        "autodiff.py:on_two_cpus", "rng.py:None", "rng.py:Worker", "rng.py:planted",
+        "rng.py:planted"]
